@@ -24,7 +24,8 @@ from typing import Optional
 from .decision import NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
 from .rng import SplitMix64, derive_seed
-from .sumset import GroupSet, negated_mask, sumset, translate, translate_mask
+from .sumset import (GroupSet, negated_mask, private_points, sumset, translate,
+                     translate_mask)
 from . import complements
 
 AP_DETECT_SIZE_LIMIT = 64
@@ -377,11 +378,10 @@ def random_witness(c: GroupSet, s: int, max_retries: int = 10,
         wmask = full & ~bad
         for i in range(k):
             wmask |= 1 << samples[i][keep[i]]
-        once, twice = complements._once_twice(group, wmask, ec)
-        if once != full:
+        covered, private = private_points(group, wmask, ec)
+        if covered != full:
             continue
-        unique = once & ~twice
-        if not all((unique >> gv) & 1 for gv in chosen_g):
+        if not all((private >> gv) & 1 for gv in chosen_g):
             continue
         return RandomBuildTrace(c, s, seed, attempt + 1, samples, derived,
                                 False, False, False, keep,
@@ -407,11 +407,10 @@ def lift_via_subgroup(wh: GroupSet, c: GroupSet,
         h = Subgroup(group, span)
     elif span != h.members:
         raise ValueError("wh + c does not fill the given subgroup")
-    once, twice = complements._once_twice(group, wh.mask, c.elements())
-    unique = once & ~twice
-    for e in c.elements():
-        if translate_mask(group, wh.mask, e) & unique == 0:
-            raise ValueError("c is not a minimal complement within the subgroup")
+    ec = c.elements()
+    _, private = private_points(group, wh.mask, ec)
+    if not all(translate_mask(group, wh.mask, e) & private for e in ec):
+        raise ValueError("c is not a minimal complement within the subgroup")
     w = sumset(wh, coset_representatives(h))
     if not complements.is_minimal_complement_for(w, c):
         raise RuntimeError("subgroup lift failed verification")

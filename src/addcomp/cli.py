@@ -294,25 +294,23 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         group, inputs, result, seed, code = args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (LiteralError, ValueError) as exc:
+        envelope = {
+            "version": __version__,
+            "command": args.command,
+            "group": group.spec_string() if group is not None else None,
+            "inputs": _sanitize(inputs),
+            "result": _sanitize(result),
+            "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
+            "seed": seed,
+        }
+        text = json.dumps(envelope, indent=2, sort_keys=True)
+    except (_UsageError, LiteralError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
-    envelope = {
-        "version": __version__,
-        "command": args.command,
-        "group": group.spec_string() if group is not None else None,
-        "inputs": _sanitize(inputs),
-        "result": _sanitize(result),
-        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
-        "seed": seed,
-    }
-    print(json.dumps(envelope, indent=2, sort_keys=True))
+    print(text)
     return code
 
 

@@ -4,9 +4,9 @@ The central question answered here: given a non-empty set C in a finite
 abelian group, is there a W such that C is a minimal additive complement
 for W?  exists_witness() routes through cheap certificates first (size
 cap, subgroup trap, arithmetic-progression and two-element builders, a
-randomized builder for large groups) and only then falls back to the
-exhaustive scan, which is the sole source of "no" answers beyond the two
-counting bounds.
+randomized builder whenever the exhaustive scan does not fit the budget)
+and only then falls back to the exhaustive scan, which is the sole source
+of "no" answers beyond the two counting bounds.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
                      cyclic_subgroups, subgroup_generated)
 from .rng import derive_seed
 from .search import scan_for_witness
-from .sumset import GroupSet, coverage, sumset, translate_mask
+from .sumset import GroupSet, private_points, sumset, translate_mask
 
 PAIR_SCAN_LIMIT = 1 << 16
 SUBGROUP_SCAN_LIMIT = 1 << 16
@@ -31,16 +31,6 @@ def is_complement(w: GroupSet, c: GroupSet) -> bool:
     return sumset(w, c).mask == w.group.full_mask
 
 
-def _once_twice(group: Group, wmask: int, c_elements) -> tuple[int, int]:
-    once = 0
-    twice = 0
-    for e in c_elements:
-        t = translate_mask(group, wmask, e)
-        twice |= once & t
-        once |= t
-    return once, twice
-
-
 def is_minimal_complement_for(w: GroupSet, c: GroupSet) -> bool:
     """True when W + C = G and dropping any element of C breaks coverage."""
     group = w.group
@@ -49,14 +39,10 @@ def is_minimal_complement_for(w: GroupSet, c: GroupSet) -> bool:
     ec = c.elements()
     if not ec:
         return False
-    once, twice = _once_twice(group, w.mask, ec)
-    if once != group.full_mask:
+    covered, private = private_points(group, w.mask, ec)
+    if covered != group.full_mask:
         return False
-    unique = once & ~twice
-    for e in ec:
-        if translate_mask(group, w.mask, e) & unique == 0:
-            return False
-    return True
+    return all(translate_mask(group, w.mask, e) & private for e in ec)
 
 
 @dataclass(frozen=True)
@@ -80,12 +66,12 @@ def essentiality(w: GroupSet, c: GroupSet) -> EssentialityReport:
     group = w.group
     if not is_complement(w, c):
         raise ValueError("essentiality is defined for complements only")
-    prof = coverage(w, c)
-    unique = prof.unique_mask()
+    ec = c.elements()
+    _, private = private_points(group, w.mask, ec)
     ess = 0
     witness: dict[int, int] = {}
-    for e in c.elements():
-        hit = translate_mask(group, w.mask, e) & unique
+    for e in ec:
+        hit = translate_mask(group, w.mask, e) & private
         if hit:
             ess |= 1 << e
             witness[e] = (hit & -hit).bit_length() - 1
@@ -103,15 +89,12 @@ def prune_to_minimal(w: GroupSet, c: GroupSet) -> GroupSet:
     cur = c
     while True:
         ec = cur.elements()
-        once, twice = _once_twice(group, w.mask, ec)
-        unique = once & ~twice
-        dropped = False
+        _, private = private_points(group, w.mask, ec)
         for e in ec:
-            if translate_mask(group, w.mask, e) & unique == 0:
+            if translate_mask(group, w.mask, e) & private == 0:
                 cur = cur.without_element(e)
-                dropped = True
                 break
-        if not dropped:
+        else:
             return cur
 
 
@@ -156,6 +139,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
         budget = SearchBudget()
     problem = "minimal-complement-for"
     k = len(c)
+    scan_fits = n <= 63 and 1 << (n - 1) <= budget.max_candidates
 
     if c.mask == group.full_mask:
         return _verified_yes(problem, GroupSet(group, 1), c, "trivial", {})
@@ -183,7 +167,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
                 w = GroupSet.from_elements(group, [0, a])
                 return _verified_yes(problem, w, c, "construction-pair",
                                      {"offset": a})
-        if n > (budget.max_candidates << 1):
+        if not scan_fits:
             s = max(1, math.ceil(1.5 * math.log(n)))
             if builders.check_feasibility(n, k, s).feasible:
                 seed = derive_seed(0x57A97E55, n, k, c.mask % (1 << 64))
@@ -192,8 +176,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
                     return _verified_yes(problem, trace.result, c, "random-build",
                                          {"s": s, "retries": trace.retries_used})
 
-    total = 1 << (n - 1) if n > 1 else 1
-    if n <= 63 and total <= budget.max_candidates:
+    if scan_fits:
         w, checked, complete = scan_for_witness(group, c, budget.max_candidates)
         if w is not None:
             return _verified_yes(problem, w, c, "exhaustive",
@@ -202,7 +185,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
             return DecisionCertificate(problem, NO, "exhaustive", detail={
                 "base": c, "candidates": checked})
     return DecisionCertificate(problem, UNKNOWN, "budget", detail={
-        "base": c, "candidates_needed": total})
+        "base": c, "candidates_needed_log2": n - 1})
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,7 @@ UNKNOWN = "unknown"
 # searches prove yes; exhaustion can prove either.
 KNOWN_METHODS = frozenset(
     {
-        "definition",
         "trivial",
-        "subgroup",
         "bound-size-gap",
         "bound-subgroup-gap",
         "bound-solidity",

@@ -24,7 +24,6 @@ __all__ = [
     "all_subgroups",
     "cyclic_subgroups",
     "unit_multipliers",
-    "scale_set",
     "abelian_groups_of_order",
 ]
 
@@ -515,14 +514,6 @@ def unit_multipliers(group: Group) -> list[int]:
     """Scalars u that act as automorphisms x -> u*x, up to the exponent."""
     exp = group.exponent()
     return [u for u in range(1, exp + 1) if math.gcd(u, exp) == 1]
-
-
-def scale_set(s: GroupSet, k: int) -> GroupSet:
-    group = s.group
-    mask = 0
-    for e in s:
-        mask |= 1 << group.scale(e, k)
-    return GroupSet(group, mask)
 
 
 def _partitions(n: int) -> Iterable[tuple[int, ...]]:

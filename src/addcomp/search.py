@@ -1,96 +1,94 @@
-"""Vectorized exhaustive search for witnesses over all W containing 0.
+"""The batched exhaustive scan over all W containing 0, shared by both problems.
 
 Candidate masks for a group of order n are w = 2j+1 for j in
 [0, 2^(n-1)): forcing bit 0 is the usual translation normalization of W,
 and ascending j is ascending mask order, so "first hit" here agrees with
-the naive oracle's scan order.  A whole chunk of candidates is processed
-at once as a uint64 array (n <= 63 always holds, because anything wider
-is far past any exhaustive budget anyway).
+the naive oracles' scan order.  Batches of candidates go through a
+per-problem test as uint64 arrays (n <= 63); they start at FIRST_BATCH
+and grow up to CHUNK, so an early witness costs no full chunk.  Both
+tests are the private_points cover count over the translates of W.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .groups import Group
-from .sumset import GroupSet
+from .sumset import GroupSet, private_points, translate_mask
 
+FIRST_BATCH = 1 << 6
+BATCH_GROWTH = 8
 CHUNK = 1 << 20
 
 
-def _translate_batch(group: Group, w: np.ndarray, g: int) -> np.ndarray:
-    """Vector version of translate_mask over an array of masks."""
+def scan(group: Group, test: Callable[[np.ndarray], np.ndarray],
+         max_candidates: Optional[int] = None) -> tuple[Optional[GroupSet], int, bool]:
+    """Walk the odd masks in ascending order until test accepts one.
+
+    test maps a uint64 array of masks to a bool array.  Returns (first
+    accepted W or None, candidates checked, complete), where complete
+    tells whether the whole space fit inside max_candidates.
+    """
     n = group.order
-    if g == 0 or n <= 1:
-        return w
-    full = np.uint64((1 << n) - 1)
-    if len(group.factors) == 1:
-        lo = (w << np.uint64(g)) & full
-        hi = w >> np.uint64(n - g)
-        return lo | hi
-    m = w
-    for i, (d, stride) in enumerate(zip(group.factors, group.strides)):
-        a = (g // stride) % d
-        if a == 0:
-            continue
-        block = d * stride
-        t = a * stride
-        rep = group.block_reps[i]
-        keep = np.uint64(((1 << (block - t)) - 1) * rep)
-        moved = (m & keep) << np.uint64(t)
-        wrapped = (m & ~keep & full) >> np.uint64(block - t)
-        m = (moved | wrapped) & full
-    return m
+    if n > 63:
+        return None, 0, False
+    total = 1 << (n - 1)
+    limit = total if max_candidates is None else min(total, max_candidates)
+    complete = limit >= total
+    base = 0
+    size = FIRST_BATCH
+    while base < limit:
+        count = min(size, limit - base)
+        w = (np.arange(base, base + count, dtype=np.uint64) << 1) | 1
+        hits = np.flatnonzero(test(w))
+        if hits.size:
+            hit = int(hits[0])
+            return GroupSet(group, int(w[hit])), base + hit + 1, complete
+        base += count
+        size = min(size * BATCH_GROWTH, CHUNK)
+    return None, base, complete
+
+
+def _each_translate_meets(group: Group, w: np.ndarray, elements,
+                          target: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Narrow alive to the masks whose translate by every element meets target."""
+    for e in elements:
+        if not alive.any():
+            break
+        alive &= (translate_mask(group, w, e) & target) != 0
+    return alive
 
 
 def scan_for_witness(group: Group, c: GroupSet,
                      max_candidates: Optional[int] = None) -> tuple[Optional[GroupSet], int, bool]:
     """Scan every normalized W for one that c is a minimal complement for.
 
-    Returns (witness, candidates_checked, complete) where complete tells
-    whether the whole space fit inside max_candidates.  The witness is the
+    Returns (witness, candidates_checked, complete).  The witness is the
     first in mask order; None with complete=True is a proof of absence.
     """
-    n = group.order
     ec = c.elements()
     if not ec:
         raise ValueError("empty C has no witness")
-    if n == 1:
-        w = GroupSet(group, 1)
-        return w, 1, True
-    if n > 63:
-        return None, 0, False
-    total = 1 << (n - 1)
-    limit = total if max_candidates is None else min(total, max_candidates)
-    complete = limit >= total
-    full = np.uint64((1 << n) - 1)
-    checked = 0
-    base = 0
-    while base < limit:
-        count = min(CHUNK, limit - base)
-        j = np.arange(base, base + count, dtype=np.uint64)
-        w = (j << np.uint64(1)) | np.uint64(1)
-        once = np.zeros(count, dtype=np.uint64)
-        twice = np.zeros(count, dtype=np.uint64)
-        for e in ec:
-            t = _translate_batch(group, w, e)
-            twice |= once & t
-            once |= t
-        alive = once == full
-        checked += count
-        if alive.any():
-            unique = once & ~twice
-            for e in ec:
-                t = _translate_batch(group, w, e)
-                alive &= (t & unique) != np.uint64(0)
-                if not alive.any():
-                    break
-            if alive.any():
-                hit = int(np.flatnonzero(alive)[0])
-                wmask = int(w[hit])
-                checked = base + hit + 1
-                return GroupSet(group, wmask), checked, complete
-        base += count
-    return None, checked, complete
+
+    def test(w):
+        covered, private = private_points(group, w, ec)
+        return _each_translate_meets(group, w, ec, private, covered == group.full_mask)
+
+    return scan(group, test, max_candidates)
+
+
+def scan_for_supplement(group: Group, c: GroupSet) -> tuple[Optional[GroupSet], int, bool]:
+    """Scan every normalized W for one that c is a maximal supplement for.
+
+    Same return shape as scan_for_witness, with no candidate cap.
+    """
+    ec = c.elements()
+    outside = GroupSet(group, group.full_mask & ~c.mask).elements()
+
+    def test(w):
+        covered, private = private_points(group, w, ec)
+        return _each_translate_meets(group, w, outside, covered, covered == private)
+
+    return scan(group, test)

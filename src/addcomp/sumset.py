@@ -21,6 +21,7 @@ __all__ = [
     "CoverageProfile",
     "bits_of",
     "translate_mask",
+    "private_points",
     "negated_mask",
     "sumset",
     "difference_set",
@@ -40,25 +41,42 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def translate_mask(group: "Group", mask: int, g: int) -> int:
-    """Mask of {a + g : a in mask}, via block rotations along each factor."""
+def translate_mask(group: "Group", mask, g: int):
+    """Mask of {a + g : a in mask}, via block rotations along each factor.
+
+    mask is an int or a uint64 array of masks; every operand is a
+    non-negative int so both work.  Translation by 0 returns mask itself.
+    """
     n = group.order
-    if g == 0 or mask == 0 or n <= 1:
+    if g == 0 or n <= 1:
         return mask
     full = group.full_mask
     if len(group.factors) == 1:
         return ((mask << g) | (mask >> (n - g))) & full
     m = mask
-    for i, (d, stride) in enumerate(zip(group.factors, group.strides)):
+    for d, stride, rep in zip(group.factors, group.strides, group.block_reps):
         a = (g // stride) % d
         if a == 0:
             continue
         block = d * stride
         t = a * stride
-        rep = group.block_reps[i]
         keep = ((1 << (block - t)) - 1) * rep
-        m = (((m & keep) << t) | ((m & ~keep & full) >> (block - t))) & full
+        m = (((m & keep) << t) | ((m & (full & ~keep)) >> (block - t))) & full
     return m
+
+
+def private_points(group: "Group", w, elements) -> tuple:
+    """(covered, private): points of some w + e, and of exactly one.
+
+    e has a private point when translate_mask(group, w, e) & private.
+    Takes an int or a uint64 array for w, like translate_mask.
+    """
+    once = twice = 0
+    for e in elements:
+        t = translate_mask(group, w, e)
+        twice = twice | (once & t)
+        once = once | t
+    return once, once ^ twice
 
 
 def negated_mask(group: "Group", mask: int) -> int:

@@ -10,7 +10,9 @@ rejected outright (adding its extension point keeps every pairwise
 difference, so no W can be maximal for it); a solid C first tries the
 completion route, searching for W whose difference set is exactly the
 complement of C-C plus 0, which is sufficient; and when that search
-proves empty or gives up, a normalized exhaustive scan settles it.
+proves empty or gives up, the batched scan in search.py, which the
+complement problem shares, settles orders up to EXHAUSTIVE_LIMIT.  Its
+hit is re-verified here like every other yes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .decision import NO, UNKNOWN, YES, DecisionCertificate, SearchBudget
+from .search import scan_for_supplement
 from .sumset import GroupSet, difference_set, sumset, negated_mask, translate_mask
 
 EXHAUSTIVE_LIMIT = 16
@@ -226,11 +229,12 @@ def maximal_supplement_witness(c: GroupSet,
                                    detail={"base": c, "nodes": inst.nodes})
 
     if n <= EXHAUSTIVE_LIMIT:
-        for wmask in range(1, 1 << n, 2):
-            w = GroupSet(group, wmask)
-            if is_maximal_supplement_for(w, c):
-                return DecisionCertificate(PROBLEM, YES, "exhaustive", witness=w,
-                                           detail={"base": c})
-        return DecisionCertificate(PROBLEM, NO, "exhaustive", detail={"base": c})
+        w, _, _ = scan_for_supplement(group, c)
+        if w is None:
+            return DecisionCertificate(PROBLEM, NO, "exhaustive", detail={"base": c})
+        if not is_maximal_supplement_for(w, c):
+            raise RuntimeError("exhaustive witness failed verification")
+        return DecisionCertificate(PROBLEM, YES, "exhaustive", witness=w,
+                                   detail={"base": c})
     return DecisionCertificate(PROBLEM, UNKNOWN, "budget", detail={
         "base": c, "diffset_status": inst.status})

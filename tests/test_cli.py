@@ -3,6 +3,9 @@ import json
 import pytest
 
 from addcomp.cli import main
+from addcomp.complements import is_minimal_complement_for
+from addcomp.groups import Group
+from addcomp.sumset import GroupSet
 
 ENVELOPE_KEYS = {"version", "command", "group", "inputs", "result",
                  "timing_ms", "seed"}
@@ -52,6 +55,15 @@ def test_witness_unknown_exit_2(capsys):
                        "--max-candidates", "4")
     assert code == 2
     assert env["result"]["certificate"]["verdict"] == "unknown"
+
+
+def test_witness_unknown_in_large_group_prints_envelope(capsys):
+    code, env, err = run(capsys, "witness", "--group", "100000",
+                         "--c", "{0,1,3,7,20,50,90,200,300}")
+    assert code == 2 and err == ""
+    cert = env["result"]["certificate"]
+    assert cert["verdict"] == "unknown"
+    assert cert["detail"]["candidates_needed_log2"] == 99999
 
 
 def test_witness_no_fast_paths(capsys):
@@ -186,6 +198,18 @@ def test_lift_z_command(capsys):
     assert code == 1
     code, _, err = run(capsys, "lift-z", "--ints", "1,1,2")
     assert code == 1
+
+
+def test_lift_z_safe_mode_random_build(capsys):
+    code, env, _ = run(capsys, "lift-z", "--ints", "0,1,4,6,10,11,13",
+                       "--mode", "safe")
+    assert code == 0
+    result = env["result"]
+    assert result["method"] == "random-build"
+    group = Group([result["modulus"]])
+    w = GroupSet(group, int(result["witness"], 16))
+    residues = GroupSet(group, int(result["residues"], 16))
+    assert is_minimal_complement_for(w, residues)
 
 
 def test_literal_errors_exit_1(capsys):

@@ -111,6 +111,22 @@ def test_exists_witness_unknown_on_budget():
     assert cert.method == "budget"
 
 
+def test_exists_witness_builds_when_scan_does_not_fit():
+    # the randomized builder opens whenever the exhaustive scan is out of reach
+    g = Group([10 ** 6])
+    c = _gs(g, [0, 11, 5225, 90125, 443211, 800017])
+    cert = exists_witness(c)
+    assert cert.verdict == YES and cert.method == "random-build"
+    assert cert.verify()
+
+
+def test_unknown_reports_scan_size_as_log2():
+    g = Group([100000])
+    cert = exists_witness(_gs(g, [0, 1, 3, 7, 20, 50, 90, 200, 300]))
+    assert cert.verdict == UNKNOWN
+    assert cert.detail["candidates_needed_log2"] == 99999
+
+
 def test_yes_witnesses_respect_size_bound():
     # a yes is impossible in the barred band 2n/3 < |C| < n
     for n in (6, 7, 8):
