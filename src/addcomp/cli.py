@@ -70,7 +70,7 @@ def _budget(args) -> Optional[SearchBudget]:
     cap = getattr(args, "max_candidates", None)
     if cap is None:
         return None
-    return SearchBudget(max_candidates=cap, max_nodes=cap)
+    return SearchBudget(max_candidates=cap)
 
 
 def _cmd_check(args):

@@ -17,13 +17,14 @@ from typing import Optional
 
 from .decision import NO, UNKNOWN, YES, DecisionCertificate, SearchBudget
 from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
-                     cyclic_subgroups, subgroup_generated)
+                     cyclic_subgroups, generated_order)
+# perfbench/tracing.py times subgroup_generated through this module's name.
+from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
 from .search import scan_for_witness
 from .sumset import GroupSet, private_points, sumset, translate_mask
 
 PAIR_SCAN_LIMIT = 1 << 16
-SUBGROUP_SCAN_LIMIT = 1 << 16
 
 
 def is_complement(w: GroupSet, c: GroupSet) -> bool:
@@ -98,20 +99,11 @@ def prune_to_minimal(w: GroupSet, c: GroupSet) -> GroupSet:
             return cur
 
 
-def _containing_subgroup_order(group: Group, c: GroupSet) -> Optional[int]:
+def _containing_subgroup_order(group: Group, c: GroupSet) -> int:
     """Order of the smallest subgroup containing a translate of C."""
     ec = c.elements()
     c0 = ec[0]
-    rel = [group.sub(e, c0) for e in ec[1:]]
-    if len(group.factors) <= 1:
-        n = group.order
-        g = n
-        for d in rel:
-            g = math.gcd(g, d)
-        return n // g if g else 1
-    if group.order > SUBGROUP_SCAN_LIMIT:
-        return None
-    return subgroup_generated(GroupSet.from_elements(group, rel + [0])).order
+    return generated_order(group, [group.sub(e, c0) for e in ec[1:]])
 
 
 def _verified_yes(problem: str, w: GroupSet, c: GroupSet, method: str,
@@ -149,7 +141,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
             return DecisionCertificate(problem, NO, "bound-size-gap", detail={
                 "base": c, "size": k, "cap": (2 * n) // 3})
         m = _containing_subgroup_order(group, c)
-        if m is not None and k < m and 2 * n * m < k * (m + 2 * n):
+        if k < m and 2 * n * m < k * (m + 2 * n):
             return DecisionCertificate(problem, NO, "bound-subgroup-gap", detail={
                 "base": c, "size": k, "subgroup_order": m})
 

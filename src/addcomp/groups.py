@@ -19,6 +19,7 @@ __all__ = [
     "Subgroup",
     "Homomorphism",
     "subgroup_generated",
+    "generated_order",
     "coset_representatives",
     "quotient_map",
     "all_subgroups",
@@ -82,40 +83,55 @@ class Group:
         return e
 
     # -- arithmetic ----------------------------------------------------
+    #
+    # On products each factor's digit of the mixed-radix index is
+    # (e // stride) % d, and (a // s + b // s) % d is the digit of a + b:
+    # the higher digits in a // s are multiples of d.  So every operation
+    # works on the index directly, one digit per factor, with no tuples.
 
     def add(self, a: int, b: int) -> int:
+        n = self.order
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"element index out of range for {self}")
         if len(self.factors) == 1:
-            n = self.order
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"element index out of range for {self}")
             return (a + b) % n
-        ca = self.coords_of(a)
-        cb = self.coords_of(b)
-        return self.index_of([x + y for x, y in zip(ca, cb)])
+        out = 0
+        for d, s in zip(self.factors, self.strides):
+            out += ((a // s + b // s) % d) * s
+        return out
 
     def neg(self, a: int) -> int:
+        n = self.order
+        if not 0 <= a < n:
+            raise ValueError(f"element index {a} out of range for {self}")
         if len(self.factors) == 1:
-            n = self.order
-            if not 0 <= a < n:
-                raise ValueError(f"element index {a} out of range for {self}")
             return (n - a) % n
-        return self.index_of([-x for x in self.coords_of(a)])
+        out = 0
+        for d, s in zip(self.factors, self.strides):
+            out += (-(a // s) % d) * s
+        return out
 
     def sub(self, a: int, b: int) -> int:
+        n = self.order
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"element index out of range for {self}")
         if len(self.factors) == 1:
-            n = self.order
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"element index out of range for {self}")
             return (a - b) % n
-        ca = self.coords_of(a)
-        cb = self.coords_of(b)
-        return self.index_of([x - y for x, y in zip(ca, cb)])
+        out = 0
+        for d, s in zip(self.factors, self.strides):
+            out += ((a // s - b // s) % d) * s
+        return out
 
     def scale(self, a: int, k: int) -> int:
         """k-fold sum of a (k any integer); coordinatewise multiplication."""
         if len(self.factors) == 1:
             return (a * k) % self.order
-        return self.index_of([x * k for x in self.coords_of(a)])
+        if not 0 <= a < self.order:
+            raise ValueError(f"element index {a} out of range for {self}")
+        out = 0
+        for d, s in zip(self.factors, self.strides):
+            out += ((a // s * k) % d) * s
+        return out
 
     def element_order(self, a: int) -> int:
         o = 1
@@ -260,17 +276,16 @@ def subgroup_generated(s: GroupSet) -> Subgroup:
             return Subgroup.trivial(group)
         mask = ((1 << n) - 1) // ((1 << g0) - 1) if g0 > 1 else group.full_mask
         return Subgroup(group, GroupSet(group, mask), verified=True)
-    gens = s.elements()
+    # Closure by doubling.  With H the subgroup so far and mask equal to
+    # H + {0, ..., t-1}*g, a translate by step = t*g doubles t.  step lies
+    # in mask exactly when (t - j)*g is in H for some j < t, that is when
+    # mask is already H + <g>.
     mask = 1
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for e in gens:
-            y = group.add(x, e)
-            bit = 1 << y
-            if not mask & bit:
-                mask |= bit
-                frontier.append(y)
+    for g in s:
+        step = g
+        while not (mask >> step) & 1:
+            mask |= translate_mask(group, mask, step)
+            step = group.add(step, step)
     return Subgroup(group, GroupSet(group, mask), verified=True)
 
 
@@ -432,6 +447,30 @@ def _smith_with_left(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]
     return diag, u
 
 
+def _relation_lattice(group: Group, elements: Sequence[int]) -> list[list[int]]:
+    """Columns d_i * e_i, then the coordinates of each element.
+
+    They span the relations of G / <elements> over Z^r, so the product of
+    the Smith diagonal is the order of that quotient.
+    """
+    r = len(group.factors)
+    mat = [[0] * (r + len(elements)) for _ in range(r)]
+    for i, d in enumerate(group.factors):
+        mat[i][i] = d
+    for j, e in enumerate(elements):
+        for i, a in enumerate(group.coords_of(e)):
+            mat[i][r + j] = a
+    return mat
+
+
+def generated_order(group: Group, elements: Sequence[int]) -> int:
+    """Order of the subgroup generated by elements, without listing it."""
+    if len(group.factors) <= 1:
+        return group.order // math.gcd(group.order, *elements)
+    diag, _ = _smith_with_left(_relation_lattice(group, elements))
+    return group.order // math.prod(diag)
+
+
 def quotient_map(group: Group, h: Subgroup) -> tuple[Group, Homomorphism]:
     """Quotient group G/H together with the projection map.
 
@@ -451,13 +490,7 @@ def quotient_map(group: Group, h: Subgroup) -> tuple[Group, Homomorphism]:
             return q, Homomorphism(group, q, [0])
         q = Group([qsize])
         return q, Homomorphism(group, q, [1])
-    mat = [[0] * (r + h.order) for _ in range(r)]
-    for i, d in enumerate(group.factors):
-        mat[i][i] = d
-    for j, e in enumerate(h.members):
-        for i, a in enumerate(group.coords_of(e)):
-            mat[i][r + j] = a
-    diag, u = _smith_with_left(mat)
+    diag, u = _smith_with_left(_relation_lattice(group, h.members.elements()))
     if any(v == 0 for v in diag):
         raise RuntimeError("degenerate relation lattice in quotient computation")
     keep = [i for i, v in enumerate(diag) if v > 1]

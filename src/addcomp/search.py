@@ -79,10 +79,11 @@ def scan_for_witness(group: Group, c: GroupSet,
     return scan(group, test, max_candidates)
 
 
-def scan_for_supplement(group: Group, c: GroupSet) -> tuple[Optional[GroupSet], int, bool]:
+def scan_for_supplement(group: Group, c: GroupSet,
+                        max_candidates: Optional[int] = None) -> tuple[Optional[GroupSet], int, bool]:
     """Scan every normalized W for one that c is a maximal supplement for.
 
-    Same return shape as scan_for_witness, with no candidate cap.
+    Same arguments and return shape as scan_for_witness.
     """
     ec = c.elements()
     outside = GroupSet(group, group.full_mask & ~c.mask).elements()
@@ -91,4 +92,4 @@ def scan_for_supplement(group: Group, c: GroupSet) -> tuple[Optional[GroupSet], 
         covered, private = private_points(group, w, ec)
         return _each_translate_meets(group, w, outside, covered, covered == private)
 
-    return scan(group, test)
+    return scan(group, test, max_candidates)

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 
+COVERAGE_CHUNK = 1 << 20
+
+
 def bits_of(mask: int) -> Iterator[int]:
     """Yield the set bit positions of a mask, ascending."""
     while mask:
@@ -265,33 +268,36 @@ class CoverageProfile:
 
 
 def coverage(w: GroupSet, c: GroupSet) -> CoverageProfile:
-    """Representation counts of every group element as w + c."""
+    """Representation counts of every group element as w + c.
+
+    The coordinates of every pair are added factor by factor and wrapped
+    into one index, and a bincount tallies the indices, in blocks of about
+    COVERAGE_CHUNK pairs so memory stays bounded on large groups.
+    """
     _same_group(w, c)
     group = w.group
     n = group.order
-    cap = min(len(w), len(c))
+    kw = len(w)
+    cap = min(kw, len(c))
     if cap >= 1 << 16:
         raise OverflowError(
             f"coverage counts up to {cap} overflow 16-bit counters"
         )
+    if cap == 0:
+        return CoverageProfile(group, np.zeros(n, dtype=np.uint16))
+    shape = tuple(reversed(group.factors)) or (1,)  # the trivial group as Z/1
+    # Both masks go through one unpack: on small groups the fixed cost of
+    # each numpy call is most of the time.
+    nbytes = (n + 7) // 8
+    both = (w.mask | c.mask << (8 * nbytes)).to_bytes(2 * nbytes, "little")
+    bits = np.unpackbits(np.frombuffer(both, dtype=np.uint8), bitorder="little")
+    grid = bits.reshape(2, 8 * nbytes)[:, :n].reshape((2,) + shape)
+    coords = np.array(np.nonzero(grid)[1:])
+    cw, cc = coords[:, :kw], coords[:, kw:]
+    rows = max(1, COVERAGE_CHUNK // cc.shape[1])
     counts = np.zeros(n, dtype=np.uint16)
-    if cap == 0 or n == 0:
-        return CoverageProfile(group, counts)
-    small, large = (w, c) if len(w) <= len(c) else (c, w)
-    base = mask_to_array(group, large.mask).astype(np.uint16)
-    r = len(group.factors)
-    if r <= 1:
-        for e in small:
-            if e == 0:
-                counts += base
-            else:
-                counts[e:] += base[: n - e]
-                counts[:e] += base[n - e :]
-    else:
-        shape = tuple(reversed(group.factors))
-        grid = base.reshape(shape)
-        axes = tuple(range(r))
-        for e in small:
-            shifts = tuple(reversed(group.coords_of(e)))
-            counts += np.roll(grid, shifts, axis=axes).reshape(-1)
+    for lo in range(0, kw, rows):
+        sums = cw[:, lo:lo + rows, None] + cc[:, None, :]
+        flat = np.ravel_multi_index(sums, shape, mode="wrap").ravel()
+        counts += np.bincount(flat, minlength=n).astype(np.uint16)
     return CoverageProfile(group, counts)

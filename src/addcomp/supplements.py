@@ -11,8 +11,9 @@ difference, so no W can be maximal for it); a solid C first tries the
 completion route, searching for W whose difference set is exactly the
 complement of C-C plus 0, which is sufficient; and when that search
 proves empty or gives up, the batched scan in search.py, which the
-complement problem shares, settles orders up to EXHAUSTIVE_LIMIT.  Its
-hit is re-verified here like every other yes.
+complement problem shares, settles orders up to EXHAUSTIVE_LIMIT when
+the budget's max_candidates covers every W.  The completion search is
+capped by max_nodes.  A scan hit is re-verified here like every other yes.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def maximal_supplement_witness(c: GroupSet,
 
     Yes-certificates are re-verified.  No-certificates come from a
     failed solidity check or, for orders up to 16, an exhaustive scan
-    over normalized W.
+    over normalized W that budget.max_candidates let finish.
     """
     group = c.group
     n = group.order
@@ -229,12 +230,13 @@ def maximal_supplement_witness(c: GroupSet,
                                    detail={"base": c, "nodes": inst.nodes})
 
     if n <= EXHAUSTIVE_LIMIT:
-        w, _, _ = scan_for_supplement(group, c)
-        if w is None:
+        w, _, complete = scan_for_supplement(group, c, budget.max_candidates)
+        if w is not None:
+            if not is_maximal_supplement_for(w, c):
+                raise RuntimeError("exhaustive witness failed verification")
+            return DecisionCertificate(PROBLEM, YES, "exhaustive", witness=w,
+                                       detail={"base": c})
+        if complete:
             return DecisionCertificate(PROBLEM, NO, "exhaustive", detail={"base": c})
-        if not is_maximal_supplement_for(w, c):
-            raise RuntimeError("exhaustive witness failed verification")
-        return DecisionCertificate(PROBLEM, YES, "exhaustive", witness=w,
-                                   detail={"base": c})
     return DecisionCertificate(PROBLEM, UNKNOWN, "budget", detail={
         "base": c, "diffset_status": inst.status})

@@ -142,7 +142,25 @@ def test_supplement_witness_mode(capsys):
 
     code, env, _ = run(capsys, "supplement", "--group", "20", "--c", "{0,1}",
                        "--max-candidates", "1")
+    assert code == 0
+    cert = env["result"]["certificate"]
+    assert cert["verdict"] == "yes" and cert["method"] == "completion-diffset"
+
+
+def test_supplement_max_candidates_caps_the_scan(capsys):
+    # {0,1,5,6} in Z12 is solid and has no completion, so only the
+    # exhaustive scan decides it; a scan cut short must not answer no.
+    code, env, _ = run(capsys, "supplement", "--group", "12",
+                       "--c", "{0,1,5,6}")
+    assert code == 0
+    cert = env["result"]["certificate"]
+    assert cert["verdict"] == "no" and cert["method"] == "exhaustive"
+
+    code, env, _ = run(capsys, "supplement", "--group", "12",
+                       "--c", "{0,1,5,6}", "--max-candidates", "1")
     assert code == 2
+    cert = env["result"]["certificate"]
+    assert cert["verdict"] == "unknown" and cert["method"] == "budget"
 
 
 def test_tmin_group(capsys):

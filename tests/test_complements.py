@@ -103,6 +103,17 @@ def test_exists_witness_subgroup_gap_vs_exhaustion():
     assert slow.method == "exhaustive"
 
 
+def test_subgroup_trap_fires_on_products_above_order_65536():
+    # Index 2j is the element (0, j): C fills 32001 of the 40000 elements
+    # of the subgroup 0 x Z40000, too many for any witness.
+    g = Group((2, 40000))
+    c = GroupSet.from_elements(g, [2 * j for j in range(32001)])
+    cert = exists_witness(c)
+    assert cert.verdict == NO
+    assert cert.method == "bound-subgroup-gap"
+    assert cert.detail["subgroup_order"] == 40000
+
+
 def test_exists_witness_unknown_on_budget():
     g = Group([67])
     c = _gs(g, [0, 1, 3])

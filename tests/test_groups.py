@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from addcomp.groups import (Group, Homomorphism, Subgroup, abelian_groups_of_order,
                             all_subgroups, coset_representatives, cyclic_subgroups,
-                            quotient_map, subgroup_generated, unit_multipliers)
+                            generated_order, quotient_map, subgroup_generated,
+                            unit_multipliers)
 from addcomp.sumset import GroupSet
 
 
@@ -41,6 +45,89 @@ def test_group_axioms_sampled():
             assert g.add(g.add(a, b), c) == g.add(a, g.add(b, c))
             assert g.add(a, g.neg(a)) == 0
             assert g.add(a, 0) == a
+
+
+SMALL_PRODUCTS = ([2, 4], [2, 2, 2], [3, 3], [2, 6], [2, 2, 3])
+
+
+def _codec_ops(g, a, b, k):
+    """add, sub, neg and scale taken through coordinate tuples."""
+    ca, cb = g.coords_of(a), g.coords_of(b)
+    return (g.index_of([x + y for x, y in zip(ca, cb)]),
+            g.index_of([x - y for x, y in zip(ca, cb)]),
+            g.index_of([-x for x in ca]),
+            g.index_of([x * k for x in ca]))
+
+
+def _index_ops(g, a, b, k):
+    return g.add(a, b), g.sub(a, b), g.neg(a), g.scale(a, k)
+
+
+@pytest.mark.parametrize("factors", SMALL_PRODUCTS)
+def test_index_arithmetic_matches_codec_on_every_pair(factors):
+    g = Group(factors)
+    for a, b in itertools.product(g.elements(), repeat=2):
+        for k in (-7, -1, 0, 2, 5):
+            assert _index_ops(g, a, b, k) == _codec_ops(g, a, b, k), (a, b, k)
+
+
+@pytest.mark.parametrize("factors", ([8, 8], [4, 25]))
+def test_index_arithmetic_matches_codec_sampled(factors):
+    g = Group(factors)
+    rnd = random.Random(20260301)
+    for _ in range(2000):
+        a, b = rnd.randrange(g.order), rnd.randrange(g.order)
+        k = rnd.randrange(-3 * g.order, 3 * g.order)
+        assert _index_ops(g, a, b, k) == _codec_ops(g, a, b, k), (a, b, k)
+
+
+@pytest.mark.parametrize("factors", ([6], [2, 4], [2, 2, 3]))
+def test_arithmetic_rejects_out_of_range(factors):
+    g = Group(factors)
+    for bad in (-1, g.order):
+        for call in (lambda: g.add(bad, 0), lambda: g.add(0, bad),
+                     lambda: g.sub(bad, 0), lambda: g.sub(0, bad),
+                     lambda: g.neg(bad)):
+            with pytest.raises(ValueError):
+                call()
+        if len(factors) > 1:
+            with pytest.raises(ValueError):
+                g.scale(bad, 3)
+
+
+def _closure_oracle(g, gens):
+    """Closure of {0} under adding each generator, through coordinates."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for e in gens:
+            y = _codec_ops(g, x, e, 1)[0]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return GroupSet.from_elements(g, seen)
+
+
+@pytest.mark.parametrize("factors", SMALL_PRODUCTS)
+def test_subgroup_generated_matches_closure_and_smith_order(factors):
+    g = Group(factors)
+    gen_sets = [(a,) for a in g.elements()]
+    gen_sets += list(itertools.combinations(g.elements(), 2))
+    for gens in gen_sets:
+        h = subgroup_generated(GroupSet.from_elements(g, gens))
+        assert h.members == _closure_oracle(g, gens), gens
+        assert generated_order(g, list(gens)) == h.order, gens
+
+
+def test_smith_order_on_larger_products():
+    rnd = random.Random(7)
+    for factors in ([8, 8], [4, 25], [2, 2, 10], [6, 10, 4]):
+        g = Group(factors)
+        for size in (0, 1, 2, 3, 5):
+            gens = [rnd.randrange(g.order) for _ in range(size)]
+            h = subgroup_generated(GroupSet.from_elements(g, gens + [0]))
+            assert generated_order(g, gens) == h.order, (factors, gens)
 
 
 def test_element_order():

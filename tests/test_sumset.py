@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import numpy as np
@@ -10,6 +11,9 @@ from addcomp.oracle import naive_coverage, naive_difference_set, naive_sumset
 from addcomp.sumset import (GroupSet, array_to_mask, coverage, difference_set,
                             mask_to_array, negated, private_points, sumset,
                             translate, translate_mask)
+
+# The package re-exports the function sumset, which shadows the module name.
+sumset_module = importlib.import_module("addcomp.sumset")
 
 
 def test_sumset_covers_z6():
@@ -120,6 +124,17 @@ def test_cross_group_mix_rejected():
     b = GroupSet.full(Group([5]))
     with pytest.raises(ValueError):
         sumset(a, b)
+
+
+@pytest.mark.parametrize("factors", [[], [30], [2, 3, 5], [4, 6]])
+def test_coverage_in_blocks_matches_naive(monkeypatch, factors):
+    monkeypatch.setattr(sumset_module, "COVERAGE_CHUNK", 7)
+    g = Group(factors)
+    rnd = random.Random(3)
+    for _ in range(30):
+        a = GroupSet(g, rnd.randrange(1, 1 << g.order))
+        b = GroupSet(g, rnd.randrange(1, 1 << g.order))
+        assert list(coverage(a, b).counts) == list(naive_coverage(a, b))
 
 
 def test_coverage_refuses_huge_counts():
