@@ -49,7 +49,12 @@ def pair_witness_check(c: GroupSet, a: int) -> bool:
 
 
 def pair_witness_search(c: GroupSet) -> Optional[int]:
-    """Least non-zero a such that pair_witness_check passes, if any."""
+    """Least non-zero a such that pair_witness_check passes, if any.
+
+    C | (C - a) has at most 2|C| points, so below n/2 there is none.
+    """
+    if 2 * len(c) < c.group.order:
+        return None
     for a in range(1, c.group.order):
         if pair_witness_check(c, a):
             return a
@@ -75,7 +80,14 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
 
     Candidate steps are differences with the least element (both signs):
     for a progression the least element is interior or an endpoint, so
-    one of these differences is a valid step.
+    one of these differences is a valid step.  A start of step d is an
+    element s with s - d outside c.  With no start c is a union of cosets
+    of <d>; with one, c is a single run along d plus whole cosets, and the
+    walk from the start succeeds exactly when there are no cosets.  d and
+    -d have equally many starts (|c| minus the size of c meet c + d), so
+    the walk succeeds for both or for neither and only the first of each
+    pair is tried.  Counting stops at the second start, which a random
+    set reaches within a few lookups.
     """
     group = c.group
     ec = c.elements()
@@ -86,30 +98,32 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
         return APDescriptor(c, ec[0], 0, 1)
     cset = set(ec)
     c0 = ec[0]
+    sub = group.sub
     seen = set()
-    candidates = []
     for e in ec[1:]:
-        for d in (group.sub(e, c0), group.sub(c0, e)):
-            if d and d not in seen:
-                seen.add(d)
-                candidates.append(d)
-    for d in candidates:
-        if translate_mask(group, c.mask, d) == c.mask:
+        d = sub(e, c0)
+        if d in seen:
+            continue
+        seen.add(d)
+        seen.add(group.neg(d))
+        starts = 0
+        for s in ec:
+            if sub(s, d) not in cset:
+                starts += 1
+                if starts == 2:
+                    break
+                start = s
+        if starts == 0:
             if group.element_order(d) == k:
                 return APDescriptor(c, c0, d, k)
-            continue
-        starts = [s for s in ec if group.sub(s, d) not in cset]
-        if len(starts) != 1:
-            continue
-        cur = starts[0]
-        ok = True
-        for _ in range(k - 1):
-            cur = group.add(cur, d)
-            if cur not in cset:
-                ok = False
-                break
-        if ok:
-            return APDescriptor(c, starts[0], d, k)
+        elif starts == 1:
+            cur = start
+            for _ in range(k - 1):
+                cur = group.add(cur, d)
+                if cur not in cset:
+                    break
+            else:
+                return APDescriptor(c, start, d, k)
     return None
 
 

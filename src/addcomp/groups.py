@@ -47,15 +47,19 @@ class Group:
         object.__setattr__(self, "factors", fs)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "strides", tuple(strides))
-        object.__setattr__(self, "full_mask", (1 << order) - 1)
+        full = (1 << order) - 1
+        object.__setattr__(self, "full_mask", full)
+        # block_reps[i] has a 1 at the bottom of every block of d_i * s_i
+        # bits, i.e. the full mask divided by 2^(d_i s_i) - 1.
+        reps = []
         if len(fs) >= 2:
-            reps = tuple(
-                ((1 << order) - 1) // ((1 << (d * s)) - 1)
-                for d, s in zip(fs, strides)
-            )
-        else:
-            reps = ()
-        object.__setattr__(self, "block_reps", reps)
+            for d, s in zip(fs, strides):
+                rep, width = 1, d * s
+                while width < order:
+                    rep |= rep << width
+                    width *= 2
+                reps.append(rep & full)
+        object.__setattr__(self, "block_reps", tuple(reps))
 
     def __setattr__(self, name, value):
         raise AttributeError("Group is immutable")

@@ -1,8 +1,10 @@
 import json
 import math
+import random
 
 import pytest
 
+from addcomp import builders
 from addcomp.builders import (IntegerLift, ap_decide_and_build,
                               check_feasibility, detect_ap,
                               lift_integer_window, lift_via_quotient,
@@ -63,6 +65,121 @@ def test_detect_ap():
 
     big = Group([70])
     assert detect_ap(_gs(big, range(65))) is None
+
+
+AP_GROUPS = ([12], [16], [2, 4], [2, 2, 2], [3, 3], [2, 6], [2, 2, 3])
+
+
+def _add_table(g):
+    return [[g.add(a, b) for b in range(g.order)] for a in range(g.order)]
+
+
+def _presents(add, mask, k, s, d):
+    """Do the k points s, s + d, ..., s + (k-1)d fill the set mask?"""
+    walked = 1 << s
+    cur = s
+    for _ in range(k - 1):
+        cur = add[cur][d]
+        if not (mask >> cur) & 1 or (walked >> cur) & 1:
+            return False
+        walked |= 1 << cur
+    return walked == mask
+
+
+def _presentable(g, add):
+    """Mask of every walk s, s + d, ..., s + (j-1)d with distinct points,
+    for every start s, every step d and every length j."""
+    out = set()
+    for s in range(g.order):
+        for d in range(g.order):
+            mask, cur = 0, s
+            while not (mask >> cur) & 1:
+                mask |= 1 << cur
+                out.add(mask)
+                cur = add[cur][d]
+    return out
+
+
+def _check_descriptor(g, add, c, ap):
+    assert ap.set == c and ap.length == len(c)
+    if ap.length == 1:
+        assert ap.step == 0 and c.elements() == [ap.start]
+    else:
+        assert _presents(add, c.mask, ap.length, ap.start, ap.step), ap
+
+
+@pytest.mark.parametrize("factors", AP_GROUPS)
+def test_detect_ap_matches_brute_force_on_every_subset(factors):
+    g = Group(factors)
+    add = _add_table(g)
+    presentable = _presentable(g, add)
+    for mask in range(1, 1 << g.order):
+        c = GroupSet(g, mask)
+        ap = detect_ap(c)
+        assert (ap is not None) == (mask in presentable), c.elements()
+        if ap is not None:
+            _check_descriptor(g, add, c, ap)
+
+
+@pytest.mark.parametrize("factors", ([4, 25], [8, 8], [2, 2, 10], [2, 2, 2, 2, 2]))
+def test_detect_ap_on_run_plus_whole_cosets(factors):
+    # A run along d plus whole cosets of <d>: d has one start, but the
+    # walk from it stops at the end of the run.
+    g = Group(factors)
+    add = _add_table(g)
+    presentable = _presentable(g, add)
+    rnd = random.Random(20261018)
+    planted = 0
+    while planted < 40:
+        d = rnd.randrange(1, g.order)
+        m = g.element_order(d)
+        run = rnd.randrange(1, m)
+        s = rnd.randrange(g.order)
+        elems = {g.add(s, g.scale(d, j)) for j in range(run)}
+        for _ in range(rnd.randrange(1, 3)):
+            base = rnd.randrange(g.order)
+            coset = {g.add(base, g.scale(d, j)) for j in range(m)}
+            if coset & elems or len(elems) + m > 64:
+                break
+            elems |= coset
+        if len(elems) == run:
+            continue
+        planted += 1
+        c = _gs(g, elems)
+        assert sum(g.sub(e, d) not in elems for e in elems) == 1
+        assert not _presents(add, c.mask, len(elems), s, d)
+        ap = detect_ap(c)
+        assert (ap is not None) == (c.mask in presentable), sorted(elems)
+        if ap is not None:
+            _check_descriptor(g, add, c, ap)
+
+
+@pytest.mark.parametrize("factors", AP_GROUPS)
+def test_pair_witness_search_matches_brute_force_on_every_subset(factors):
+    g = Group(factors)
+    for mask in range(1, 1 << g.order):
+        c = GroupSet(g, mask)
+        least = next((a for a in range(1, g.order) if pair_witness_check(c, a)),
+                     None)
+        assert pair_witness_search(c) == least, c.elements()
+
+
+def test_pair_witness_search_skips_sets_below_half(monkeypatch):
+    calls = []
+
+    def counting(c, a):
+        calls.append(a)
+        return pair_witness_check(c, a)
+
+    monkeypatch.setattr(builders, "pair_witness_check", counting)
+    for factors in ([12], [2, 6], [4, 25], [1000]):
+        g = Group(factors)
+        for k in range(1, (g.order + 1) // 2):
+            assert builders.pair_witness_search(_gs(g, range(k))) is None
+    assert calls == []
+    g = Group([6])
+    assert builders.pair_witness_search(_gs(g, [0, 2, 4])) == 1
+    assert calls == [1]
 
 
 def test_ap_build_sparse_case():

@@ -230,6 +230,20 @@ def test_lift_z_safe_mode_random_build(capsys):
     assert is_minimal_complement_for(w, residues)
 
 
+def test_lift_z_minimal_mode_random_build(capsys):
+    # Every modulus below 136062 is too sparse for the two-point search
+    # (2|C| < n), which must not be run there.
+    code, env, _ = run(capsys, "lift-z", "--ints", "0,1,4,6,10,11,13")
+    assert code == 0
+    result = env["result"]
+    assert result["modulus"] == 136062
+    assert result["method"] == "random-build"
+    group = Group([result["modulus"]])
+    w = GroupSet(group, int(result["witness"], 16))
+    residues = GroupSet(group, int(result["residues"], 16))
+    assert is_minimal_complement_for(w, residues)
+
+
 def test_literal_errors_exit_1(capsys):
     code, _, err = run(capsys, "check", "--group", "6", "--w", "{(0,0)}",
                        "--c", "{0}")

@@ -130,6 +130,15 @@ def test_smith_order_on_larger_products():
             assert generated_order(g, gens) == h.order, (factors, gens)
 
 
+@pytest.mark.parametrize("factors", ([2, 4], [2, 2, 4], [3, 5, 7], [8, 8], [4, 25],
+                                     [2, 40000], [1000, 1000]))
+def test_block_reps_match_division(factors):
+    g = Group(factors)
+    full = (1 << g.order) - 1
+    assert g.block_reps == tuple(full // ((1 << (d * s)) - 1)
+                                 for d, s in zip(g.factors, g.strides))
+
+
 def test_element_order():
     g = Group([12])
     assert g.element_order(0) == 1
