@@ -11,8 +11,9 @@ Three families live here:
 * the feasibility inequality and two lower-bound evaluators for the
   all-small-sets threshold.
 
-Every builder re-verifies what it returns; nothing here hands back an
-unchecked witness.
+Yes certificates are re-verified by DecisionCertificate.verified_yes,
+like every yes in the package; the randomized builder checks its sample
+before accepting it, and each lift rechecks the set it returns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .decision import NO, YES, DecisionCertificate, SearchBudget
+from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
 from .rng import SplitMix64, derive_seed
 from .sumset import (GroupSet, negated_mask, private_points, sumset, translate,
@@ -29,8 +30,6 @@ from .sumset import (GroupSet, negated_mask, private_points, sumset, translate,
 from . import complements
 
 AP_DETECT_SIZE_LIMIT = 64
-
-PROBLEM = "minimal-complement-for"
 
 
 def pair_witness_check(c: GroupSet, a: int) -> bool:
@@ -143,20 +142,17 @@ def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
     else:
         h = subgroup_generated(GroupSet.singleton(group, ap.step))
     m = h.order
-    detail = {"base": c, "start": ap.start, "step": ap.step, "subgroup_order": m}
+    detail = {"start": ap.start, "step": ap.step, "subgroup_order": m}
 
     if k == m:
-        w = coset_representatives(h)
-        wfinal = translate(w, group.neg(ap.start))
-        if not complements.is_minimal_complement_for(wfinal, c):
-            raise RuntimeError("coset witness failed verification")
-        detail["case"] = "full-coset"
-        return DecisionCertificate(PROBLEM, YES, "construction-subgroup",
-                                   witness=wfinal, detail=detail)
+        wfinal = translate(coset_representatives(h), group.neg(ap.start))
+        return DecisionCertificate.verified_yes(
+            MINIMAL_COMPLEMENT, "construction-subgroup", wfinal, c, **detail,
+            case="full-coset")
 
     if k * (2 * n + m) > 2 * n * m:
-        detail["size"] = k
-        return DecisionCertificate(PROBLEM, NO, "bound-subgroup-gap", detail=detail)
+        return DecisionCertificate(MINIMAL_COMPLEMENT, NO, "bound-subgroup-gap",
+                                   detail={"base": c, **detail, "size": k})
 
     d = ap.step
     if 2 * k <= m:
@@ -183,10 +179,8 @@ def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
         w = GroupSet(group, wmask)
 
     wfinal = translate(w, group.neg(ap.start))
-    if not complements.is_minimal_complement_for(wfinal, c):
-        raise RuntimeError("progression witness failed verification")
-    return DecisionCertificate(PROBLEM, YES, "construction-ap",
-                               witness=wfinal, detail=detail)
+    return DecisionCertificate.verified_yes(MINIMAL_COMPLEMENT, "construction-ap",
+                                            wfinal, c, **detail)
 
 
 @dataclass(frozen=True)
@@ -297,6 +291,8 @@ def random_witness(c: GroupSet, s: int, max_retries: int = 10,
         raise ValueError("empty C")
     if s < 1:
         raise ValueError("need s >= 1")
+    if max_retries < 1:
+        raise ValueError("need max_retries >= 1")
 
     if k == 1:
         w = GroupSet.full(group)

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .decision import NO, UNKNOWN, YES, DecisionCertificate, SearchBudget
+from .decision import (MINIMAL_COMPLEMENT, NO, UNKNOWN, YES, DecisionCertificate,
+                       SearchBudget)
 from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
                      cyclic_subgroups, generated_order)
 # perfbench/tracing.py times subgroup_generated through this module's name.
@@ -106,15 +107,6 @@ def _containing_subgroup_order(group: Group, c: GroupSet) -> int:
     return generated_order(group, [group.sub(e, c0) for e in ec[1:]])
 
 
-def _verified_yes(problem: str, w: GroupSet, c: GroupSet, method: str,
-                  detail: dict) -> DecisionCertificate:
-    if not is_minimal_complement_for(w, c):
-        raise RuntimeError("builder produced a witness that fails verification")
-    detail = dict(detail)
-    detail["base"] = c
-    return DecisionCertificate(problem, YES, method, witness=w, detail=detail)
-
-
 def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
                    fast_paths: bool = True) -> DecisionCertificate:
     """Decide whether any W makes c a minimal complement.
@@ -129,12 +121,13 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
         raise ValueError("empty C")
     if budget is None:
         budget = SearchBudget()
-    problem = "minimal-complement-for"
+    problem = MINIMAL_COMPLEMENT
+    yes = DecisionCertificate.verified_yes
     k = len(c)
     scan_fits = n <= 63 and 1 << (n - 1) <= budget.max_candidates
 
     if c.mask == group.full_mask:
-        return _verified_yes(problem, GroupSet(group, 1), c, "trivial", {})
+        return yes(problem, "trivial", GroupSet(group, 1), c)
 
     if fast_paths:
         if 3 * k > 2 * n:
@@ -157,22 +150,20 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
             a = builders.pair_witness_search(c)
             if a is not None:
                 w = GroupSet.from_elements(group, [0, a])
-                return _verified_yes(problem, w, c, "construction-pair",
-                                     {"offset": a})
+                return yes(problem, "construction-pair", w, c, offset=a)
         if not scan_fits:
             s = max(1, math.ceil(1.5 * math.log(n)))
             if builders.check_feasibility(n, k, s).feasible:
                 seed = derive_seed(0x57A97E55, n, k, c.mask % (1 << 64))
                 trace = builders.random_witness(c, s, max_retries=10, seed=seed)
                 if trace.result is not None:
-                    return _verified_yes(problem, trace.result, c, "random-build",
-                                         {"s": s, "retries": trace.retries_used})
+                    return yes(problem, "random-build", trace.result, c,
+                               s=s, retries=trace.retries_used)
 
     if scan_fits:
         w, checked, complete = scan_for_witness(group, c, budget.max_candidates)
         if w is not None:
-            return _verified_yes(problem, w, c, "exhaustive",
-                                 {"candidates": checked})
+            return yes(problem, "exhaustive", w, c, candidates=checked)
         if complete:
             return DecisionCertificate(problem, NO, "exhaustive", detail={
                 "base": c, "candidates": checked})

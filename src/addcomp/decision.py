@@ -4,6 +4,8 @@ Every decision procedure in the package answers yes, no, or unknown and
 says how it got there.  A yes for an existence question carries a witness
 that verify() can recheck from scratch; a no carries the name of the
 obstruction; unknown means a budget or method gap, never an error.
+Every yes is built through DecisionCertificate.verified_yes, so this is
+the one place a witness is re-verified before it leaves the package.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ __all__ = [
     "YES",
     "NO",
     "UNKNOWN",
+    "MINIMAL_COMPLEMENT",
+    "MAXIMAL_SUPPLEMENT",
     "DecisionCertificate",
     "SearchBudget",
 ]
@@ -24,6 +28,10 @@ __all__ = [
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
+
+# The two dual problems a certificate can answer.
+MINIMAL_COMPLEMENT = "minimal-complement-for"
+MAXIMAL_SUPPLEMENT = "maximal-supplement-for"
 
 # Methods a certificate may cite.  Bounds prove no; constructions and
 # searches prove yes; exhaustion can prove either.
@@ -64,6 +72,20 @@ class DecisionCertificate:
         if self.verdict != YES and self.witness is not None:
             raise ValueError("only a yes verdict carries a witness")
 
+    @classmethod
+    def verified_yes(cls, problem: str, method: str, witness: GroupSet,
+                     base: GroupSet, **detail) -> "DecisionCertificate":
+        """A yes for base with the given witness, rechecked before return.
+
+        Raises RuntimeError when the witness fails verify(): a procedure
+        that reached a wrong witness must never hand it out.
+        """
+        cert = cls(problem, YES, method, witness=witness,
+                   detail={"base": base, **detail})
+        if not cert.verify():
+            raise RuntimeError(f"{method} witness failed verification")
+        return cert
+
     def verify(self) -> bool:
         """Recheck the witness against the stated problem, from scratch.
 
@@ -72,14 +94,10 @@ class DecisionCertificate:
         """
         if self.verdict != YES:
             return True
-        from . import complements, supplements
-
-        if self.problem == "minimal-complement-for":
-            c = self.detail["base"]
-            return complements.is_minimal_complement_for(self.witness, c)
-        if self.problem == "maximal-supplement-for":
-            c = self.detail["base"]
-            return supplements.is_maximal_supplement_for(self.witness, c)
+        if self.problem == MINIMAL_COMPLEMENT:
+            return complements.is_minimal_complement_for(self.witness, self.detail["base"])
+        if self.problem == MAXIMAL_SUPPLEMENT:
+            return supplements.is_maximal_supplement_for(self.witness, self.detail["base"])
         raise ValueError(f"no checker for problem {self.problem!r}")
 
     def summary(self) -> str:
@@ -99,3 +117,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_candidates < 1 or self.max_nodes < 1:
             raise ValueError("budget caps must be positive")
+
+
+# Imported last, and used through the module names so that a wrapper
+# installed on either checker is seen: both modules import this one.
+from . import complements, supplements  # noqa: E402

@@ -13,7 +13,8 @@ complement of C-C plus 0, which is sufficient; and when that search
 proves empty or gives up, the batched scan in search.py, which the
 complement problem shares, settles orders up to EXHAUSTIVE_LIMIT when
 the budget's max_candidates covers every W.  The completion search is
-capped by max_nodes.  A scan hit is re-verified here like every other yes.
+capped by max_nodes and works on masks throughout.  Every yes, whichever
+route found it, is re-verified by DecisionCertificate.verified_yes.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .decision import NO, UNKNOWN, YES, DecisionCertificate, SearchBudget
+from .decision import (MAXIMAL_SUPPLEMENT, NO, UNKNOWN, DecisionCertificate,
+                       SearchBudget)
 from .search import scan_for_supplement
 from .sumset import GroupSet, difference_set, sumset, negated_mask, translate_mask
 
 EXHAUSTIVE_LIMIT = 16
-
-PROBLEM = "maximal-supplement-for"
 
 
 def is_supplement(w: GroupSet, c: GroupSet) -> bool:
@@ -100,15 +100,17 @@ class DiffsetInstance:
     nodes: int
 
 
-def diffset_representation(v: GroupSet, budget: Optional[SearchBudget] = None,
-                           seed: int = 0) -> DiffsetInstance:
+def diffset_representation(v: GroupSet,
+                           budget: Optional[SearchBudget] = None) -> DiffsetInstance:
     """Search for A whose difference set is exactly v.
 
     Any realizer translates to one containing 0, and then A is forced
     inside v itself, so the search runs over subsets of v with a
     depth-first include/exclude walk.  Including x must keep all new
     differences inside v; a branch dies when even using every remaining
-    candidate cannot cover what is still missing.
+    candidate cannot cover what is still missing.  The walk carries A,
+    -A and A - A as masks: x - A is a translate of -A, and since v is
+    symmetric it lies in v exactly when A - x does.
     """
     group = v.group
     if budget is None:
@@ -119,21 +121,12 @@ def diffset_representation(v: GroupSet, budget: Optional[SearchBudget] = None,
         return DiffsetInstance(v, GroupSet(group, 1), "found", 1)
 
     target = v.mask
-    candidates = v.elements()[1:]
+    outside = group.full_mask & ~target
     max_nodes = budget.max_nodes
     nodes = 0
     exhausted = False
 
-    def potential(amask: int, diff: int, rest: list[int]) -> int:
-        pool = amask
-        for x in rest:
-            pool |= 1 << x
-        out = diff
-        for e in GroupSet(group, pool).elements():
-            out |= translate_mask(group, pool, group.neg(e))
-        return out
-
-    def walk(a: list[int], amask: int, diff: int, rest: list[int]):
+    def walk(amask: int, neg_a: int, diff: int, rest: list[int]):
         nonlocal nodes, exhausted
         nodes += 1
         if nodes > max_nodes:
@@ -143,46 +136,36 @@ def diffset_representation(v: GroupSet, budget: Optional[SearchBudget] = None,
             return amask
         if not rest:
             return None
-        if potential(amask, diff, rest) & target != target:
+        # A - A stays inside pool - pool on every branch below this node.
+        pool = amask
+        for x in rest:
+            pool |= 1 << x
+        if difference_set(GroupSet(group, pool)).mask & target != target:
             return None
         uncovered = target & ~diff
         best = None
         best_gain = -1
         best_new = 0
         for x in rest:
-            new = 0
-            ok = True
-            for e in a:
-                d1 = group.sub(x, e)
-                d2 = group.sub(e, x)
-                bits = (1 << d1) | (1 << d2)
-                if bits & ~target:
-                    ok = False
-                    break
-                new |= bits
-            if not ok:
+            new = translate_mask(group, neg_a, x)
+            if new & outside:
                 continue
+            new |= translate_mask(group, amask, group.neg(x))
             gain = bin(new & uncovered).count("1")
             if gain > best_gain:
                 best, best_gain, best_new = x, gain, new
         if best is None:
             return None
         sub_rest = [x for x in rest if x != best]
-        got = walk(a + [best], amask | (1 << best), diff | best_new, sub_rest)
+        got = walk(amask | (1 << best), neg_a | (1 << group.neg(best)),
+                   diff | best_new, sub_rest)
         if got is not None or exhausted:
             return got
-        feasible = [x for x in sub_rest if _includable(a, x)]
-        return walk(a, amask, diff, feasible)
+        feasible = [x for x in sub_rest
+                    if not translate_mask(group, neg_a, x) & outside]
+        return walk(amask, neg_a, diff, feasible)
 
-    def _includable(a: list[int], x: int) -> bool:
-        for e in a:
-            if (1 << group.sub(x, e)) & ~target:
-                return False
-            if (1 << group.sub(e, x)) & ~target:
-                return False
-        return True
-
-    found = walk([0], 1, 1, candidates)
+    found = walk(1, 1, 1, v.elements()[1:])
     if found is not None:
         a = GroupSet(group, found)
         if difference_set(a).mask != target:
@@ -208,35 +191,26 @@ def maximal_supplement_witness(c: GroupSet,
     if budget is None:
         budget = SearchBudget()
 
+    problem = MAXIMAL_SUPPLEMENT
+    yes = DecisionCertificate.verified_yes
     if c.mask == group.full_mask:
-        w = GroupSet(group, 1)
-        if not is_maximal_supplement_for(w, c):
-            raise RuntimeError("identity witness failed verification")
-        return DecisionCertificate(PROBLEM, YES, "trivial", witness=w,
-                                   detail={"base": c})
+        return yes(problem, "trivial", GroupSet(group, 1), c)
 
     rep = is_solid(c)
     if not rep.solid:
-        return DecisionCertificate(PROBLEM, NO, "bound-solidity", detail={
+        return DecisionCertificate(problem, NO, "bound-solidity", detail={
             "base": c, "violator": rep.violator})
 
     v = GroupSet(group, (~difference_set(c).mask & group.full_mask) | 1)
     inst = diffset_representation(v, budget)
     if inst.status == "found":
-        w = inst.a
-        if not is_maximal_supplement_for(w, c):
-            raise RuntimeError("completion witness failed verification")
-        return DecisionCertificate(PROBLEM, YES, "completion-diffset", witness=w,
-                                   detail={"base": c, "nodes": inst.nodes})
+        return yes(problem, "completion-diffset", inst.a, c, nodes=inst.nodes)
 
     if n <= EXHAUSTIVE_LIMIT:
         w, _, complete = scan_for_supplement(group, c, budget.max_candidates)
         if w is not None:
-            if not is_maximal_supplement_for(w, c):
-                raise RuntimeError("exhaustive witness failed verification")
-            return DecisionCertificate(PROBLEM, YES, "exhaustive", witness=w,
-                                       detail={"base": c})
+            return yes(problem, "exhaustive", w, c)
         if complete:
-            return DecisionCertificate(PROBLEM, NO, "exhaustive", detail={"base": c})
-    return DecisionCertificate(PROBLEM, UNKNOWN, "budget", detail={
+            return DecisionCertificate(problem, NO, "exhaustive", detail={"base": c})
+    return DecisionCertificate(problem, UNKNOWN, "budget", detail={
         "base": c, "diffset_status": inst.status})

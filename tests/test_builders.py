@@ -313,6 +313,11 @@ def test_random_witness_rejects_bad_args():
         random_witness(GroupSet.empty(g), 3)
     with pytest.raises(ValueError):
         random_witness(_gs(g, [0, 1]), 0)
+    # no attempt at all would leave no trace to return
+    with pytest.raises(ValueError):
+        random_witness(_gs(g, [0, 1]), 3, max_retries=0)
+    with pytest.raises(ValueError):
+        random_witness(_gs(g, [4]), 3, max_retries=-1)
 
 
 def test_trace_json_roundtrip():

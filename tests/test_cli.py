@@ -127,6 +127,13 @@ def test_random_build_failure_exit_2(capsys):
     assert env["result"]["trace"]["result"] is None
 
 
+def test_random_build_zero_retries_is_usage_error(capsys):
+    code, env, err = run(capsys, "random-build", "--group", "1000",
+                         "--c", "{0,1,5}", "--s", "3", "--retries", "0")
+    assert code == 1 and env is None
+    assert err.startswith("error:") and "max_retries" in err
+
+
 def test_supplement_pair_mode(capsys):
     code, env, _ = run(capsys, "supplement", "--group", "8", "--c", "{0,1}",
                        "--w", "{0,2,4}")

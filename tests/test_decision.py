@@ -1,7 +1,7 @@
 import pytest
 
-from addcomp.decision import (NO, UNKNOWN, YES, DecisionCertificate,
-                              SearchBudget)
+from addcomp.decision import (MAXIMAL_SUPPLEMENT, MINIMAL_COMPLEMENT, NO,
+                              UNKNOWN, YES, DecisionCertificate, SearchBudget)
 from addcomp.groups import Group
 from addcomp.sumset import GroupSet
 
@@ -31,6 +31,36 @@ def test_verify_catches_bad_witness():
                               witness=GroupSet.from_elements(g, [0, 1]),
                               detail={"base": c})
     assert not bad.verify()
+
+
+def test_verified_yes_builds_checked_certificates():
+    g = Group([8])
+    c = GroupSet.from_elements(g, [0, 1])
+    w = GroupSet.from_elements(g, [0, 2, 4])
+    sup = DecisionCertificate.verified_yes(MAXIMAL_SUPPLEMENT, "exhaustive",
+                                           w, c, nodes=3)
+    assert sup.verdict == YES and sup.witness == w
+    assert sup.detail == {"base": c, "nodes": 3}
+    g6 = Group([6])
+    comp = DecisionCertificate.verified_yes(
+        MINIMAL_COMPLEMENT, "construction-pair",
+        GroupSet.from_elements(g6, [0, 3]), GroupSet.from_elements(g6, [0, 1, 2]),
+        offset=3)
+    assert comp.verify() and comp.detail["offset"] == 3
+
+
+def test_verified_yes_raises_on_failing_witness():
+    g6 = Group([6])
+    with pytest.raises(RuntimeError):
+        DecisionCertificate.verified_yes(
+            MINIMAL_COMPLEMENT, "exhaustive", GroupSet.from_elements(g6, [0, 1]),
+            GroupSet.from_elements(g6, [0, 1, 2]))
+    g8 = Group([8])
+    # {0, 2} is a supplement for {0, 1} but 4 can still join C
+    with pytest.raises(RuntimeError):
+        DecisionCertificate.verified_yes(
+            MAXIMAL_SUPPLEMENT, "completion-diffset",
+            GroupSet.from_elements(g8, [0, 2]), GroupSet.from_elements(g8, [0, 1]))
 
 
 def test_verify_vacuous_for_no_and_unknown():

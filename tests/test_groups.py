@@ -198,6 +198,17 @@ def test_subgroup_rejects_non_closed():
         Subgroup(g, GroupSet.from_elements(g, [1, 3, 5]))
 
 
+def test_subgroup_closure_checks_every_member():
+    # 128 members of Z8192: the multiples of 128 and their translates by 1.
+    # Every multiple of 128 maps the set to itself; 1 + 1 = 2 is missing.
+    g = Group([8192])
+    members = [128 * j for j in range(64)] + [1 + 128 * j for j in range(64)]
+    with pytest.raises(ValueError):
+        Subgroup(g, GroupSet.from_elements(g, members))
+    h = Subgroup(g, GroupSet.from_elements(g, [128 * j for j in range(64)]))
+    assert h.order == 64
+
+
 def test_coset_representatives_partition():
     g = Group([12])
     h = subgroup_generated(GroupSet.singleton(g, 2))

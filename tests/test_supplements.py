@@ -2,8 +2,8 @@ import pytest
 
 from addcomp.decision import NO, UNKNOWN, YES, SearchBudget
 from addcomp.groups import Group
-from addcomp.oracle import oracle_solid
-from addcomp.sumset import GroupSet
+from addcomp.oracle import oracle_diffset_table, oracle_solid
+from addcomp.sumset import GroupSet, difference_set
 from addcomp.supplements import (diffset_representation, is_maximal_supplement_for,
                                  is_solid, is_supplement,
                                  maximal_supplement_witness)
@@ -96,11 +96,35 @@ def test_diffset_representation_none():
     assert inst.status == "none"
     assert inst.a is None
     assert inst.nodes == 5
+    # the exclude branch keeps only candidates that still fit beside A
+    pruned = diffset_representation(_gs(g, [0, 2, 3, 4, 5, 6]))
+    assert pruned.status == "none" and pruned.nodes == 11
 
     asym = diffset_representation(_gs(g, [0, 1]))
     assert asym.status == "none" and asym.nodes == 0
     missing_zero = diffset_representation(_gs(g, [1, 7]))
     assert missing_zero.status == "none" and missing_zero.nodes == 0
+
+
+@pytest.mark.parametrize("factors", [[8], [2, 4], [2, 2, 2], [9], [3, 3], [2, 6]])
+def test_diffset_representation_matches_oracle_table(factors):
+    # every symmetric v containing 0: found exactly when some A has A - A = v
+    g = Group(factors)
+    table = oracle_diffset_table(g)
+    symmetric = 0
+    for vmask in range(1, 1 << g.order, 2):
+        v = GroupSet(g, vmask)
+        if GroupSet.from_elements(g, [g.neg(e) for e in v]) != v:
+            continue
+        symmetric += 1
+        inst = diffset_representation(v)
+        assert (inst.status == "found") == (vmask in table), (factors, vmask)
+        if inst.status == "found":
+            assert 0 in inst.a
+            assert difference_set(inst.a) == v
+        else:
+            assert inst.status == "none" and inst.a is None
+    assert symmetric > 8
 
 
 def test_diffset_representation_budget():
