@@ -169,12 +169,14 @@ def _cmd_tmin(args):
             "subsets_checked": rep.subsets_checked,
         }
         return group, {}, result, None, 0 if rep.exact else 2
-    value, per_group = tmin_of_order(args.order, _budget(args))
+    value, exact, reports = tmin_of_order(args.order, _budget(args))
     result = {
         "value": value,
-        "per_group": [{"group": g.spec_string(), "value": v} for g, v in per_group],
+        "exact": exact,
+        "per_group": [{"group": rep.group.spec_string(), "value": rep.value,
+                       "exact": rep.exact} for rep in reports],
     }
-    return None, {"order": args.order}, result, None, 0
+    return None, {"order": args.order}, result, None, 0 if exact else 2
 
 
 def _cmd_scan_threshold(args):

@@ -208,12 +208,16 @@ def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminRep
     return TminReport(group, n, True, None, None, checked)
 
 
-def tmin_of_order(n: int, budget: Optional[SearchBudget] = None) -> tuple[int, list[tuple[Group, int]]]:
-    """Minimum of compute_tmin over every abelian group of order n."""
-    per_group = []
-    for g in abelian_groups_of_order(n):
-        per_group.append((g, compute_tmin(g, budget).value))
-    return min(v for _, v in per_group), per_group
+def tmin_of_order(n: int, budget: Optional[SearchBudget] = None) -> tuple[int, bool, list[TminReport]]:
+    """Minimum of compute_tmin over every abelian group of order n.
+
+    Returns (value, exact, reports).  An inexact report's value is only
+    a lower bound for its group, so the minimum is exact iff an exact
+    report attains it.
+    """
+    reports = [compute_tmin(g, budget) for g in abelian_groups_of_order(n)]
+    value = min(rep.value for rep in reports)
+    return value, any(rep.exact and rep.value == value for rep in reports), reports
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Every decision procedure in the package answers yes, no, or unknown and
 says how it got there.  A yes for an existence question carries a witness
 that verify() can recheck from scratch; a no carries the name of the
 obstruction; unknown means a budget or method gap, never an error.
-Every yes is built through DecisionCertificate.verified_yes, so this is
-the one place a witness is re-verified before it leaves the package.
+SearchBudget holds the one cap, max_candidates, that every exhaustive
+search counts against.  Every yes is built through
+DecisionCertificate.verified_yes, so this is the one place a witness is
+re-verified before it leaves the package.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ KNOWN_METHODS = frozenset(
         "construction-ap",
         "construction-pair",
         "construction-subgroup",
-        "completion-diffset",
         "random-build",
         "exhaustive",
         "budget",
@@ -109,14 +110,15 @@ class DecisionCertificate:
 
 @dataclass
 class SearchBudget:
-    """Caps for exhaustive scans so unknown stays reachable."""
+    """The cap that keeps unknown reachable: how many candidate sets any
+    exhaustive search may examine (an odd mask of the complement scan, a
+    node of the supplement and difference-set search)."""
 
     max_candidates: int = 1 << 22
-    max_nodes: int = 1 << 22
 
     def __post_init__(self):
-        if self.max_candidates < 1 or self.max_nodes < 1:
-            raise ValueError("budget caps must be positive")
+        if self.max_candidates < 1:
+            raise ValueError("max_candidates must be positive")
 
 
 # Imported last, and used through the module names so that a wrapper

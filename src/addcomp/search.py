@@ -1,12 +1,12 @@
-"""The batched exhaustive scan over all W containing 0, shared by both problems.
+"""The batched exhaustive scan over all W containing 0 for the complement problem.
 
 Candidate masks for a group of order n are w = 2j+1 for j in
 [0, 2^(n-1)): forcing bit 0 is the usual translation normalization of W,
 and ascending j is ascending mask order, so "first hit" here agrees with
 the naive oracles' scan order.  Batches of candidates go through a
-per-problem test as uint64 arrays (n <= 63); they start at FIRST_BATCH
-and grow up to CHUNK, so an early witness costs no full chunk.  Both
-tests are the private_points cover count over the translates of W.
+test as uint64 arrays (n <= 63); they start at FIRST_BATCH and grow up
+to CHUNK, so an early witness costs no full chunk.  scan_for_witness's
+test is the private_points cover count over the translates of W.
 """
 
 from __future__ import annotations
@@ -51,16 +51,6 @@ def scan(group: Group, test: Callable[[np.ndarray], np.ndarray],
     return None, base, complete
 
 
-def _each_translate_meets(group: Group, w: np.ndarray, elements,
-                          target: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Narrow alive to the masks whose translate by every element meets target."""
-    for e in elements:
-        if not alive.any():
-            break
-        alive &= (translate_mask(group, w, e) & target) != 0
-    return alive
-
-
 def scan_for_witness(group: Group, c: GroupSet,
                      max_candidates: Optional[int] = None) -> tuple[Optional[GroupSet], int, bool]:
     """Scan every normalized W for one that c is a minimal complement for.
@@ -74,22 +64,12 @@ def scan_for_witness(group: Group, c: GroupSet,
 
     def test(w):
         covered, private = private_points(group, w, ec)
-        return _each_translate_meets(group, w, ec, private, covered == group.full_mask)
+        alive = covered == group.full_mask
+        for e in ec:
+            if not alive.any():
+                break
+            alive &= (translate_mask(group, w, e) & private) != 0
+        return alive
 
     return scan(group, test, max_candidates)
 
-
-def scan_for_supplement(group: Group, c: GroupSet,
-                        max_candidates: Optional[int] = None) -> tuple[Optional[GroupSet], int, bool]:
-    """Scan every normalized W for one that c is a maximal supplement for.
-
-    Same arguments and return shape as scan_for_witness.
-    """
-    ec = c.elements()
-    outside = GroupSet(group, group.full_mask & ~c.mask).elements()
-
-    def test(w):
-        covered, private = private_points(group, w, ec)
-        return _each_translate_meets(group, w, outside, covered, covered == private)
-
-    return scan(group, test, max_candidates)

@@ -1,33 +1,33 @@
-"""Supplements, maximal supplements, solidity, and the completion route.
+"""Supplements, maximal supplements, solidity, and difference-set search.
 
 C is a supplement for W when the W-translates by distinct elements of C
 never overlap, which is the same as (C-C) and (W-W) meeting only at 0.
 Maximality on top means C + (W - W) covers the group: no further element
 can be added to C without breaking disjointness.
 
-maximal_supplement_witness layers three methods: a non-solid C is
-rejected outright (adding its extension point keeps every pairwise
-difference, so no W can be maximal for it); a solid C first tries the
-completion route, searching for W whose difference set is exactly the
-complement of C-C plus 0, which is sufficient; and when that search
-proves empty or gives up, the batched scan in search.py, which the
-complement problem shares, settles orders up to EXHAUSTIVE_LIMIT when
-the budget's max_candidates covers every W.  The completion search is
-capped by max_nodes and works on masks throughout.  Every yes, whichever
-route found it, is re-verified by DecisionCertificate.verified_yes.
+Both searches here look for a set W through 0 whose differences avoid a
+forbidden set, that is an independent set in a Cayley graph, and growing
+W only grows W - W.  independent_search enumerates the maximal such sets
+with Bron-Kerbosch and Tomita pivoting on int masks.  It serves
+maximal_supplement_witness, where the allowed differences are the
+complement of C - C plus 0 and the goal is C + (W - W) = G, after a
+non-solid C is rejected outright (adding its extension point keeps every
+pairwise difference, so no W can be maximal for it).  It also serves
+diffset_representation, where the allowed differences are v and the goal
+is W - W = v.  budget.max_candidates caps the nodes of either search.
+Every yes is re-verified by DecisionCertificate.verified_yes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .decision import (MAXIMAL_SUPPLEMENT, NO, UNKNOWN, DecisionCertificate,
                        SearchBudget)
-from .search import scan_for_supplement
-from .sumset import GroupSet, difference_set, sumset, negated_mask, translate_mask
-
-EXHAUSTIVE_LIMIT = 16
+from .groups import Group
+from .sumset import (GroupSet, bits_of, difference_set, negated_mask, sumset,
+                     translate_mask)
 
 
 def is_supplement(w: GroupSet, c: GroupSet) -> bool:
@@ -91,7 +91,8 @@ class DiffsetInstance:
     """Outcome of searching for A with A - A equal to a target set.
 
     status is "found" (a holds a realizer containing 0), "none" (the
-    complete search ran dry), or "unknown" (node budget hit first).
+    complete search ran dry), or "unknown" (candidate cap hit first).
+    nodes counts the search nodes examined.
     """
 
     v: GroupSet
@@ -100,117 +101,119 @@ class DiffsetInstance:
     nodes: int
 
 
+def independent_search(group: Group, allowed: int, goal: Callable[[int], bool],
+                       max_candidates: int) -> tuple[Optional[int], int, bool]:
+    """Search the sets W containing 0 whose differences all lie in allowed.
+
+    allowed is a symmetric mask containing 0: x and y may share W when
+    y - x is in allowed, so the points compatible with x are allowed + x
+    without x.  goal tests a difference set and must be monotone (if it
+    holds for D it holds for every superset of D), so some W qualifies
+    exactly when some maximal one does.  The search is Bron-Kerbosch with
+    Tomita pivoting: a node holds R (pairwise compatible, through 0) with
+    R - R, the points P compatible with all of R still to try, and the
+    points X already tried.  It returns the first R whose R - R meets
+    goal, and cuts a node when (R | P) - (R | P) fails goal, because every
+    W below the node lies inside R | P.
+
+    Returns (R mask or None, candidates, complete): candidates counts the
+    nodes examined, at most max_candidates, and complete is False when
+    the cap stopped the search first.  None with complete=True proves
+    that no W meets goal.
+    """
+    def compatible(x: int) -> int:
+        return translate_mask(group, allowed, x) & ~(1 << x)
+
+    neg = group.neg
+    stack = [(1, 1, 1, allowed & ~1, 0)]  # R, -R, R - R, P, X
+    candidates = 0
+    while stack:
+        if candidates == max_candidates:
+            return None, candidates, False
+        r, neg_r, diff, p, x = stack.pop()
+        candidates += 1
+        if goal(diff):
+            return r, candidates, True
+        if not p:
+            continue
+        pool = r | p
+        reach = 0
+        for e in bits_of(pool):
+            reach |= translate_mask(group, pool, neg(e))
+        if not goal(reach & allowed):
+            continue
+        pivot = max((compatible(u) & p for u in bits_of(p | x)), key=int.bit_count)
+        children = []
+        for v in bits_of(p & ~pivot):
+            nv = neg(v)
+            near = compatible(v)
+            children.append((r | 1 << v, neg_r | 1 << nv,
+                             diff | translate_mask(group, r, nv) | translate_mask(group, neg_r, v),
+                             p & near, x & near))
+            p &= ~(1 << v)
+            x |= 1 << v
+        stack.extend(reversed(children))
+    return None, candidates, True
+
+
 def diffset_representation(v: GroupSet,
                            budget: Optional[SearchBudget] = None) -> DiffsetInstance:
     """Search for A whose difference set is exactly v.
 
-    Any realizer translates to one containing 0, and then A is forced
-    inside v itself, so the search runs over subsets of v with a
-    depth-first include/exclude walk.  Including x must keep all new
-    differences inside v; a branch dies when even using every remaining
-    candidate cannot cover what is still missing.  The walk carries A,
-    -A and A - A as masks: x - A is a translate of -A, and since v is
-    symmetric it lies in v exactly when A - x does.
+    Any realizer translates to one containing 0, and A - A is symmetric,
+    so v must contain 0 and equal -v.  Then A is a set through 0 whose
+    differences all lie in v and reach all of v: independent_search with
+    allowed = v and the goal D covering v.
     """
     group = v.group
     if budget is None:
         budget = SearchBudget()
-    if 1 & ~v.mask or negated_mask(group, v.mask) != v.mask:
-        return DiffsetInstance(v, None, "none", 0)
-    if v.mask == 1:
-        return DiffsetInstance(v, GroupSet(group, 1), "found", 1)
-
     target = v.mask
-    outside = group.full_mask & ~target
-    max_nodes = budget.max_nodes
-    nodes = 0
-    exhausted = False
-
-    def walk(amask: int, neg_a: int, diff: int, rest: list[int]):
-        nonlocal nodes, exhausted
-        nodes += 1
-        if nodes > max_nodes:
-            exhausted = True
-            return None
-        if diff == target:
-            return amask
-        if not rest:
-            return None
-        # A - A stays inside pool - pool on every branch below this node.
-        pool = amask
-        for x in rest:
-            pool |= 1 << x
-        if difference_set(GroupSet(group, pool)).mask & target != target:
-            return None
-        uncovered = target & ~diff
-        best = None
-        best_gain = -1
-        best_new = 0
-        for x in rest:
-            new = translate_mask(group, neg_a, x)
-            if new & outside:
-                continue
-            new |= translate_mask(group, amask, group.neg(x))
-            gain = bin(new & uncovered).count("1")
-            if gain > best_gain:
-                best, best_gain, best_new = x, gain, new
-        if best is None:
-            return None
-        sub_rest = [x for x in rest if x != best]
-        got = walk(amask | (1 << best), neg_a | (1 << group.neg(best)),
-                   diff | best_new, sub_rest)
-        if got is not None or exhausted:
-            return got
-        feasible = [x for x in sub_rest
-                    if not translate_mask(group, neg_a, x) & outside]
-        return walk(amask, neg_a, diff, feasible)
-
-    found = walk(1, 1, 1, v.elements()[1:])
+    if 1 & ~target or negated_mask(group, target) != target:
+        return DiffsetInstance(v, None, "none", 0)
+    found, nodes, complete = independent_search(
+        group, target, lambda d: d & target == target, budget.max_candidates)
     if found is not None:
         a = GroupSet(group, found)
         if difference_set(a).mask != target:
             raise RuntimeError("realizer failed the difference-set recheck")
         return DiffsetInstance(v, a, "found", nodes)
-    if exhausted:
-        return DiffsetInstance(v, None, "unknown", nodes)
-    return DiffsetInstance(v, None, "none", nodes)
+    return DiffsetInstance(v, None, "none" if complete else "unknown", nodes)
 
 
 def maximal_supplement_witness(c: GroupSet,
                                budget: Optional[SearchBudget] = None) -> DecisionCertificate:
     """Find W such that c is a maximal supplement for it, or rule it out.
 
-    Yes-certificates are re-verified.  No-certificates come from a
-    failed solidity check or, for orders up to 16, an exhaustive scan
-    over normalized W that budget.max_candidates let finish.
+    A non-solid c has no W.  Otherwise W is a set through 0 with no
+    difference in (C - C) other than 0, and c + (W - W) must be the whole
+    group; independent_search decides that within budget.max_candidates
+    nodes.  Its yes and no both cite "exhaustive" with the node count in
+    candidates; a search cut short answers unknown ("budget"), never no.
     """
     group = c.group
-    n = group.order
     if not c:
         raise ValueError("empty C")
     if budget is None:
         budget = SearchBudget()
 
     problem = MAXIMAL_SUPPLEMENT
-    yes = DecisionCertificate.verified_yes
-    if c.mask == group.full_mask:
-        return yes(problem, "trivial", GroupSet(group, 1), c)
+    full = group.full_mask
+    if c.mask == full:
+        return DecisionCertificate.verified_yes(problem, "trivial", GroupSet(group, 1), c)
 
     rep = is_solid(c)
     if not rep.solid:
         return DecisionCertificate(problem, NO, "bound-solidity", detail={
             "base": c, "violator": rep.violator})
 
-    v = GroupSet(group, (~difference_set(c).mask & group.full_mask) | 1)
-    inst = diffset_representation(v, budget)
-    if inst.status == "found":
-        return yes(problem, "completion-diffset", inst.a, c, nodes=inst.nodes)
-
-    if n <= EXHAUSTIVE_LIMIT:
-        w, _, complete = scan_for_supplement(group, c, budget.max_candidates)
-        if w is not None:
-            return yes(problem, "exhaustive", w, c)
-        if complete:
-            return DecisionCertificate(problem, NO, "exhaustive", detail={"base": c})
-    return DecisionCertificate(problem, UNKNOWN, "budget", detail={
-        "base": c, "diffset_status": inst.status})
+    allowed = (full & ~difference_set(c).mask) | 1
+    w, checked, complete = independent_search(
+        group, allowed, lambda d: sumset(c, GroupSet(group, d)).mask == full,
+        budget.max_candidates)
+    if w is not None:
+        return DecisionCertificate.verified_yes(problem, "exhaustive", GroupSet(group, w), c,
+                                                candidates=checked)
+    verdict, method = (NO, "exhaustive") if complete else (UNKNOWN, "budget")
+    return DecisionCertificate(problem, verdict, method, detail={
+        "base": c, "candidates": checked})

@@ -147,11 +147,18 @@ def test_supplement_witness_mode(capsys):
     cert = env["result"]["certificate"]
     assert cert["verdict"] == "no" and cert["method"] == "bound-solidity"
 
+    # one cap for every exhaustive search: one candidate is not enough here
     code, env, _ = run(capsys, "supplement", "--group", "20", "--c", "{0,1}",
                        "--max-candidates", "1")
+    assert code == 2
+    cert = env["result"]["certificate"]
+    assert cert["verdict"] == "unknown" and cert["method"] == "budget"
+    assert cert["detail"]["candidates"] == 1
+
+    code, env, _ = run(capsys, "supplement", "--group", "20", "--c", "{0,1}")
     assert code == 0
     cert = env["result"]["certificate"]
-    assert cert["verdict"] == "yes" and cert["method"] == "completion-diffset"
+    assert cert["verdict"] == "yes" and cert["method"] == "exhaustive"
 
 
 def test_supplement_max_candidates_caps_the_scan(capsys):
@@ -180,13 +187,25 @@ def test_tmin_group(capsys):
 def test_tmin_order(capsys):
     code, env, _ = run(capsys, "tmin", "--order", "4")
     assert code == 0
-    assert env["result"]["value"] == 2
+    assert env["result"]["value"] == 2 and env["result"]["exact"] is True
     assert len(env["result"]["per_group"]) == 2
+    assert all(row["exact"] for row in env["result"]["per_group"])
 
     code, _, _ = run(capsys, "tmin", "--order", "4", "--group", "4")
     assert code == 1
     code, _, _ = run(capsys, "tmin")
     assert code == 1
+
+
+def test_tmin_order_inexact_exits_2(capsys):
+    # T(12) is 4; one candidate per scan cannot show it, so the minimum
+    # is only a lower bound and the run is undecided
+    code, env, _ = run(capsys, "tmin", "--order", "12", "--max-candidates", "1")
+    assert code == 2
+    assert env["result"]["value"] == 2 and env["result"]["exact"] is False
+    assert [row["exact"] for row in env["result"]["per_group"]] == [False, False]
+    code, env, _ = run(capsys, "tmin", "--group", "12", "--max-candidates", "1")
+    assert code == 2 and env["result"]["exact"] is False
 
 
 def test_scan_threshold_out_file(tmp_path, capsys):

@@ -117,7 +117,7 @@ def test_subgroup_trap_fires_on_products_above_order_65536():
 def test_exists_witness_unknown_on_budget():
     g = Group([67])
     c = _gs(g, [0, 1, 3])
-    cert = exists_witness(c, SearchBudget(max_candidates=4, max_nodes=4))
+    cert = exists_witness(c, SearchBudget(max_candidates=4))
     assert cert.verdict == UNKNOWN
     assert cert.method == "budget"
 
@@ -193,10 +193,14 @@ def test_compute_tmin_z12():
 
 
 def test_tmin_of_order():
-    best, per_group = tmin_of_order(4)
-    assert best == 2
-    assert sorted(v for _, v in per_group) == [2, 2]
-    assert len(per_group) == 2
+    best, exact, reports = tmin_of_order(4)
+    assert best == 2 and exact
+    assert sorted(rep.value for rep in reports) == [2, 2]
+    assert len(reports) == 2
+    # a capped run is exact only where an exact report attains the minimum
+    best, exact, reports = tmin_of_order(12, SearchBudget(max_candidates=1))
+    assert (best, exact) == (2, False)
+    assert all(not rep.exact for rep in reports if rep.value == best)
 
 
 def test_gap_family_z12():

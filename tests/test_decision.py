@@ -59,7 +59,7 @@ def test_verified_yes_raises_on_failing_witness():
     # {0, 2} is a supplement for {0, 1} but 4 can still join C
     with pytest.raises(RuntimeError):
         DecisionCertificate.verified_yes(
-            MAXIMAL_SUPPLEMENT, "completion-diffset",
+            MAXIMAL_SUPPLEMENT, "exhaustive",
             GroupSet.from_elements(g8, [0, 2]), GroupSet.from_elements(g8, [0, 1]))
 
 
@@ -102,4 +102,5 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_candidates=0)
     with pytest.raises(ValueError):
-        SearchBudget(max_nodes=-3)
+        SearchBudget(max_candidates=-3)
+    assert not hasattr(b, "max_nodes")

@@ -95,10 +95,10 @@ def test_diffset_representation_none():
     inst = diffset_representation(_gs(g, [0, 1, 4, 7]))
     assert inst.status == "none"
     assert inst.a is None
-    assert inst.nodes == 5
-    # the exclude branch keeps only candidates that still fit beside A
+    assert inst.nodes == 4
+    # the pivot leaves one branch per point the pivot is incompatible with
     pruned = diffset_representation(_gs(g, [0, 2, 3, 4, 5, 6]))
-    assert pruned.status == "none" and pruned.nodes == 11
+    assert pruned.status == "none" and pruned.nodes == 5
 
     asym = diffset_representation(_gs(g, [0, 1]))
     assert asym.status == "none" and asym.nodes == 0
@@ -130,8 +130,30 @@ def test_diffset_representation_matches_oracle_table(factors):
 def test_diffset_representation_budget():
     g = Group([12])
     v = _gs(g, [0, 2, 3, 4, 5, 6, 7, 8, 9, 10])
-    inst = diffset_representation(v, SearchBudget(max_nodes=1))
-    assert inst.status == "unknown"
+    inst = diffset_representation(v, SearchBudget(max_candidates=1))
+    assert inst.status == "unknown" and inst.nodes == 1
+    assert diffset_representation(v).status == "found"
+
+
+def test_candidate_cap_stops_both_searches_at_exactly_k():
+    # Both instances are "no" when the search completes; a search the cap
+    # stops first must answer unknown after exactly k candidates.
+    g8 = Group([8])
+    v = _gs(g8, [0, 2, 3, 4, 5, 6])
+    assert diffset_representation(v).nodes == 5
+    for k in range(1, 5):
+        inst = diffset_representation(v, SearchBudget(max_candidates=k))
+        assert (inst.status, inst.nodes, inst.a) == ("unknown", k, None)
+    assert diffset_representation(v, SearchBudget(max_candidates=5)).status == "none"
+
+    c = _gs(Group([12]), [0, 1, 5, 6])
+    assert maximal_supplement_witness(c).detail["candidates"] == 5
+    for k in range(1, 5):
+        cert = maximal_supplement_witness(c, SearchBudget(max_candidates=k))
+        assert (cert.verdict, cert.method) == (UNKNOWN, "budget")
+        assert cert.detail["candidates"] == k
+    cert = maximal_supplement_witness(c, SearchBudget(max_candidates=5))
+    assert (cert.verdict, cert.method) == (NO, "exhaustive")
 
 
 def test_witness_trivial_and_bound():
@@ -146,16 +168,17 @@ def test_witness_trivial_and_bound():
 
 
 def test_witness_completion_route():
+    # W with W - W = G \ (C - C) plus 0 is one of the sets the search reaches
     g = Group([4])
     cert = maximal_supplement_witness(_gs(g, [0, 1]))
-    assert cert.verdict == YES and cert.method == "completion-diffset"
+    assert cert.verdict == YES and cert.method == "exhaustive"
     assert cert.witness == _gs(g, [0, 2])
     assert cert.verify()
-    # the route also decides groups past the exhaustive-scan cutoff
+    # the search decides groups of any order, not only up to 16
     g20 = Group([20])
     big = maximal_supplement_witness(_gs(g20, [0, 1]))
-    assert big.verdict == YES and big.method == "completion-diffset"
-    assert big.witness == _gs(g20, [0, 2, 5, 9, 12, 14])
+    assert big.verdict == YES and big.method == "exhaustive"
+    assert big.witness == _gs(g20, [0, 2, 4, 6, 8, 10])
     assert big.verify()
 
 
@@ -163,23 +186,37 @@ def test_witness_exhaustive_route():
     g = Group([8])
     cert = maximal_supplement_witness(_gs(g, [0, 1]))
     assert cert.verdict == YES and cert.method == "exhaustive"
-    assert cert.witness == _gs(g, [0, 2, 4])
-    assert cert.verify()
+    assert is_maximal_supplement_for(cert.witness, _gs(g, [0, 1]))
+    assert 0 in cert.witness and cert.detail["candidates"] >= 1
+    no = maximal_supplement_witness(_gs(Group([12]), [0, 1, 5, 6]))
+    assert no.verdict == NO and no.method == "exhaustive"
 
 
 def test_witness_unknown_past_scan_limit():
     g = Group([20])
     cert = maximal_supplement_witness(_gs(g, [0, 1]),
-                                      SearchBudget(max_nodes=1))
+                                      SearchBudget(max_candidates=1))
     assert cert.verdict == UNKNOWN and cert.method == "budget"
 
 
+def test_sparse_set_in_z100_is_a_quick_yes():
+    g = Group([100])
+    c = _gs(g, [0, 1, 3, 7, 30])
+    cert = maximal_supplement_witness(c, SearchBudget(max_candidates=64))
+    assert cert.verdict == YES and cert.method == "exhaustive"
+    assert cert.detail["candidates"] <= 64
+    assert is_maximal_supplement_for(cert.witness, c)
+
+
 def test_found_realizers_are_maximal_supplements():
-    # any realizer of the completed difference set supplements maximally
+    # every yes carries a witness c supplements maximally, every no is solid
     for n in (5, 7, 9, 11):
         g = Group([n])
         for cmask in range(1, 1 << n):
             c = GroupSet(g, cmask)
             cert = maximal_supplement_witness(c)
-            if cert.method == "completion-diffset":
+            assert cert.verdict in (YES, NO)
+            if cert.verdict == YES:
                 assert is_maximal_supplement_for(cert.witness, c)
+            elif cert.method == "exhaustive":
+                assert is_solid(c).solid
