@@ -89,10 +89,10 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
     set reaches within a few lookups.
     """
     group = c.group
-    ec = c.elements()
-    k = len(ec)
+    k = len(c)
     if k == 0 or k > AP_DETECT_SIZE_LIMIT:
         return None
+    ec = c.elements()
     if k == 1:
         return APDescriptor(c, ec[0], 0, 1)
     cset = set(ec)

@@ -306,7 +306,7 @@ def main(argv=None) -> int:
             "seed": seed,
         }
         text = json.dumps(envelope, indent=2, sort_keys=True)
-    except (_UsageError, LiteralError, ValueError) as exc:
+    except (_UsageError, LiteralError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -4,9 +4,16 @@ The central question answered here: given a non-empty set C in a finite
 abelian group, is there a W such that C is a minimal additive complement
 for W?  exists_witness() routes through cheap certificates first (size
 cap, subgroup trap, arithmetic-progression and two-element builders, a
-randomized builder whenever the exhaustive scan does not fit the budget)
-and only then falls back to the exhaustive scan, which is the sole source
-of "no" answers beyond the two counting bounds.
+randomized builder whenever the exhaustive search does not fit the
+budget) and only then falls back to the exhaustive search, which is the
+sole source of "no" answers beyond the two counting bounds.
+
+The exhaustive search, scan_for_witness, looks only at co-minimal pairs.
+If C is minimal for W and W' is a part of W with W' + C = G still, then C
+is minimal for W' too: a private point of c is outside W' + (C - {c})
+and covered by W' + C, so it lies in W' + c.  Hence W may be taken
+inclusion-minimal, so that every w has a point only w + C covers, and
+through 0.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
-from .search import scan_for_witness
-from .sumset import GroupSet, private_points, sumset, translate_mask
+from .sumset import (GroupSet, bits_of, negated_mask, private_points, sumset,
+                     translate_mask)
 
 PAIR_SCAN_LIMIT = 1 << 16
 
@@ -100,6 +107,60 @@ def prune_to_minimal(w: GroupSet, c: GroupSet) -> GroupSet:
             return cur
 
 
+def scan_for_witness(group: Group, c: GroupSet,
+                     max_candidates: Optional[int] = None) -> tuple[Optional[GroupSet], int, bool]:
+    """Search every inclusion-minimal W through 0 for one that c is minimal for.
+
+    A node holds W, the points still allowed into W, and the points that
+    at least one translate w + C covers (once) and at least two (twice).
+    A point covered once is covered by a single pair (w, c), so it is
+    private to that w and to that c alike.  A node is cut when some w has
+    no private point left, since growing W only takes them away, or when
+    some c has none and no allowed w + c reaches an uncovered point, the
+    only place a new one can appear.  At full coverage every c has a
+    private point, so W is a witness.  Otherwise the uncovered point p
+    with the fewest allowed candidates in p - C is branched on, and each
+    candidate is banned in the later siblings, so every node is a distinct
+    W and a complete search sees at most 2^(n-1) of them.  Candidates that
+    cover more uncovered points go first, which reaches a yes sooner.
+
+    Returns (witness, candidates, complete): candidates counts the nodes
+    examined, at most max_candidates, and complete is False when the cap
+    stopped the search first.  None with complete=True proves absence.
+    """
+    if not c:
+        raise ValueError("empty C has no witness")
+    ec = c.elements()
+    full = group.full_mask
+    plus = [translate_mask(group, c.mask, x) for x in range(group.order)]  # x + C
+    neg_c = negated_mask(group, c.mask)
+    minus = [translate_mask(group, neg_c, p) for p in range(group.order)]  # p - C
+    stack = [(1, full & ~1, c.mask, 0)]  # W, allowed, once, twice
+    candidates = 0
+    while stack:
+        if candidates == max_candidates:
+            return None, candidates, False
+        w, allowed, once, twice = stack.pop()
+        candidates += 1
+        private = once & ~twice
+        uncovered = full & ~once
+        if not all(plus[x] & private for x in bits_of(w)):
+            continue
+        if not all(translate_mask(group, w, e) & private
+                   or translate_mask(group, allowed, e) & uncovered for e in ec):
+            continue
+        if not uncovered:
+            return GroupSet(group, w), candidates, True
+        branch = min((minus[p] & allowed for p in bits_of(uncovered)), key=int.bit_count)
+        children = []
+        for x in sorted(bits_of(branch), key=lambda x: -(plus[x] & uncovered).bit_count()):
+            allowed &= ~(1 << x)
+            t = plus[x]
+            children.append((w | 1 << x, allowed, once | t, twice | once & t))
+        stack.extend(reversed(children))
+    return None, candidates, True
+
+
 def _containing_subgroup_order(group: Group, c: GroupSet) -> int:
     """Order of the smallest subgroup containing a translate of C."""
     ec = c.elements()
@@ -113,7 +174,8 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
 
     Yes-certificates always carry a re-verified witness.  No-certificates
     come from the size cap, the subgroup trap, or a completed exhaustive
-    scan.  Anything else is unknown (method "budget").
+    search, which runs only when its worst case of 2^(n-1) nodes fits
+    budget.max_candidates.  Anything else is unknown (method "budget").
     """
     group = c.group
     n = group.order
@@ -124,7 +186,8 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
     problem = MINIMAL_COMPLEMENT
     yes = DecisionCertificate.verified_yes
     k = len(c)
-    scan_fits = n <= 63 and 1 << (n - 1) <= budget.max_candidates
+    # 1 << (n - 1) <= max_candidates, without building the power
+    search_fits = n <= budget.max_candidates.bit_length()
 
     if c.mask == group.full_mask:
         return yes(problem, "trivial", GroupSet(group, 1), c)
@@ -140,18 +203,17 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
 
         from . import builders
 
-        if k <= builders.AP_DETECT_SIZE_LIMIT:
-            ap = builders.detect_ap(c)
-            if ap is not None:
-                cert = builders.ap_decide_and_build(ap)
-                if cert.verdict == YES:
-                    return cert
-        if 2 <= n <= PAIR_SCAN_LIMIT:
+        ap = builders.detect_ap(c)
+        if ap is not None:
+            cert = builders.ap_decide_and_build(ap)
+            if cert.verdict == YES:
+                return cert
+        if n <= PAIR_SCAN_LIMIT:
             a = builders.pair_witness_search(c)
             if a is not None:
                 w = GroupSet.from_elements(group, [0, a])
                 return yes(problem, "construction-pair", w, c, offset=a)
-        if not scan_fits:
+        if not search_fits:
             s = max(1, math.ceil(1.5 * math.log(n)))
             if builders.check_feasibility(n, k, s).feasible:
                 seed = derive_seed(0x57A97E55, n, k, c.mask % (1 << 64))
@@ -160,7 +222,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
                     return yes(problem, "random-build", trace.result, c,
                                s=s, retries=trace.retries_used)
 
-    if scan_fits:
+    if search_fits:
         w, checked, complete = scan_for_witness(group, c, budget.max_candidates)
         if w is not None:
             return yes(problem, "exhaustive", w, c, candidates=checked)

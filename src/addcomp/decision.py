@@ -110,8 +110,8 @@ class DecisionCertificate:
 
 @dataclass
 class SearchBudget:
-    """The cap that keeps unknown reachable: how many candidate sets any
-    exhaustive search may examine (an odd mask of the complement scan, a
+    """The cap that keeps unknown reachable: how many nodes any exhaustive
+    search may examine (a W through 0 tried by the complement search, a
     node of the supplement and difference-set search)."""
 
     max_candidates: int = 1 << 22

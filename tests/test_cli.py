@@ -231,6 +231,15 @@ def test_scan_threshold_csv_file(tmp_path, capsys):
     assert lines[0].startswith("p,") and len(lines) == 2
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_scan_threshold_unwritable_path_exit_1(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "scan.txt"
+    code, env, err = run(capsys, "scan-threshold", "--group", "4", "--trials", "1",
+                         flag, str(target))
+    assert code == 1 and env is None
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def test_lift_z_command(capsys):
     code, env, _ = run(capsys, "lift-z", "--ints", "0,1,2")
     assert code == 0

@@ -1,13 +1,14 @@
 """The exhaustive routes of both problems against the naive oracles on non-cyclic groups."""
 
+import random
+
 import pytest
 
-from addcomp.complements import exists_witness
-from addcomp.decision import NO, YES
+from addcomp.complements import exists_witness, scan_for_witness
+from addcomp.decision import NO, UNKNOWN, YES, SearchBudget
 from addcomp.groups import Group
 from addcomp.oracle import (oracle_exists_witness, oracle_is_maximal_supplement_for,
-                            oracle_maximal_supplement)
-from addcomp.search import scan, scan_for_witness
+                            oracle_is_minimal_complement_for, oracle_maximal_supplement)
 from addcomp.sumset import GroupSet
 from addcomp.supplements import maximal_supplement_witness
 
@@ -22,8 +23,8 @@ def test_exhaustive_routes_match_oracles(factors):
         cert = exists_witness(c, fast_paths=False)
         expect = oracle_exists_witness(c)
         assert cert.verdict == (YES if expect is not None else NO)
-        if cert.method == "exhaustive" and cert.verdict == YES:
-            assert cert.witness == expect
+        if cert.verdict == YES:
+            assert oracle_is_minimal_complement_for(cert.witness, c)
 
         cert = maximal_supplement_witness(c)
         exists = oracle_maximal_supplement(c) is not None
@@ -32,22 +33,48 @@ def test_exhaustive_routes_match_oracles(factors):
             assert oracle_is_maximal_supplement_for(cert.witness, c)
 
 
-def test_scan_counts_and_budget():
-    g = Group([2, 4])
-    w, checked, complete = scan(g, lambda masks: masks == 0b1011)
-    assert (w, checked, complete) == (GroupSet(g, 0b1011), 6, True)
-    w, checked, complete = scan(g, lambda masks: masks != masks)
-    assert (w, checked, complete) == (None, 1 << 7, True)
-    w, checked, complete = scan(g, lambda masks: masks == 0b1011, max_candidates=5)
-    assert (w, checked, complete) == (None, 5, False)
+@pytest.mark.parametrize("factors", [[2, 6], [2, 2, 3]])
+def test_complement_search_matches_oracle_on_order_12_products(factors):
+    # a seeded sample: the full pass over all 2^11 sets through 0 takes minutes
+    g = Group(factors)
+    rng = random.Random(12)
+    for _ in range(50):
+        c = GroupSet(g, 1 | rng.getrandbits(12) & ~1)
+        cert = exists_witness(c, fast_paths=False)
+        expect = oracle_exists_witness(c)
+        assert cert.verdict == (YES if expect is not None else NO), c
+        if cert.verdict == YES:
+            assert oracle_is_minimal_complement_for(cert.witness, c)
 
 
-def test_scan_batches_keep_mask_order():
-    # the hit sits past several batch boundaries and must still be the first
-    g = Group([16])
-    target = GroupSet.from_elements(g, [0, 1, 2, 3, 5, 6, 7, 11, 13])
-    w, checked, complete = scan(g, lambda masks: (masks & target.mask) == target.mask)
-    assert w == target and checked == (target.mask >> 1) + 1 and complete
+def test_candidate_cap_stops_the_search_at_exactly_k():
+    g = Group([12])
+    c = GroupSet.from_elements(g, [0, 2, 4, 6, 8])
+    w, nodes, complete = scan_for_witness(g, c)
+    assert w is None and complete and nodes <= 1 << 11
+    for k in range(nodes):
+        assert scan_for_witness(g, c, k) == (None, k, False)
+    assert scan_for_witness(g, c, nodes) == (None, nodes, True)
+
+
+def test_search_runs_only_where_its_worst_case_fits_the_cap():
+    # 2^11 sets contain 0 in Z12; one fewer and the search must not start
+    g = Group([12])
+    c = GroupSet.from_elements(g, [0, 2, 4, 6, 8])
+    cert = exists_witness(c, SearchBudget(max_candidates=1 << 11), fast_paths=False)
+    assert (cert.verdict, cert.method) == (NO, "exhaustive")
+    cert = exists_witness(c, SearchBudget(max_candidates=(1 << 11) - 1), fast_paths=False)
+    assert (cert.verdict, cert.method) == (UNKNOWN, "budget")
+    assert cert.detail["candidates_needed_log2"] == 11
+
+
+def test_search_decides_a_no_in_far_fewer_nodes_than_masks():
+    # every node is a distinct W through 0, but the cuts leave few of the 2^21
+    g = Group([22])
+    c = GroupSet.from_elements(g, [0, 1, 2, 9, 11, 12, 13, 14, 15, 18])
+    cert = exists_witness(c, fast_paths=False)
+    assert (cert.verdict, cert.method) == (NO, "exhaustive")
+    assert cert.detail["candidates"] < 1 << 12
 
 
 def test_scan_for_witness_trivial_group():
