@@ -195,7 +195,9 @@ def _cmd_scan_threshold(args):
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(report_to_csv(report))
-    return group, {"trials": args.trials}, {"report": report_to_dict(report)}, args.seed, 0
+    code = 2 if any(row.unknown for row in report.rows) else 0
+    return (group, {"trials": args.trials}, {"report": report_to_dict(report)},
+            args.seed, code)
 
 
 def _cmd_lift_z(args):

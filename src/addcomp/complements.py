@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .decision import (MINIMAL_COMPLEMENT, NO, UNKNOWN, YES, DecisionCertificate,
                        SearchBudget)
 from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
-                     cyclic_subgroups, generated_order)
+                     cyclic_subgroups, generated_order, unit_multipliers)
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
@@ -233,6 +233,41 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
         "base": c, "candidates_needed_log2": n - 1})
 
 
+def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None
+                   ) -> Callable[[GroupSet], str]:
+    """exists_witness's verdict, decided once per orbit, for one call's use.
+
+    The verdict does not change under C -> u*C + t, u a unit multiplier:
+    if C is a minimal complement of W, then u*C + t is one of u*W.  The
+    returned function looks C up as C - min(C) and, after deciding it,
+    files the verdict under every through-0 member u*C - x (x in u*C) of
+    its orbit.  Unknowns and random-build answers are never filed: the
+    builder's seed depends on the mask, so an orbit-mate could come back
+    unknown.  Every other stage is exact or gated by n and |C| alone, so
+    a hit repeats what exists_witness would return for that very set.
+    """
+    n = group.order
+    images = [[1 << group.scale(e, u) for e in range(n)]
+              for u in unit_multipliers(group)]
+    neg = [group.neg(x) for x in range(n)]
+    memo: dict[int, str] = {}
+
+    def verdict(c: GroupSet) -> str:
+        mask = c.mask
+        hit = memo.get(translate_mask(group, mask, neg[(mask & -mask).bit_length() - 1]))
+        if hit is not None:
+            return hit
+        cert = exists_witness(c, budget)
+        if cert.verdict != UNKNOWN and cert.method != "random-build":
+            ec = list(bits_of(mask))
+            for m in {sum(image[e] for e in ec) for image in images}:
+                for x in bits_of(m):
+                    memo[translate_mask(group, m, neg[x])] = cert.verdict
+        return cert.verdict
+
+    return verdict
+
+
 @dataclass(frozen=True)
 class TminReport:
     """Largest size threshold below which every subset has a witness.
@@ -251,19 +286,27 @@ class TminReport:
 
 
 def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminReport:
+    """T(G) by walking every C through 0, by size, then lexicographically.
+
+    Each orbit under translation x unit multipliers is decided once per
+    call (orbit_verdicts); the walk order, first_failing, unknown_at and
+    subsets_checked, which counts every subset walked, are as if each
+    were decided on its own.
+    """
     import itertools
 
     n = group.order
+    verdict_of = orbit_verdicts(group, budget)
     checked = 0
     for size in range(1, n + 1):
         unknown_here: Optional[GroupSet] = None
         for rest in itertools.combinations(range(1, n), size - 1):
             c = GroupSet.from_elements(group, (0,) + rest)
-            cert = exists_witness(c, budget)
+            verdict = verdict_of(c)
             checked += 1
-            if cert.verdict == NO:
+            if verdict == NO:
                 return TminReport(group, size - 1, True, c, None, checked)
-            if cert.verdict == UNKNOWN and unknown_here is None:
+            if verdict == UNKNOWN and unknown_here is None:
                 unknown_here = c
         if unknown_here is not None:
             return TminReport(group, size - 1, False, None, unknown_here, checked)

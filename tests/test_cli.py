@@ -222,6 +222,17 @@ def test_scan_threshold_out_file(tmp_path, capsys):
     assert env["seed"] == 5
 
 
+def test_scan_threshold_unknown_rows_exit_2(capsys):
+    # order 24 is past the exhaustive cap, and these draws stay undecided
+    code, env, _ = run(capsys, "scan-threshold", "--group", "24", "--trials", "2",
+                       "--grid", "0.3")
+    assert code == 2
+    assert env["result"]["report"]["rows"][0]["unknown"] == 2
+    code, env, _ = run(capsys, "scan-threshold", "--group", "8", "--trials", "20")
+    assert code == 0
+    assert all(row["unknown"] == 0 for row in env["result"]["report"]["rows"])
+
+
 def test_scan_threshold_csv_file(tmp_path, capsys):
     csv_path = tmp_path / "scan.csv"
     code, env, _ = run(capsys, "scan-threshold", "--group", "6", "--grid",

@@ -1,13 +1,17 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
 
+from addcomp import complements
 from addcomp.complements import (EssentialityReport, compute_tmin, essentiality,
                                  exists_witness, is_complement,
                                  is_minimal_complement_for, prune_to_minimal,
                                  subgroup_gap_family, tmin_of_order)
-from addcomp.decision import NO, UNKNOWN, YES, SearchBudget
-from addcomp.groups import Group, unit_multipliers
+from addcomp.decision import (MINIMAL_COMPLEMENT, NO, UNKNOWN, YES, DecisionCertificate,
+                              SearchBudget)
+from addcomp.groups import Group, abelian_groups_of_order, unit_multipliers
 from addcomp.oracle import oracle_exists_witness
 from addcomp.sumset import GroupSet, translate
 
@@ -161,18 +165,109 @@ def test_verdict_translation_invariant():
 
 
 def test_verdict_invariance_sampled():
+    # every unit multiplier and every translate of seeded samples, on
+    # cyclic groups and on products
     rnd = random.Random(11)
-    for n in (8, 9, 10):
-        g = Group([n])
-        units = unit_multipliers(g)
+    for factors in ((8,), (9,), (10,), (2, 6), (2, 2, 4), (4, 4), (3, 3)):
+        g = Group(factors)
+        n = g.order
         for _ in range(12):
-            c = GroupSet(g, rnd.randrange(1, 1 << n))
+            c = _gs(g, rnd.sample(range(n), rnd.randint(1, n)))
             base = exists_witness(c).verdict
-            t = rnd.randrange(1, n)
-            assert exists_witness(translate(c, t)).verdict == base
-            u = rnd.choice(units)
-            cu = GroupSet.from_elements(g, [(u * x) % n for x in c])
-            assert exists_witness(cu).verdict == base
+            for u in unit_multipliers(g):
+                cu = _gs(g, [g.scale(x, u) for x in c])
+                for t in range(n):
+                    assert exists_witness(translate(cu, t)).verdict == base
+
+
+def _orbit_key(g, c):
+    """Least mask over the orbit of c under translation x unit multipliers."""
+    return min(translate(_gs(g, [g.scale(x, u) for x in c]), t).mask
+               for u in unit_multipliers(g) for t in range(g.order))
+
+
+def _reference_tmin(group, budget=None):
+    """compute_tmin's walk with exists_witness on every subset, no orbits."""
+    n = group.order
+    checked = 0
+    for size in range(1, n + 1):
+        unknown_here = None
+        for rest in itertools.combinations(range(1, n), size - 1):
+            c = GroupSet.from_elements(group, (0,) + rest)
+            verdict = exists_witness(c, budget).verdict
+            checked += 1
+            if verdict == NO:
+                return size - 1, True, c, None, checked
+            if verdict == UNKNOWN and unknown_here is None:
+                unknown_here = c
+        if unknown_here is not None:
+            return size - 1, False, None, unknown_here, checked
+    return n, True, None, None, checked
+
+
+def _fields(rep):
+    return rep.value, rep.exact, rep.first_failing, rep.unknown_at, rep.subsets_checked
+
+
+@pytest.mark.parametrize("factors", [(12,), (2, 6), (14,), (2, 2, 4)])
+def test_compute_tmin_matches_orbit_free_walk(factors):
+    g = Group(factors)
+    assert _fields(compute_tmin(g)) == _reference_tmin(g)
+
+
+@pytest.mark.parametrize("cap", [1, 16, 256])
+@pytest.mark.parametrize("n", [8, 12])
+def test_compute_tmin_matches_orbit_free_walk_capped(n, cap):
+    budget = SearchBudget(max_candidates=cap)
+    for g in abelian_groups_of_order(n):
+        assert _fields(compute_tmin(g, budget)) == _reference_tmin(g, budget)
+
+
+def test_compute_tmin_decides_once_per_orbit(monkeypatch):
+    g = Group([14])
+    calls = []
+
+    def counted(c, budget=None, fast_paths=True):
+        calls.append(c)
+        return exists_witness(c, budget, fast_paths)
+
+    monkeypatch.setattr(complements, "exists_witness", counted)
+    rep = compute_tmin(g)
+    walked = itertools.islice(
+        (GroupSet.from_elements(g, (0,) + rest) for size in range(1, 15)
+         for rest in itertools.combinations(range(1, 14), size - 1)),
+        rep.subsets_checked)
+    orbits = {_orbit_key(g, c) for c in walked}
+    assert len(calls) == len(orbits) < rep.subsets_checked
+    assert len({_orbit_key(g, c) for c in calls}) == len(calls)
+    # the memo lives for one call: a second call decides as much again
+    first = len(calls)
+    assert compute_tmin(g) == rep
+    assert len(calls) == 2 * first
+
+
+def test_orbit_verdicts_files_only_exact_answers(monkeypatch):
+    g = Group([10])
+    c, mate = _gs(g, [0, 1, 3]), _gs(g, [1, 2, 5])  # mate = 3*c + 2
+    calls = []
+
+    def recorded(cert, c):
+        calls.append(c)
+        return cert
+
+    # an exact answer is filed for the whole orbit
+    monkeypatch.setattr(complements, "exists_witness",
+                        lambda c, budget=None: recorded(exists_witness(c), c))
+    verdict = complements.orbit_verdicts(g)
+    assert verdict(c) == verdict(mate) == YES and calls == [c]
+    # a random-build yes or an unknown is not: an orbit-mate is decided again
+    for cert in (dataclasses.replace(exists_witness(c), method="random-build"),
+                 DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget")):
+        calls.clear()
+        monkeypatch.setattr(complements, "exists_witness",
+                            lambda c, budget=None, cert=cert: recorded(cert, c))
+        verdict = complements.orbit_verdicts(g)
+        assert verdict(c) == verdict(mate) == cert.verdict and calls == [c, mate]
 
 
 def test_compute_tmin_small():

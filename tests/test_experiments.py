@@ -3,6 +3,8 @@ import io
 
 import pytest
 
+from addcomp import experiments
+from addcomp.complements import exists_witness
 from addcomp.experiments import (DEFAULT_GRID, report_to_csv, report_to_dict,
                                  report_to_json, scan_threshold)
 from addcomp.groups import Group
@@ -68,3 +70,19 @@ def test_report_serializations():
     # floats survive the round trip exactly
     assert float(parsed[2][0]) == 0.5
     assert int(parsed[1][1]) == 20
+
+
+@pytest.mark.parametrize("factors, trials", [((16,), 200), ((2, 8), 200), ((24,), 20)])
+def test_scan_matches_memo_free_loop(monkeypatch, factors, trials):
+    g = Group(factors)
+    with_memo = report_to_json(scan_threshold(g, trials=trials, seed=1))
+
+    def every_draw(group, budget=None):
+        return lambda c: exists_witness(c, budget).verdict
+
+    monkeypatch.setattr(experiments, "orbit_verdicts", every_draw)
+    rep = scan_threshold(g, trials=trials, seed=1)
+    assert report_to_json(rep) == with_memo
+    if factors == (24,):
+        # unknowns are never filed, so each one is decided and counted
+        assert sum(row.unknown for row in rep.rows) > 0
