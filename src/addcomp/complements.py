@@ -235,30 +235,36 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
 
 def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None
                    ) -> Callable[[GroupSet], str]:
-    """exists_witness's verdict, decided once per orbit, for one call's use.
+    """exists_witness's verdict, searched once per orbit, for one call's use.
 
     The verdict does not change under C -> u*C + t, u a unit multiplier:
     if C is a minimal complement of W, then u*C + t is one of u*W.  The
-    returned function looks C up as C - min(C) and, after deciding it,
-    files the verdict under every through-0 member u*C - x (x in u*C) of
-    its orbit.  Unknowns and random-build answers are never filed: the
-    builder's seed depends on the mask, so an orbit-mate could come back
-    unknown.  Every other stage is exact or gated by n and |C| alone, so
-    a hit repeats what exists_witness would return for that very set.
+    returned function looks C up as C - min(C) and, after an exhaustive
+    search decided it, files the verdict under every through-0 member
+    u*C - x (x in u*C) of its orbit.  Only search answers are filed: the
+    bounds and builders cost less than filing |units| x |C| keys, and the
+    search runs only where 2^(n-1) fits the budget, so on larger groups
+    nothing is filed and nothing is looked up.  Where the search fits it
+    always completes, and no stage answers unknown, so a hit repeats what
+    exists_witness would return for that very set.
     """
     n = group.order
-    images = [[1 << group.scale(e, u) for e in range(n)]
-              for u in unit_multipliers(group)]
-    neg = [group.neg(x) for x in range(n)]
+    images: list[list[int]] = []  # built on the first filing
+    neg: list[int] = []
     memo: dict[int, str] = {}
 
     def verdict(c: GroupSet) -> str:
         mask = c.mask
-        hit = memo.get(translate_mask(group, mask, neg[(mask & -mask).bit_length() - 1]))
-        if hit is not None:
-            return hit
+        if memo:
+            hit = memo.get(translate_mask(group, mask, neg[(mask & -mask).bit_length() - 1]))
+            if hit is not None:
+                return hit
         cert = exists_witness(c, budget)
-        if cert.verdict != UNKNOWN and cert.method != "random-build":
+        if cert.method == "exhaustive":
+            if not images:
+                images.extend([1 << group.scale(e, u) for e in range(n)]
+                              for u in unit_multipliers(group))
+                neg.extend(group.neg(x) for x in range(n))
             ec = list(bits_of(mask))
             for m in {sum(image[e] for e in ec) for image in images}:
                 for x in bits_of(m):
@@ -288,10 +294,10 @@ class TminReport:
 def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminReport:
     """T(G) by walking every C through 0, by size, then lexicographically.
 
-    Each orbit under translation x unit multipliers is decided once per
-    call (orbit_verdicts); the walk order, first_failing, unknown_at and
-    subsets_checked, which counts every subset walked, are as if each
-    were decided on its own.
+    Each orbit under translation x unit multipliers is searched at most
+    once per call (orbit_verdicts); the walk order, first_failing,
+    unknown_at and subsets_checked, which counts every subset walked, are
+    as if each were decided on its own.
     """
     import itertools
 

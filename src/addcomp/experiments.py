@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complements import orbit_verdicts
-# perfbench/tracing.py counts exists_witness calls through this module's name.
+# Kept only because perfbench/tracing.py wraps this binding; nothing here
+# calls it, so the tracer counts scan_threshold's calls in complements.
 from .complements import exists_witness  # noqa: F401
 from .decision import NO, UNKNOWN, YES, SearchBudget
 from .groups import Group
@@ -60,10 +61,10 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
                    budget: Optional[SearchBudget] = None) -> ScanReport:
     """Verdict counts of `trials` random subsets per density in the grid.
 
-    Each orbit under translation x unit multipliers is decided once per
-    call (complements.orbit_verdicts), so a draw whose orbit-mate was
-    drawn earlier is counted without a second decision; the counts are
-    those of deciding every draw on its own.
+    Each orbit under translation x unit multipliers is searched at most
+    once per call (complements.orbit_verdicts), so a draw whose orbit-mate
+    was searched earlier is counted without a second search; the counts
+    are those of deciding every draw on its own.
     """
     if trials < 1:
         raise ValueError("need at least one trial per density")

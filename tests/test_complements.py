@@ -223,51 +223,63 @@ def test_compute_tmin_matches_orbit_free_walk_capped(n, cap):
         assert _fields(compute_tmin(g, budget)) == _reference_tmin(g, budget)
 
 
-def test_compute_tmin_decides_once_per_orbit(monkeypatch):
+def test_compute_tmin_searches_once_per_orbit(monkeypatch):
     g = Group([14])
-    calls = []
+    searched = []
+    search = complements.scan_for_witness
 
-    def counted(c, budget=None, fast_paths=True):
-        calls.append(c)
-        return exists_witness(c, budget, fast_paths)
+    def counted(group, c, max_candidates=None):
+        searched.append(c)
+        return search(group, c, max_candidates)
 
-    monkeypatch.setattr(complements, "exists_witness", counted)
+    monkeypatch.setattr(complements, "scan_for_witness", counted)
+    _reference_tmin(g)
+    every = list(searched)
+    searched.clear()
     rep = compute_tmin(g)
-    walked = itertools.islice(
-        (GroupSet.from_elements(g, (0,) + rest) for size in range(1, 15)
-         for rest in itertools.combinations(range(1, 14), size - 1)),
-        rep.subsets_checked)
-    orbits = {_orbit_key(g, c) for c in walked}
-    assert len(calls) == len(orbits) < rep.subsets_checked
-    assert len({_orbit_key(g, c) for c in calls}) == len(calls)
-    # the memo lives for one call: a second call decides as much again
-    first = len(calls)
+    # each orbit the walk has to search is searched once
+    orbits = {_orbit_key(g, c) for c in every}
+    assert len(searched) == len(orbits) < len(every)
+    assert len({_orbit_key(g, c) for c in searched}) == len(searched)
+    # the memo lives for one call: a second call searches as much again
+    first = len(searched)
     assert compute_tmin(g) == rep
-    assert len(calls) == 2 * first
+    assert len(searched) == 2 * first
 
 
-def test_orbit_verdicts_files_only_exact_answers(monkeypatch):
+def test_orbit_verdicts_files_only_search_answers(monkeypatch):
     g = Group([10])
     c, mate = _gs(g, [0, 1, 3]), _gs(g, [1, 2, 5])  # mate = 3*c + 2
     calls = []
-
-    def recorded(cert, c):
-        calls.append(c)
-        return cert
-
-    # an exact answer is filed for the whole orbit
-    monkeypatch.setattr(complements, "exists_witness",
-                        lambda c, budget=None: recorded(exists_witness(c), c))
-    verdict = complements.orbit_verdicts(g)
-    assert verdict(c) == verdict(mate) == YES and calls == [c]
-    # a random-build yes or an unknown is not: an orbit-mate is decided again
-    for cert in (dataclasses.replace(exists_witness(c), method="random-build"),
-                 DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget")):
+    base = exists_witness(c)
+    for method, filed in (("exhaustive", True), ("construction-pair", False),
+                          ("random-build", False)):
+        cert = dataclasses.replace(base, method=method)
         calls.clear()
         monkeypatch.setattr(complements, "exists_witness",
-                            lambda c, budget=None, cert=cert: recorded(cert, c))
+                            lambda c, budget=None, cert=cert: calls.append(c) or cert)
         verdict = complements.orbit_verdicts(g)
-        assert verdict(c) == verdict(mate) == cert.verdict and calls == [c, mate]
+        assert verdict(c) == verdict(mate) == YES
+        assert calls == ([c] if filed else [c, mate])
+    unknown = DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget")
+    calls.clear()
+    monkeypatch.setattr(complements, "exists_witness",
+                        lambda c, budget=None: calls.append(c) or unknown)
+    verdict = complements.orbit_verdicts(g)
+    assert verdict(c) == verdict(mate) == UNKNOWN and calls == [c, mate]
+
+
+def test_orbit_verdicts_files_nothing_past_the_search_gate(monkeypatch):
+    # order 101 is past the default cap, so no answer is a search answer
+    # and the orbit maps, built on the first filing, are never built
+    from addcomp.experiments import scan_threshold
+
+    def unused(group):
+        raise AssertionError("orbit maps built")
+
+    monkeypatch.setattr(complements, "unit_multipliers", unused)
+    rep = scan_threshold(Group([101]), p_values=(0.05, 0.3, 0.7, 0.9), trials=5)
+    assert sum(row.yes + row.no for row in rep.rows) > 0
 
 
 def test_compute_tmin_small():
