@@ -329,17 +329,16 @@ def random_witness(c: GroupSet, s: int, max_retries: int = 10,
         for i, p in flat:
             value_rows.setdefault(derived[i][p], set()).add(i)
 
-        e1 = False
-        for i, p in flat:
-            gv = derived[i][p]
-            for j, q in flat:
-                if (i, p) == (j, q):
-                    continue
-                if group.sub(gv, samples[j][q]) in cset:
-                    e1 = True
-                    break
-            if e1:
-                break
+        # e1: some derived point g_ip lies in x_jq + C for a draw (j, q)
+        # other than (i, p).  A draw reaches each point of x_jq + C once,
+        # and (i, p) always reaches g_ip = x_ip + c_i, so e1 holds exactly
+        # when some g_ip is reached by two draws.
+        reach: dict[int, int] = {}
+        for j, q in flat:
+            for ct in ec:
+                z = group.add(samples[j][q], ct)
+                reach[z] = reach.get(z, 0) + 1
+        e1 = any(reach[derived[i][p]] > 1 for i, p in flat)
 
         pile: dict[int, int] = {}
         for i, p in flat:

@@ -9,6 +9,7 @@ checks, coverage, supplement tests) reduces to these kernels.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
@@ -34,14 +35,38 @@ __all__ = [
 
 
 COVERAGE_CHUNK = 1 << 20
+BITS_CHUNK = 4096
 
 
 def bits_of(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of a mask, ascending."""
+    """Yield the set bit positions of a mask, ascending.
+
+    Linear in the mask's width plus the number of set bits: a mask wider
+    than BITS_CHUNK bits is walked in BITS_CHUNK-bit chunks of its bytes,
+    skipping zero chunks, so clearing one bit never rewrites the whole mask.
+    """
+    if mask.bit_length() > BITS_CHUNK:
+        yield from _wide_bits_of(mask)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _wide_bits_of(mask: int) -> Iterator[int]:
+    step = BITS_CHUNK // 8
+    zero = bytes(step)
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    for base in range(0, len(raw), step):
+        piece = raw[base:base + step]
+        if piece == zero:
+            continue
+        chunk = int.from_bytes(piece, "little")
+        while chunk:
+            low = chunk & -chunk
+            yield 8 * base + low.bit_length() - 1
+            chunk ^= low
 
 
 def translate_mask(group: "Group", mask, g: int):
@@ -49,13 +74,14 @@ def translate_mask(group: "Group", mask, g: int):
 
     mask is an int or a uint64 array of masks; every operand is a
     non-negative int so both work.  Translation by 0 returns mask itself.
+    Each factor costs a fixed number of shifts, ANDs and ORs of n-bit
+    operands, so one translate is linear in n (no multiply).
     """
     n = group.order
     if g == 0 or n <= 1:
         return mask
-    full = group.full_mask
     if len(group.factors) == 1:
-        return ((mask << g) | (mask >> (n - g))) & full
+        return ((mask << g) | (mask >> (n - g))) & group.full_mask
     m = mask
     for d, stride, rep in zip(group.factors, group.strides, group.block_reps):
         a = (g // stride) % d
@@ -63,8 +89,11 @@ def translate_mask(group: "Group", mask, g: int):
             continue
         block = d * stride
         t = a * stride
-        keep = ((1 << (block - t)) - 1) * rep
-        m = (((m & keep) << t) | ((m & (full & ~keep)) >> (block - t))) & full
+        # the low block - t bits of every block move up by t, the rest
+        # wrap down to the bottom of the same block
+        keep = (rep << (block - t)) - rep
+        low = m & keep
+        m = (low << t) | ((m ^ low) >> (block - t))
     return m
 
 
@@ -180,11 +209,11 @@ class GroupSet:
         return hash((self.group, self.mask))
 
     def __repr__(self) -> str:
-        els = self.elements()
-        if len(els) > 12:
-            inner = ", ".join(map(str, els[:10])) + f", ... ({len(els)} elements)"
-        else:
-            inner = ", ".join(map(str, els))
+        size = len(self)
+        head = 10 if size > 12 else size
+        inner = ", ".join(map(str, islice(bits_of(self.mask), head)))
+        if size > 12:
+            inner += f", ... ({size} elements)"
         return f"GroupSet({self.group.spec_string()}, {{{inner}}})"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -297,6 +298,52 @@ def test_random_witness_exhausts_on_crowded_set():
     assert trace.result is None
     assert trace.retries_used == 10
     assert trace.e1 or trace.e2 or trace.e3
+
+
+def _seeded_random_builds():
+    """One-attempt random builds in small groups, where every failure event
+    fires on some draws, and in groups of order 400, where some succeed."""
+    rnd = random.Random(40)
+    for factors, s_lo, s_hi in (([40], 1, 3), ([4, 10], 1, 3),
+                                ([400], 3, 8), ([10, 40], 3, 8)):
+        g = Group(factors)
+        for _ in range(30):
+            elems = rnd.sample(range(g.order), rnd.randint(3, 5))
+            c = GroupSet.from_elements(g, elems)
+            yield random_witness(c, rnd.randint(s_lo, s_hi), max_retries=1,
+                                 seed=rnd.randrange(1 << 16))
+
+
+def test_random_witness_e1_matches_every_pair():
+    # e1: some derived point x_ip + c_i lies in x_jq + C for another draw
+    # (j, q); checked here over all (k*s)^2 pairs of draws.
+    fired = []
+    for trace in _seeded_random_builds():
+        group, cset = trace.c.group, set(trace.c.elements())
+        draws = [(i, p) for i, row in enumerate(trace.samples)
+                 for p in range(len(row))]
+        brute = any(
+            group.sub(trace.derived[i][p], trace.samples[j][q]) in cset
+            for i, p in draws for j, q in draws if (i, p) != (j, q))
+        assert trace.e1 == brute
+        fired.append(brute)
+    assert any(fired) and not all(fired)
+
+
+def test_random_witness_traces_unchanged():
+    # Digest of the traces of _seeded_random_builds as the quadratic
+    # pair-by-pair e1 check produced them: the failure events, the kept
+    # draws and the witness must not move when a check gets faster.
+    digest = hashlib.sha256()
+    successes = 0
+    for trace in _seeded_random_builds():
+        result = None if trace.result is None else trace.result.mask
+        successes += result is not None
+        digest.update(repr((trace.samples, trace.e1, trace.e2, trace.e3,
+                            sorted(trace.chosen.items()), result)).encode())
+    assert successes > 0
+    assert digest.hexdigest() == (
+        "3927e6bbd487f9bc8b5e2125497593f9b53087aaccaba2f888145a85b06dae6d")
 
 
 def test_random_witness_singleton_fast_path():

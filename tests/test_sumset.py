@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from addcomp.groups import Group
 from addcomp.oracle import naive_coverage, naive_difference_set, naive_sumset
-from addcomp.sumset import (GroupSet, array_to_mask, coverage, difference_set,
-                            mask_to_array, negated, private_points, sumset,
-                            translate, translate_mask)
+from addcomp.sumset import (GroupSet, array_to_mask, bits_of, coverage,
+                            difference_set, mask_to_array, negated,
+                            private_points, sumset, translate, translate_mask)
 
 # The package re-exports the function sumset, which shadows the module name.
 sumset_module = importlib.import_module("addcomp.sumset")
@@ -161,6 +161,68 @@ def test_array_kernels_match_int_kernels(factors):
         assert [int(x) for x in covered] == [cv for cv, _ in expect]
         assert [int(x) for x in private] == [pv for _, pv in expect]
     assert np.array_equal(arr, before)
+
+
+def _translate_by_definition(g, mask, t):
+    out = 0
+    for a, bit in enumerate(reversed(bin(mask)[2:])):
+        if bit == "1":
+            out |= 1 << g.add(a, t)
+    return out
+
+
+@pytest.mark.parametrize("factors", [[2, 12], [3, 5, 7], [4, 25], [64, 64, 4],
+                                     [1000, 1000]])
+def test_translate_mask_matches_definition(factors):
+    g = Group(factors)
+    rnd = random.Random(g.order)
+    if g.order <= 1000:
+        masks = [rnd.randrange(1 << g.order) for _ in range(4)]
+        shifts = range(g.order)
+    else:
+        shifts = [rnd.randrange(g.order) for _ in range(6)]
+        if g.order < 10 ** 5:
+            masks = [rnd.randrange(1 << g.order) for _ in range(2)]
+        else:  # sparse: the definition walks every element
+            masks = [sum(1 << e for e in rnd.sample(range(g.order), 50))
+                     for _ in range(2)]
+    for mask in masks + [0, 1]:
+        for t in shifts:
+            assert translate_mask(g, mask, t) == _translate_by_definition(g, mask, t)
+    for t in shifts:
+        assert translate_mask(g, g.full_mask, t) == g.full_mask
+
+
+def _wide_masks():
+    chunk = sumset_module.BITS_CHUNK
+    rnd = random.Random(chunk)
+    width = 5 * chunk + 123  # the top chunk is partial
+    borders = 0
+    for b in range(chunk, width, chunk):
+        borders |= 3 << (b - 1)  # last bit of one chunk, first of the next
+    yield borders | 1 | 1 << (width - 1)
+    yield 1 | 1 << (width - 1)  # every chunk between the two is zero
+    yield sum(1 << e for e in rnd.sample(range(width), 7)) | 1 << (width - 1)
+    yield rnd.getrandbits(width) | 1 << (width - 1)  # dense
+    yield (1 << width) - 1
+    yield 1  # bit 0 alone
+
+
+def test_bits_of_wide_masks_match_naive_scan():
+    g = Group([3 * sumset_module.BITS_CHUNK, 2])
+    for mask in _wide_masks():
+        naive = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert list(bits_of(mask)) == naive
+        assert GroupSet(g, mask).elements() == naive
+
+
+def test_repr_shows_ten_elements_of_a_large_set():
+    g = Group([100000])
+    assert repr(GroupSet.full(g)) == (
+        "GroupSet(100000, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ... (100000 elements)})")
+    assert repr(GroupSet.from_elements(g, range(0, 120, 10))) == (
+        "GroupSet(100000, {0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110})")
+    assert repr(GroupSet.empty(Group([2, 3]))) == "GroupSet(2x3, {})"
 
 
 def test_private_points_match_coverage_counts():
