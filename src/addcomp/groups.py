@@ -159,22 +159,7 @@ class Group:
 
     def invariant_factors(self) -> tuple[int, ...]:
         """Canonical decomposition d_1 | d_2 | ... | d_k of the same group."""
-        by_prime: dict[int, list[int]] = {}
-        for d in self.factors:
-            for p, e in _prime_factorization(d).items():
-                by_prime.setdefault(p, []).append(e)
-        slots = 0
-        for exps in by_prime.values():
-            exps.sort(reverse=True)
-            slots = max(slots, len(exps))
-        out = []
-        for j in range(slots):
-            f = 1
-            for p, exps in by_prime.items():
-                if j < len(exps):
-                    f *= p ** exps[j]
-            out.append(f)
-        return tuple(reversed(out))
+        return tuple(d for d in _smith(self, [])[0] if d > 1)
 
     def spec_string(self) -> str:
         if not self.factors:
@@ -365,107 +350,67 @@ class Homomorphism:
         )
 
 
-def _smith_with_left(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize an integer matrix; return (diagonal, U) with S = U*M*V.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g, g = +-gcd(a, b) and (a, 1, 0) when a | b.
 
-    Row operations are mirrored into U; column operations only touch the
-    working copy.  The diagonal comes out nonnegative with each entry
-    dividing the next.
+    Returning (1, 0) for a | b keeps a pivot that already divides an entry
+    in place; other coefficients can swap entries of equal size forever.
     """
-    r = len(rows)
-    c = len(rows[0]) if r else 0
-    s = [list(row) for row in rows]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def add_row(dst: int, src: int, q: int) -> None:
-        srow, drow = s[src], s[dst]
-        for t in range(c):
-            drow[t] += q * srow[t]
-        su, du = u[src], u[dst]
-        for t in range(r):
-            du[t] += q * su[t]
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        for row in s:
-            row[dst] += q * row[src]
-
-    for t in range(min(r, c)):
-        while True:
-            pivot = None
-            best = None
-            for i in range(t, r):
-                row = s[i]
-                for j in range(t, c):
-                    v = row[j]
-                    if v != 0 and (best is None or abs(v) < best):
-                        best = abs(v)
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            pi, pj = pivot
-            if pi != t:
-                s[t], s[pi] = s[pi], s[t]
-                u[t], u[pi] = u[pi], u[t]
-            if pj != t:
-                for row in s:
-                    row[t], row[pj] = row[pj], row[t]
-            p = s[t][t]
-            exact = True
-            for i in range(t + 1, r):
-                if s[i][t] % p != 0:
-                    exact = False
-            for j in range(t + 1, c):
-                if s[t][j] % p != 0:
-                    exact = False
-            for i in range(t + 1, r):
-                if s[i][t]:
-                    add_row(i, t, -(s[i][t] // p))
-            for j in range(t + 1, c):
-                if s[t][j]:
-                    add_col(j, t, -(s[t][j] // p))
-            if not exact:
-                continue
-            bad = None
-            for i in range(t + 1, r):
-                row = s[i]
-                for j in range(t + 1, c):
-                    if row[j] % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is not None:
-                add_row(t, bad, 1)
-                continue
-            break
-        if t < c and s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-    diag = [s[i][i] for i in range(min(r, c))]
-    return diag, u
+    if a and b % a == 0:
+        return a, 1, 0
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, x0, y0, x1, y1 = b, a - q * b, x1, y1, x0 - q * x1, y0 - q * y1
+    return a, x0, y0
 
 
-def _relation_lattice(group: Group, elements: Sequence[int]) -> list[list[int]]:
-    """Columns d_i * e_i, then the coordinates of each element.
+def _smith(group: Group, elements: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """Smith diagonal of the relations of G/<elements>, and the row operations U.
 
-    They span the relations of G / <elements> over Z^r, so the product of
-    the Smith diagonal is the order of that quotient.
+    The relation matrix M has columns d_i * e_i, then the coordinates of
+    each element.  U*M*V is diagonal for some V, each entry dividing the
+    next, so the diagonal is the quotient's invariant factors (with 1s) and
+    row i of U gives coordinate i of a generator's image in the quotient.
     """
     r = len(group.factors)
-    mat = [[0] * (r + len(elements)) for _ in range(r)]
-    for i, d in enumerate(group.factors):
-        mat[i][i] = d
-    for j, e in enumerate(elements):
-        for i, a in enumerate(group.coords_of(e)):
-            mat[i][r + j] = a
-    return mat
+    s = [[d if j == i else 0 for j in range(r)] + [e // st % d for e in elements]
+         for i, (d, st) in enumerate(zip(group.factors, group.strides))]
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    for t in range(r):
+        top = s[t]
+        while True:
+            for j in range(t + 1, len(top)):
+                b = top[j]
+                if b:
+                    g, x, y = _xgcd(top[t], b)
+                    a, b = top[t] // g, b // g
+                    for row in s[t:]:
+                        row[t], row[j] = x * row[t] + y * row[j], a * row[j] - b * row[t]
+            for i in range(t + 1, r):
+                b = s[i][t]
+                if b:
+                    g, x, y = _xgcd(top[t], b)
+                    a, b = top[t] // g, b // g
+                    for m in (s, u):
+                        m[t][:], m[i][:] = ([x * v + y * w for v, w in zip(m[t], m[i])],
+                                            [a * w - b * v for v, w in zip(m[t], m[i])])
+            if any(top[t + 1:]):
+                continue
+            p = top[t]
+            bad = next((i for i in range(t + 1, r) if any(v % p for v in s[i][t + 1:])), None)
+            if bad is None:
+                break
+            for m in (s, u):
+                m[t][:] = [v + w for v, w in zip(m[t], m[bad])]
+    return [abs(s[i][i]) for i in range(r)], u
 
 
 def generated_order(group: Group, elements: Sequence[int]) -> int:
     """Order of the subgroup generated by elements, without listing it."""
     if len(group.factors) <= 1:
         return group.order // math.gcd(group.order, *elements)
-    diag, _ = _smith_with_left(_relation_lattice(group, elements))
+    diag, _ = _smith(group, elements)
     return group.order // math.prod(diag)
 
 
@@ -477,18 +422,7 @@ def quotient_map(group: Group, h: Subgroup) -> tuple[Group, Homomorphism]:
     """
     if h.parent != group:
         raise ValueError("subgroup belongs to a different group")
-    r = len(group.factors)
-    if r == 0:
-        q = Group([])
-        return q, Homomorphism(group, q, [])
-    if r == 1:
-        qsize = group.order // h.order
-        if qsize == 1:
-            q = Group([])
-            return q, Homomorphism(group, q, [0])
-        q = Group([qsize])
-        return q, Homomorphism(group, q, [1])
-    diag, u = _smith_with_left(_relation_lattice(group, h.members.elements()))
+    diag, u = _smith(group, h.members.elements())
     if any(v == 0 for v in diag):
         raise RuntimeError("degenerate relation lattice in quotient computation")
     keep = [i for i, v in enumerate(diag) if v > 1]
@@ -496,7 +430,7 @@ def quotient_map(group: Group, h: Subgroup) -> tuple[Group, Homomorphism]:
     if q.order * h.order != group.order:
         raise RuntimeError("quotient order mismatch, diagonalization is wrong")
     images = []
-    for gen in range(r):
+    for gen in range(len(group.factors)):
         coords = [u[i][gen] % diag[i] for i in keep]
         images.append(q.index_of(coords))
     hom = Homomorphism(group, q, images)

@@ -69,13 +69,12 @@ def _wide_bits_of(mask: int) -> Iterator[int]:
             chunk ^= low
 
 
-def translate_mask(group: "Group", mask, g: int):
+def translate_mask(group: "Group", mask: int, g: int) -> int:
     """Mask of {a + g : a in mask}, via block rotations along each factor.
 
-    mask is an int or a uint64 array of masks; every operand is a
-    non-negative int so both work.  Translation by 0 returns mask itself.
-    Each factor costs a fixed number of shifts, ANDs and ORs of n-bit
-    operands, so one translate is linear in n (no multiply).
+    Translation by 0 returns mask itself.  Each factor costs a fixed number
+    of shifts, ANDs and ORs of n-bit operands, so one translate is linear
+    in n (no multiply).
     """
     n = group.order
     if g == 0 or n <= 1:
@@ -97,11 +96,10 @@ def translate_mask(group: "Group", mask, g: int):
     return m
 
 
-def private_points(group: "Group", w, elements) -> tuple:
+def private_points(group: "Group", w: int, elements) -> tuple[int, int]:
     """(covered, private): points of some w + e, and of exactly one.
 
     e has a private point when translate_mask(group, w, e) & private.
-    Takes an int or a uint64 array for w, like translate_mask.
     """
     once = twice = 0
     for e in elements:

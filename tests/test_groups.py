@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -122,7 +123,8 @@ def test_subgroup_generated_matches_closure_and_smith_order(factors):
 
 def test_smith_order_on_larger_products():
     rnd = random.Random(7)
-    for factors in ([8, 8], [4, 25], [2, 2, 10], [6, 10, 4]):
+    for factors in ([8, 8], [4, 25], [2, 2, 10], [6, 10, 4], [2, 2, 2, 2],
+                    [3, 9, 27], [12, 18], [6, 6, 6]):
         g = Group(factors)
         for size in (0, 1, 2, 3, 5):
             gens = [rnd.randrange(g.order) for _ in range(size)]
@@ -156,6 +158,16 @@ def test_invariant_factors():
     assert Group([2, 3]).invariant_factors() == (6,)
     assert Group([6, 4]).invariant_factors() == (2, 12)
     assert Group([]).invariant_factors() == ()
+    for k in range(4):
+        for factors in itertools.product((2, 3, 4, 6, 8, 9), repeat=k):
+            g = Group(factors)
+            inv = g.invariant_factors()
+            assert all(b % a == 0 for a, b in zip(inv, inv[1:])), factors
+            assert _order_histogram(Group(inv)) == _order_histogram(g), factors
+
+
+def _order_histogram(g):
+    return Counter(g.element_order(e) for e in g.elements())
 
 
 def test_trivial_group():
@@ -251,6 +263,29 @@ def test_quotient_map_general():
             assert pi.apply(g.add(a, b)) == q.add(pi.apply(a), pi.apply(b))
     assert len({pi.apply(x) for x in g.elements()}) == q.order
     assert pi.kernel() == h
+
+
+@pytest.mark.parametrize("factors", [[2, 4], [2, 2, 4], [4, 4], [2, 6], [3, 9], [6, 6],
+                                     [2, 4, 4], []] + [[n] for n in range(2, 40)])
+def test_quotient_map_on_every_subgroup(factors):
+    g = Group(factors)
+    for h in all_subgroups(g):
+        q, pi = quotient_map(g, h)
+        img = [pi.apply(x) for x in g.elements()]
+        for a, b in itertools.product(g.elements(), repeat=2):
+            assert img[g.add(a, b)] == q.add(img[a], img[b]), (h, a, b)
+        assert sorted(set(img)) == list(q.elements()), h
+        assert GroupSet.from_elements(g, [x for x in g.elements() if img[x] == 0]) == h.members
+        assert q.order * h.order == g.order
+        assert all(d > 1 for d in q.factors), h
+        assert all(b % a == 0 for a, b in zip(q.factors, q.factors[1:])), h
+        coset_orders = Counter()
+        for rep in coset_representatives(h):
+            k = 1
+            while g.scale(rep, k) not in h:
+                k += 1
+            coset_orders[k] += 1
+        assert _order_histogram(q) == coset_orders, h
 
 
 def test_quotient_by_full_and_trivial():

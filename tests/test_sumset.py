@@ -1,7 +1,6 @@
 import importlib
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,25 +141,6 @@ def test_coverage_refuses_huge_counts():
     a = GroupSet.full(g)
     with pytest.raises(OverflowError):
         coverage(a, a)
-
-
-@pytest.mark.parametrize("factors", [[12], [2, 2, 4], [3, 5]])
-def test_array_kernels_match_int_kernels(factors):
-    g = Group(factors)
-    rnd = random.Random(len(factors))
-    ints = [0, 1, g.full_mask] + [rnd.randrange(1 << g.order) for _ in range(40)]
-    arr = np.array(ints, dtype=np.uint64)
-    before = arr.copy()
-    for e in range(g.order):
-        got = translate_mask(g, arr, e)
-        assert [int(x) for x in got] == [translate_mask(g, m, e) for m in ints]
-    for _ in range(10):
-        elems = GroupSet(g, rnd.randrange(1, 1 << g.order)).elements()
-        covered, private = private_points(g, arr, elems)
-        expect = [private_points(g, m, elems) for m in ints]
-        assert [int(x) for x in covered] == [cv for cv, _ in expect]
-        assert [int(x) for x in private] == [pv for _, pv in expect]
-    assert np.array_equal(arr, before)
 
 
 def _translate_by_definition(g, mask, t):
