@@ -25,7 +25,7 @@ from typing import Optional
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
 from .rng import SplitMix64, derive_seed
-from .sumset import (GroupSet, negated_mask, private_points, sumset, translate,
+from .sumset import (GroupSet, mask_of, private_points, sumset, translate,
                      translate_mask)
 from . import complements
 
@@ -315,7 +315,6 @@ def random_witness(c: GroupSet, s: int, max_retries: int = 10,
                     break
             else:
                 raise RuntimeError("partial overlap with no missing point")
-    neg_c = negated_mask(group, c.mask)
     full = group.full_mask
 
     last: Optional[RandomBuildTrace] = None
@@ -378,19 +377,17 @@ def random_witness(c: GroupSet, s: int, max_retries: int = 10,
         if e1 or e2 or e3:
             continue
 
-        bad = 0
-        chosen_g = []
-        for i in range(k):
-            gv = derived[i][keep[i]]
-            chosen_g.append(gv)
-            bad |= translate_mask(group, neg_c, gv)
-        wmask = full & ~bad
-        for i in range(k):
-            wmask |= 1 << samples[i][keep[i]]
-        covered, private = private_points(group, wmask, ec)
-        if covered != full:
+        # W is G minus the back-translates g_i - C of the kept points,
+        # plus the kept draws themselves, so G minus W has at most k^2
+        # points.
+        chosen_g = [derived[i][keep[i]] for i in range(k)]
+        kept = {samples[i][keep[i]] for i in range(k)}
+        blocked = {group.sub(gv, ct) for gv in chosen_g for ct in ec}
+        wmask = full & ~mask_of(n, blocked - kept)
+        pts = private_points(group, wmask, ec)
+        if pts.covered != full:
             continue
-        if not all((private >> gv) & 1 for gv in chosen_g):
+        if not all((pts.private >> gv) & 1 for gv in chosen_g):
             continue
         return RandomBuildTrace(c, s, seed, attempt + 1, samples, derived,
                                 False, False, False, keep,
@@ -416,9 +413,7 @@ def lift_via_subgroup(wh: GroupSet, c: GroupSet,
         h = Subgroup(group, span)
     elif span != h.members:
         raise ValueError("wh + c does not fill the given subgroup")
-    ec = c.elements()
-    _, private = private_points(group, wh.mask, ec)
-    if not all(translate_mask(group, wh.mask, e) & private for e in ec):
+    if None in private_points(group, wh.mask, c.elements()).least:
         raise ValueError("c is not a minimal complement within the subgroup")
     w = sumset(wh, coset_representatives(h))
     if not complements.is_minimal_complement_for(w, c):

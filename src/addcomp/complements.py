@@ -48,10 +48,8 @@ def is_minimal_complement_for(w: GroupSet, c: GroupSet) -> bool:
     ec = c.elements()
     if not ec:
         return False
-    covered, private = private_points(group, w.mask, ec)
-    if covered != group.full_mask:
-        return False
-    return all(translate_mask(group, w.mask, e) & private for e in ec)
+    pts = private_points(group, w.mask, ec)
+    return pts.covered == group.full_mask and None not in pts.least
 
 
 @dataclass(frozen=True)
@@ -76,15 +74,9 @@ def essentiality(w: GroupSet, c: GroupSet) -> EssentialityReport:
     if not is_complement(w, c):
         raise ValueError("essentiality is defined for complements only")
     ec = c.elements()
-    _, private = private_points(group, w.mask, ec)
-    ess = 0
-    witness: dict[int, int] = {}
-    for e in ec:
-        hit = translate_mask(group, w.mask, e) & private
-        if hit:
-            ess |= 1 << e
-            witness[e] = (hit & -hit).bit_length() - 1
-    return EssentialityReport(w, c, GroupSet(group, ess), witness)
+    least = private_points(group, w.mask, ec).least
+    witness = {e: x for e, x in zip(ec, least) if x is not None}
+    return EssentialityReport(w, c, GroupSet.from_elements(group, witness), witness)
 
 
 def prune_to_minimal(w: GroupSet, c: GroupSet) -> GroupSet:
@@ -98,13 +90,10 @@ def prune_to_minimal(w: GroupSet, c: GroupSet) -> GroupSet:
     cur = c
     while True:
         ec = cur.elements()
-        _, private = private_points(group, w.mask, ec)
-        for e in ec:
-            if translate_mask(group, w.mask, e) & private == 0:
-                cur = cur.without_element(e)
-                break
-        else:
+        least = private_points(group, w.mask, ec).least
+        if None not in least:
             return cur
+        cur = cur.without_element(ec[least.index(None)])
 
 
 def scan_for_witness(group: Group, c: GroupSet,
@@ -216,7 +205,8 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
         if not search_fits:
             s = max(1, math.ceil(1.5 * math.log(n)))
             if builders.check_feasibility(n, k, s).feasible:
-                seed = derive_seed(0x57A97E55, n, k, c.mask % (1 << 64))
+                # the low 64 bits of C: & reads only those, % divides the n-bit mask
+                seed = derive_seed(0x57A97E55, n, k, c.mask & ((1 << 64) - 1))
                 trace = builders.random_witness(c, s, max_retries=10, seed=seed)
                 if trace.result is not None:
                     return yes(problem, "random-build", trace.result, c,

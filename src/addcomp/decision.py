@@ -8,6 +8,14 @@ SearchBudget holds the one cap, max_candidates, that every exhaustive
 search counts against.  Every yes is built through
 DecisionCertificate.verified_yes, so this is the one place a witness is
 re-verified before it leaves the package.
+
+A minimal-complement witness is rechecked through the one private-point
+kernel, sumset.private_points, which takes one of two paths: k translates
+of W (twice), or, when W misses few points (8192 * (|Z| + 1) * k <
+(k - 1) * n with Z = G minus W, k = |C|, n = |G|), a count over Z + C.
+So a dense witness, such as every randomized-build one, costs O(n/8 +
+|Z|*k^2) to recheck instead of O(k*n), and groups of order up to 8192
+always take the translate path.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from addcomp.builders import (IntegerLift, ap_decide_and_build,
 from addcomp.complements import is_minimal_complement_for
 from addcomp.decision import NO, YES
 from addcomp.groups import Group, Subgroup, quotient_map, subgroup_generated
+from addcomp.literals import parse_group, parse_set
 from addcomp.rng import SplitMix64, derive_seed
 from addcomp.sumset import GroupSet
 
@@ -344,6 +345,31 @@ def test_random_witness_traces_unchanged():
     assert successes > 0
     assert digest.hexdigest() == (
         "3927e6bbd487f9bc8b5e2125497593f9b53087aaccaba2f888145a85b06dae6d")
+
+
+@pytest.mark.parametrize("spec, literal, s, seed, digest", [
+    # the README random-build call
+    ("1000000", "{0,11,5225,90125,443211,800017}", 21, 1,
+     "5536be210bf3c98c00cae9e60e0e4212ed60bfff28d0cafcc658229575097efb"),
+    # the README witness calls, with the s and seed exists_witness uses
+    ("1000x1000", "{(0,0),(351,380),(373,492),(918,995)}", 21, 1453991119456533156,
+     "bd75a5067878bf714d57ce1d9bb51f3440441752f57f3f4f39a560938dd6ae38"),
+    ("16777216", "{0,8839392,9786826}", 25, 11000676276792959893,
+     "15a5ae156a60d39159a61bc916f6cfb72cb2203204eef83d46aa499598c1dc5a"),
+])
+def test_random_witness_unchanged_at_readme_scale(spec, literal, s, seed, digest):
+    # Digests recorded when W was built from k translates of -C and checked
+    # by translates: the traces and the hex witness must not move when the
+    # witness is built and checked through the points it misses.
+    group = parse_group(spec)
+    c = parse_set(group, literal)
+    assert s == max(1, math.ceil(1.5 * math.log(group.order)))
+    trace = random_witness(c, s, max_retries=10, seed=seed)
+    assert trace.result is not None
+    record = (trace.samples, trace.derived, trace.e1, trace.e2, trace.e3,
+              trace.retries_used, sorted(trace.chosen.items()), trace.debug,
+              trace.result.hex_mask())
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 
 
 def test_random_witness_singleton_fast_path():

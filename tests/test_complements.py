@@ -1,10 +1,11 @@
 import dataclasses
+import importlib
 import itertools
 import random
 
 import pytest
 
-from addcomp import complements
+from addcomp import builders, complements, groups, supplements
 from addcomp.complements import (EssentialityReport, compute_tmin, essentiality,
                                  exists_witness, is_complement,
                                  is_minimal_complement_for, prune_to_minimal,
@@ -14,6 +15,9 @@ from addcomp.decision import (MINIMAL_COMPLEMENT, NO, UNKNOWN, YES, DecisionCert
 from addcomp.groups import Group, abelian_groups_of_order, unit_multipliers
 from addcomp.oracle import oracle_exists_witness
 from addcomp.sumset import GroupSet, translate
+
+# The package re-exports the function sumset, which shadows the module name.
+sumset_module = importlib.import_module("addcomp.sumset")
 
 
 def _gs(g, elems):
@@ -221,6 +225,49 @@ def test_compute_tmin_matches_orbit_free_walk_capped(n, cap):
     budget = SearchBudget(max_candidates=cap)
     for g in abelian_groups_of_order(n):
         assert _fields(compute_tmin(g, budget)) == _reference_tmin(g, budget)
+
+
+def _count_translates(monkeypatch):
+    """Record the mask of every translate_mask call, wherever it is made."""
+    masks = []
+    real = sumset_module.translate_mask
+
+    def counted(group, mask, g):
+        masks.append(mask)
+        return real(group, mask, g)
+
+    for module in (sumset_module, complements, builders, groups, supplements):
+        monkeypatch.setattr(module, "translate_mask", counted)
+    return masks
+
+
+def test_random_build_witness_checked_through_its_holes(monkeypatch):
+    # The builder's W misses at most k^2 points, so building it and both
+    # checks of it (in random_witness and in verified_yes) walk those
+    # points: no 2^24-bit translate of W, nor of anything else.
+    g = Group([1 << 24])
+    c = _gs(g, [0, 8839392, 9786826])
+    masks = _count_translates(monkeypatch)
+    cert = exists_witness(c)
+    assert cert.method == "random-build"
+    assert masks == []
+    assert is_minimal_complement_for(cert.witness, c)
+    assert masks == []
+
+
+def test_small_groups_check_witnesses_by_translates(monkeypatch):
+    # At tmin sizes the kernel keeps the translate path: 2k translates of
+    # W per check, even for W = G, which misses no point at all.
+    g = Group([2, 2, 4])
+    masks = _count_translates(monkeypatch)
+    for elems in ([0, 1], [0, 1, 6], [0, 3, 5, 10]):
+        c = _gs(g, elems)
+        cert = exists_witness(c)
+        assert cert.verdict == YES
+        for w in (cert.witness, GroupSet.full(g)):
+            masks.clear()
+            assert is_minimal_complement_for(w, c) == (w == cert.witness)
+            assert masks.count(w.mask) == 2 * len(c)
 
 
 def test_compute_tmin_searches_once_per_orbit(monkeypatch):

@@ -1,12 +1,15 @@
 import importlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addcomp.complements import is_minimal_complement_for
 from addcomp.groups import Group
-from addcomp.oracle import naive_coverage, naive_difference_set, naive_sumset
+from addcomp.oracle import (naive_coverage, naive_difference_set, naive_sumset,
+                            oracle_is_minimal_complement_for)
 from addcomp.sumset import (GroupSet, array_to_mask, bits_of, coverage,
                             difference_set, mask_to_array, negated,
                             private_points, sumset, translate, translate_mask)
@@ -205,13 +208,92 @@ def test_repr_shows_ten_elements_of_a_large_set():
     assert repr(GroupSet.empty(Group([2, 3]))) == "GroupSet(2x3, {})"
 
 
-def test_private_points_match_coverage_counts():
-    g = Group([2, 6])
+def _answer_from_counts(w, c):
+    """(covered, private, least) of W + C, read off coverage() counts."""
+    g = w.group
+    counts = coverage(w, c).counts
+    private = np.flatnonzero(counts == 1).tolist()
+    least = [next((x for x in private if g.sub(x, e) in w), None)
+             for e in c.elements()]
+    return array_to_mask(counts > 0), array_to_mask(counts == 1), least
+
+
+def _with_holes(g, holes):
+    return GroupSet(g, g.full_mask & ~GroupSet.from_elements(g, holes).mask)
+
+
+def _kernel_cases():
+    """(W, C) on cyclic and product groups: random pairs, k = 1, W = G, W
+    missing one point, W that does not cover, and W with few holes in
+    groups where the kernel's rule picks either path."""
     rnd = random.Random(4)
-    for _ in range(30):
-        w = GroupSet(g, rnd.randrange(1, 1 << g.order))
-        c = GroupSet(g, rnd.randrange(1, 1 << g.order))
-        covered, private = private_points(g, w.mask, c.elements())
-        prof = coverage(w, c)
-        assert covered == prof.covered_mask()
-        assert private == prof.unique_mask()
+    for factors in ([2, 6], [12], [3, 3, 4], [64], [8, 8]):
+        g = Group(factors)
+        n = g.order
+        c = GroupSet.from_elements(g, rnd.sample(range(n), 3))
+        for _ in range(20):
+            yield (GroupSet(g, rnd.randrange(1, 1 << n)),
+                   GroupSet(g, rnd.randrange(1, 1 << n)))
+        yield GroupSet.full(g), c
+        yield GroupSet.full(g), GroupSet.singleton(g, rnd.randrange(n))
+        yield _with_holes(g, [rnd.randrange(n)]), c
+        yield GroupSet.singleton(g, 0), c
+    for factors in ([1024], [32, 32], [40000], [200, 200], [4, 64, 64], [1 << 18]):
+        g = Group(factors)
+        n = g.order
+        for k in (1, 2, 3, 5, 8):
+            c = GroupSet.from_elements(g, rnd.sample(range(n), k))
+            for holes in (0, 1, k, k * k, 3 * k * k):
+                yield _with_holes(g, rnd.sample(range(n), holes)), c
+
+
+def test_private_points_match_coverage_counts(monkeypatch):
+    # Both paths of the kernel against each other, against coverage()
+    # counts and, up to order 1024, against the oracle's minimality.
+    paths = {name: getattr(sumset_module, name) for name in
+             ("_private_points_by_translates", "_private_points_by_complement")}
+    ran = []
+    for name, path in paths.items():
+        monkeypatch.setattr(sumset_module, name,
+                            lambda *a, name=name, path=path: ran.append(name) or path(*a))
+    picked = set()
+    for w, c in _kernel_cases():
+        g, ec = w.group, c.elements()
+        answers = [path(g, w.mask, ec) for path in paths.values()]
+        assert answers[0] == answers[1]
+        assert tuple(answers[0]) == _answer_from_counts(w, c)
+        ran.clear()
+        assert private_points(g, w.mask, ec) == answers[0]
+        picked.add(ran[0])
+        if g.order <= 1024:
+            assert (is_minimal_complement_for(w, c)
+                    == oracle_is_minimal_complement_for(w, c))
+    assert picked == set(paths)
+
+
+def test_private_points_follow_one_more_hole():
+    # Mutation check: taking y out of W takes one representation from each
+    # point of y + C, so the answer must move exactly when one of them was
+    # covered once (it becomes uncovered) or twice (it becomes private).
+    translates = sumset_module._private_points_by_translates
+    rnd = random.Random(9)
+    moved = []
+    for factors in ([12], [2, 2, 6], [1 << 20], [1024, 1024]):
+        g = Group(factors)
+        n = g.order
+        for k in (1, 2, 3, 6):
+            c = GroupSet.from_elements(g, rnd.sample(range(n), k))
+            ec = c.elements()
+            holes = rnd.sample(range(n), rnd.randint(0, min(k * k, n // 2)))
+            w = _with_holes(g, holes)
+            before = private_points(g, w.mask, ec)
+            for y in rnd.sample(range(n), 4):
+                if y in holes:
+                    continue
+                counts = [sum(g.sub(g.add(y, e), f) in w for f in ec) for e in ec]
+                fewer = w.without_element(y).mask
+                after = private_points(g, fewer, ec)
+                assert after == translates(g, fewer, ec)
+                assert (after != before) == (min(counts) <= 2)
+                moved.append(after != before)
+    assert any(moved) and not all(moved)
