@@ -254,10 +254,12 @@ class RandomBuildTrace:
     debug: dict = field(default_factory=dict)
 
 
-def trace_to_json(trace: RandomBuildTrace) -> dict:
+def trace_fields(trace: RandomBuildTrace) -> dict:
+    """The trace as a JSON-ready dict, except that C and the result stay
+    GroupSets, for a caller that renders masks itself."""
     return {
         "group": trace.c.group.spec_string(),
-        "c": trace.c.hex_mask(),
+        "c": trace.c,
         "s": trace.s,
         "rng_seed": trace.rng_seed,
         "retries_used": trace.retries_used,
@@ -267,9 +269,15 @@ def trace_to_json(trace: RandomBuildTrace) -> dict:
         "e2": trace.e2,
         "e3": trace.e3,
         "chosen": {str(i): p for i, p in trace.chosen.items()},
-        "result": trace.result.hex_mask() if trace.result is not None else None,
+        "result": trace.result,
         "debug": trace.debug,
     }
+
+
+def trace_to_json(trace: RandomBuildTrace) -> dict:
+    """trace_fields with C and the result as hex masks."""
+    return {key: value.hex_mask() if isinstance(value, GroupSet) else value
+            for key, value in trace_fields(trace).items()}
 
 
 def random_witness(c: GroupSet, s: int, max_retries: int = 10,

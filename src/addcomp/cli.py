@@ -4,21 +4,23 @@ Every command prints one JSON envelope to stdout: version, command,
 group, the parsed inputs as hex masks, the certificate or result, the
 timing, and the seed when one was in play.  Exit status 0 means a
 decided run, 2 an undecided one (unknown verdict or retries exhausted),
-and 1 a usage or internal error.  Wall time stays out of any file
-written via --out so that reruns are byte-identical.
+and 1 a usage or internal error, or stdout closed before the envelope
+was written.  Wall time stays out of any file written via --out so that
+reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional
 
 from . import __version__
 from .builders import (APDescriptor, ap_decide_and_build, lift_integer_window,
-                       pair_witness_check, random_witness, trace_to_json)
+                       pair_witness_check, random_witness, trace_fields)
 from .complements import (compute_tmin, essentiality, exists_witness,
                           is_complement, is_minimal_complement_for, tmin_of_order)
 from .decision import UNKNOWN, YES, DecisionCertificate, SearchBudget
@@ -41,10 +43,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sanitize(value):
+    """value with plain JSON types throughout, except that each GroupSet
+    stays as it is, for _render to write as its hex mask."""
     if isinstance(value, GroupSet):
-        return value.hex_mask()
+        return value
     if isinstance(value, Subgroup):
-        return {"order": value.order, "members": value.members.hex_mask()}
+        return {"order": value.order, "members": value.members}
     if isinstance(value, Group):
         return value.spec_string()
     if isinstance(value, dict):
@@ -56,13 +60,52 @@ def _sanitize(value):
     return str(value)
 
 
+def _render(envelope: dict) -> list[str]:
+    """The pieces of json.dumps(envelope, indent=2, sort_keys=True) + "\n",
+    with each GroupSet in envelope as the hex string of its mask.
+
+    json renders everything else, with a placeholder string where each
+    GroupSet goes.  Each distinct GroupSet is hex-ed once and its hex
+    spliced in verbatim: "0x..." has nothing to escape.  A placeholder
+    is NUL characters and an index; the NULs are lengthened until their
+    JSON form occurs nowhere else in the text, so no other string in the
+    envelope can pass for a placeholder.
+    """
+    sets = {}  # id of a GroupSet -> (index, GroupSet)
+
+    def placeholder(gs: GroupSet) -> str:
+        nonlocal uses
+        uses += 1
+        return pad + str(sets.setdefault(id(gs), (len(sets), gs))[0])
+
+    pad = "\x00"
+    while True:
+        uses = 0
+        text = json.dumps(envelope, indent=2, sort_keys=True, default=placeholder)
+        head, *rest = text.split(json.dumps(pad)[:-1])
+        if len(rest) == uses:
+            break
+        pad += "\x00"
+    hexes = [gs.hex_mask() for _, gs in sets.values()]
+    # json's encoder functions form a reference cycle that keeps
+    # placeholder, and so sets, alive until the next garbage collection;
+    # emptying sets lets the masks go as soon as the caller drops them.
+    sets.clear()
+    pieces = [head]
+    for piece in rest:
+        index, tail = piece.split('"', 1)
+        pieces += ['"', hexes[int(index)], '"', tail]
+    pieces.append("\n")
+    return pieces
+
+
 def _certificate_json(cert: DecisionCertificate) -> dict:
     return {
         "problem": cert.problem,
         "verdict": cert.verdict,
         "method": cert.method,
-        "witness": cert.witness.hex_mask() if cert.witness is not None else None,
-        "detail": _sanitize(cert.detail),
+        "witness": cert.witness,
+        "detail": cert.detail,
     }
 
 
@@ -85,9 +128,9 @@ def _cmd_check(args):
     }
     if comp:
         rep = essentiality(w, c)
-        result["essential"] = rep.essential.hex_mask()
+        result["essential"] = rep.essential
         result["essential_elements"] = rep.essential.elements()
-    return group, {"w": w.hex_mask(), "c": c.hex_mask()}, result, None, 0
+    return group, {"w": w, "c": c}, result, None, 0
 
 
 def _cmd_witness(args):
@@ -95,8 +138,7 @@ def _cmd_witness(args):
     c = parse_set(group, args.c)
     cert = exists_witness(c, _budget(args), fast_paths=not args.no_fast_paths)
     code = 0 if cert.verdict != UNKNOWN else 2
-    return (group, {"c": c.hex_mask()}, {"certificate": _certificate_json(cert)},
-            None, code)
+    return group, {"c": c}, {"certificate": _certificate_json(cert)}, None, code
 
 
 def _cmd_ap(args):
@@ -116,8 +158,7 @@ def _cmd_ap(args):
     ap = APDescriptor(GroupSet(group, mask), start,
                       step if args.len > 1 else 0, args.len)
     cert = ap_decide_and_build(ap)
-    return (group, {"start": start, "step": step, "len": args.len,
-                    "c": ap.set.hex_mask()},
+    return (group, {"start": start, "step": step, "len": args.len, "c": ap.set},
             {"certificate": _certificate_json(cert)}, None, 0)
 
 
@@ -126,9 +167,8 @@ def _cmd_pair(args):
     c = parse_set(group, args.c)
     a = parse_element(group, args.a)
     ok = pair_witness_check(c, a)
-    return (group, {"c": c.hex_mask(), "a": a},
-            {"pair_witness": ok, "w": GroupSet.from_elements(group, [0, a]).hex_mask()},
-            None, 0)
+    return (group, {"c": c, "a": a},
+            {"pair_witness": ok, "w": GroupSet.from_elements(group, [0, a])}, None, 0)
 
 
 def _cmd_random_build(args):
@@ -136,8 +176,7 @@ def _cmd_random_build(args):
     c = parse_set(group, args.c)
     trace = random_witness(c, args.s, max_retries=args.retries, seed=args.seed)
     code = 0 if trace.result is not None else 2
-    return (group, {"c": c.hex_mask(), "s": args.s},
-            {"trace": trace_to_json(trace)}, args.seed, code)
+    return group, {"c": c, "s": args.s}, {"trace": trace_fields(trace)}, args.seed, code
 
 
 def _cmd_supplement(args):
@@ -149,11 +188,10 @@ def _cmd_supplement(args):
             "supplement": is_supplement(w, c),
             "maximal": is_maximal_supplement_for(w, c),
         }
-        return group, {"c": c.hex_mask(), "w": w.hex_mask()}, result, None, 0
+        return group, {"c": c, "w": w}, result, None, 0
     cert = maximal_supplement_witness(c, _budget(args))
     code = 0 if cert.verdict != UNKNOWN else 2
-    return (group, {"c": c.hex_mask()},
-            {"certificate": _certificate_json(cert)}, None, code)
+    return group, {"c": c}, {"certificate": _certificate_json(cert)}, None, code
 
 
 def _cmd_tmin(args):
@@ -165,7 +203,7 @@ def _cmd_tmin(args):
         result = {
             "value": rep.value,
             "exact": rep.exact,
-            "first_failing": rep.first_failing.hex_mask() if rep.first_failing else None,
+            "first_failing": rep.first_failing,
             "subsets_checked": rep.subsets_checked,
         }
         return group, {}, result, None, 0 if rep.exact else 2
@@ -209,8 +247,8 @@ def _cmd_lift_z(args):
     group = lift.witness.group
     result = {
         "modulus": lift.modulus,
-        "witness": lift.witness.hex_mask(),
-        "residues": lift.residues.hex_mask(),
+        "witness": lift.witness,
+        "residues": lift.residues,
         "method": lift.method,
         "mode": lift.mode,
         "skipped_moduli": list(lift.skipped),
@@ -307,14 +345,25 @@ def main(argv=None) -> int:
             "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
             "seed": seed,
         }
-        text = json.dumps(envelope, indent=2, sort_keys=True)
+        pieces = _render(envelope)
     except (_UsageError, LiteralError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
-    print(text)
+    out = sys.stdout
+    try:
+        for piece in pieces:
+            out.write(piece)
+        out.flush()
+    except BrokenPipeError:
+        # The reader went away (say, `| head`).  Point stdout at devnull so
+        # that the flush at interpreter exit cannot raise a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

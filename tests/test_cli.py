@@ -1,7 +1,14 @@
+import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
+import addcomp
+from addcomp import cli
 from addcomp.cli import main
 from addcomp.complements import is_minimal_complement_for
 from addcomp.groups import Group
@@ -297,3 +304,97 @@ def test_literal_errors_exit_1(capsys):
     code, _, err = run(capsys, "check", "--group", "6", "--w", "0x100",
                        "--c", "{0}")
     assert code == 1 and "beyond group order" in err
+
+
+HUGE_WITNESS = ("witness", "--group", "16777216", "--c", "{0,8839392,9786826}")
+
+
+def canonical(out):
+    return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--group", "8", "--w", "{0,1}", "--c", "{0,2,4,6}"),
+    ("check", "--group", "6", "--w", "{0}", "--c", "{0,1}"),
+    ("witness", "--group", "6", "--c", "{0,1,2}"),
+    ("witness", "--group", "67", "--c", "{0,1,3}", "--max-candidates", "4"),
+    ("ap", "--group", "6", "--start", "0", "--step", "1", "--len", "3"),
+    ("pair", "--group", "6", "--c", "{0,2,4}", "--a", "1"),
+    ("random-build", "--group", "10000", "--c", "{0, 417, 2905, 7311}",
+     "--s", "12", "--seed", "3"),
+    ("supplement", "--group", "8", "--c", "{0,1}"),
+    ("supplement", "--group", "8", "--c", "{0,1}", "--w", "{0,2,4}"),
+    ("tmin", "--group", "12"),
+    ("tmin", "--order", "4"),
+    ("scan-threshold", "--group", "6", "--trials", "5", "--grid", "0.5"),
+    ("lift-z", "--ints=-3,2", "--mode", "safe"),
+    HUGE_WITNESS,
+])
+def test_envelope_is_json_dumps_output(capsys, argv):
+    main(list(argv))
+    out = capsys.readouterr().out
+    assert out == canonical(out)
+
+
+def test_envelope_strings_cannot_pose_as_masks(capsys, monkeypatch):
+    # strings shaped like a hex mask or like the placeholders the
+    # renderer puts where masks go, as values and as a key
+    lookalikes = ["0x7", "\x000", "\x001", "\x00\x000", "\x00", "\\u00000",
+                  '"\x000"', "a\x000", "\x000\x00"]
+    real = cli.exists_witness
+
+    def with_lookalikes(c, *args, **kwargs):
+        cert = real(c, *args, **kwargs)
+        cert.detail["lookalikes"] = lookalikes
+        cert.detail["\x001"] = "\x000"
+        return cert
+
+    monkeypatch.setattr(cli, "exists_witness", with_lookalikes)
+    code = main(["witness", "--group", "6", "--c", "{0,1,2}"])
+    out = capsys.readouterr().out
+    assert code == 0 and out == canonical(out)
+    env = json.loads(out)
+    assert env["inputs"]["c"] == "0x7"
+    cert = env["result"]["certificate"]
+    assert cert["witness"] == "0x9" and cert["detail"]["base"] == "0x7"
+    assert cert["detail"]["lookalikes"] == lookalikes
+    assert cert["detail"]["\x001"] == "\x000"
+
+
+def test_huge_witness_renders_each_mask_once(capsys, monkeypatch):
+    calls = []
+    hex_mask = cli.GroupSet.hex_mask
+
+    def counted(self):
+        calls.append(self.mask)
+        return hex_mask(self)
+
+    monkeypatch.setattr(cli.GroupSet, "hex_mask", counted)
+    code = main(list(HUGE_WITNESS))
+    out = capsys.readouterr().out
+    assert code == 0
+    # C (inputs.c and detail.base, one object) and W
+    assert len(calls) == 2 and len(set(calls)) == 2
+    # the bytes of the envelope before masks were rendered once, minus timing
+    text = re.sub(r'^  "timing_ms": .*\n', "", out, flags=re.M)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "17aec5fb534d6d0526b8d63cdb4695d8a049a74a520ebe3d2c45541ec84c0fad")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(addcomp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "addcomp", *HUGE_WITNESS],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        # the 9 MB envelope cannot fit the pipe, so the writer is still
+        # writing when the reader goes away
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
