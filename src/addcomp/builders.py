@@ -25,8 +25,8 @@ from typing import Optional
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
 from .rng import SplitMix64, derive_seed
-from .sumset import (GroupSet, mask_of, private_points, sumset, translate,
-                     translate_mask)
+from .sumset import (GroupSet, bits_of, difference_set, mask_of, private_points,
+                     sumset, translate, translate_mask)
 from . import complements
 
 AP_DETECT_SIZE_LIMIT = 64
@@ -51,10 +51,16 @@ def pair_witness_search(c: GroupSet) -> Optional[int]:
     """Least non-zero a such that pair_witness_check passes, if any.
 
     C | (C - a) has at most 2|C| points, so below n/2 there is none.
+    Otherwise only offsets outside Z - Z are checked, Z = G minus C:
+    C | (C - a) = G says that z + a lies in C for every z in Z, that is
+    (Z + a) & Z is empty, and z' = z + a for some z, z' in Z exactly
+    when a is in Z - Z.  difference_set stops at the first full union,
+    so for a dense random C it costs a few translates.
     """
-    if 2 * len(c) < c.group.order:
+    group = c.group
+    if 2 * len(c) < group.order:
         return None
-    for a in range(1, c.group.order):
+    for a in bits_of(group.full_mask & ~difference_set(c.complement()).mask & ~1):
         if pair_witness_check(c, a):
             return a
     return None
@@ -87,10 +93,16 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
     the walk succeeds for both or for neither and only the first of each
     pair is tried.  Counting stops at the second start, which a random
     set reaches within a few lookups.
+
+    A progression of step d has at most ord(d) <= exp(G) distinct points,
+    and both outcomes above present c by k = |c| of them (a coset of <d>
+    with ord(d) = k, or a walk of k distinct points).  So a set with more
+    points than the group's exponent has no presentation, and no
+    candidate step is tried.
     """
     group = c.group
     k = len(c)
-    if k == 0 or k > AP_DETECT_SIZE_LIMIT:
+    if k == 0 or k > min(AP_DETECT_SIZE_LIMIT, group.exponent()):
         return None
     ec = c.elements()
     if k == 1:

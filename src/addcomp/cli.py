@@ -324,10 +324,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _glue_negative_ints(argv: list) -> list:
+    """Write `--ints -3,2` as `--ints=-3,2`.
+
+    argparse takes a token that starts with "-" and a digit, but is not a
+    plain number, for an option, and would report --ints without a value.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--ints" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--ints={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_ints(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

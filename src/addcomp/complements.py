@@ -157,6 +157,16 @@ def _containing_subgroup_order(group: Group, c: GroupSet) -> int:
     return generated_order(group, [group.sub(e, c0) for e in ec[1:]])
 
 
+def _trap_window(n: int, k: int) -> range:
+    """The subgroup orders m at which the subgroup trap fires for |C| = k.
+
+    The trap needs k < m and 2nm < k(m + 2n), that is m(2n - k) < 2nk.
+    For 3k <= 2n the factor 2n - k is positive, so the integers m below
+    2nk / (2n - k) are those with m(2n - k) <= 2nk - 1.
+    """
+    return range(k + 1, (2 * n * k - 1) // (2 * n - k) + 1)
+
+
 def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
                    fast_paths: bool = True) -> DecisionCertificate:
     """Decide whether any W makes c a minimal complement.
@@ -165,6 +175,10 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
     come from the size cap, the subgroup trap, or a completed exhaustive
     search, which runs only when its worst case of 2^(n-1) nodes fits
     budget.max_candidates.  Anything else is unknown (method "budget").
+
+    The subgroup trap fires when the smallest subgroup holding a translate
+    of C has an order m in _trap_window(n, |C|).  m divides n, so the
+    subgroup is computed only when some divisor of n lies in that window.
     """
     group = c.group
     n = group.order
@@ -185,10 +199,12 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
         if 3 * k > 2 * n:
             return DecisionCertificate(problem, NO, "bound-size-gap", detail={
                 "base": c, "size": k, "cap": (2 * n) // 3})
-        m = _containing_subgroup_order(group, c)
-        if k < m and 2 * n * m < k * (m + 2 * n):
-            return DecisionCertificate(problem, NO, "bound-subgroup-gap", detail={
-                "base": c, "size": k, "subgroup_order": m})
+        window = _trap_window(n, k)
+        if any(n % m == 0 for m in window):
+            m = _containing_subgroup_order(group, c)
+            if m in window:
+                return DecisionCertificate(problem, NO, "bound-subgroup-gap", detail={
+                    "base": c, "size": k, "subgroup_order": m})
 
         from . import builders
 

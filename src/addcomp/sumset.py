@@ -331,8 +331,19 @@ def negated(a: GroupSet) -> GroupSet:
 
 
 def difference_set(a: GroupSet) -> GroupSet:
-    """A - A = {x - y : x, y in A}."""
-    return sumset(a, negated(a))
+    """A - A = {x - y : x, y in A}, the union of the translates A - y.
+
+    Stops at the first full union, so only the y it translates by are
+    negated.
+    """
+    group = a.group
+    full = group.full_mask
+    acc = 0
+    for y in bits_of(a.mask):
+        acc |= translate_mask(group, a.mask, group.neg(y))
+        if acc == full:
+            break
+    return GroupSet(group, acc)
 
 
 def translate(a: GroupSet, g: int) -> GroupSet:

@@ -17,6 +17,7 @@ from addcomp.complements import is_minimal_complement_for
 from addcomp.decision import NO, YES
 from addcomp.groups import Group, Subgroup, quotient_map, subgroup_generated
 from addcomp.literals import parse_group, parse_set
+from addcomp.oracle import naive_difference_set
 from addcomp.rng import SplitMix64, derive_seed
 from addcomp.sumset import GroupSet
 
@@ -69,7 +70,9 @@ def test_detect_ap():
     assert detect_ap(_gs(big, range(65))) is None
 
 
-AP_GROUPS = ([12], [16], [2, 4], [2, 2, 2], [3, 3], [2, 6], [2, 2, 3])
+# then every other group of order at most 12
+AP_GROUPS = ([12], [16], [2, 4], [2, 2, 2], [3, 3], [2, 6], [2, 2, 3],
+             [], [2], [3], [4], [2, 2], [5], [6], [7], [8], [9], [10], [11])
 
 
 def _add_table(g):
@@ -118,6 +121,7 @@ def test_detect_ap_matches_brute_force_on_every_subset(factors):
     for mask in range(1, 1 << g.order):
         c = GroupSet(g, mask)
         ap = detect_ap(c)
+        assert ap is None or len(c) <= g.exponent()
         assert (ap is not None) == (mask in presentable), c.elements()
         if ap is not None:
             _check_descriptor(g, add, c, ap)
@@ -156,14 +160,28 @@ def test_detect_ap_on_run_plus_whole_cosets(factors):
             _check_descriptor(g, add, c, ap)
 
 
+def _least_pair_offset(c):
+    return next((a for a in range(1, c.group.order) if pair_witness_check(c, a)), None)
+
+
 @pytest.mark.parametrize("factors", AP_GROUPS)
-def test_pair_witness_search_matches_brute_force_on_every_subset(factors):
+def test_pair_witness_search_matches_brute_force_on_every_subset(factors, monkeypatch):
+    # C | (C - a) = G needs (Z + a) & Z empty, Z = G minus C, so no a in
+    # Z - Z is checked, and the rest are checked in ascending order.
+    checked = []
+
+    def counting(c, a):
+        checked.append(a)
+        return pair_witness_check(c, a)
+
+    monkeypatch.setattr(builders, "pair_witness_check", counting)
     g = Group(factors)
     for mask in range(1, 1 << g.order):
         c = GroupSet(g, mask)
-        least = next((a for a in range(1, g.order) if pair_witness_check(c, a)),
-                     None)
-        assert pair_witness_search(c) == least, c.elements()
+        checked.clear()
+        assert builders.pair_witness_search(c) == _least_pair_offset(c), c.elements()
+        z_minus_z = naive_difference_set(c.complement())
+        assert not any(a in z_minus_z for a in checked) and checked == sorted(checked)
 
 
 def test_pair_witness_search_skips_sets_below_half(monkeypatch):
@@ -182,6 +200,63 @@ def test_pair_witness_search_skips_sets_below_half(monkeypatch):
     g = Group([6])
     assert builders.pair_witness_search(_gs(g, [0, 2, 4])) == 1
     assert calls == [1]
+
+
+MID_GROUPS = ([24], [2, 12], [40], [2, 2, 10], [64], [8, 8], [100], [4, 25])
+
+
+def _planted_pair_set(g, rnd):
+    """A set with the two-element witness {0, a}: along each cycle of the
+    translation by a, a random chain of the blocks 10 and 110, so no two
+    missing points and no three present ones in a row."""
+    a = rnd.randrange(1, g.order)
+    m = g.element_order(a)
+    mask, done = 0, 0
+    for rep in range(g.order):
+        if (done >> rep) & 1:
+            continue
+        bits = []
+        while len(bits) < m:
+            left = m - len(bits)
+            bits += [1, 0] if left in (2, 4) or (left != 3 and rnd.random() < 0.5) else [1, 1, 0]
+        shift = rnd.randrange(m)
+        for j in range(m):
+            x = g.add(rep, g.scale(a, j))
+            done |= 1 << x
+            mask |= bits[(j + shift) % m] << x
+    return GroupSet(g, mask), a
+
+
+@pytest.mark.parametrize("factors", MID_GROUPS)
+def test_pair_witness_search_matches_naive_on_dense_sets(factors):
+    g = Group(factors)
+    rnd = random.Random(sum(factors) * 7919)
+    for _ in range(30):
+        k = rnd.randint((g.order + 1) // 2, g.order)
+        c = GroupSet.from_elements(g, rnd.sample(range(g.order), k))
+        assert pair_witness_search(c) == _least_pair_offset(c), c.elements()
+        c, a = _planted_pair_set(g, rnd)
+        assert pair_witness_check(c, a)
+        least = pair_witness_search(c)
+        assert least == _least_pair_offset(c) and least <= a
+
+
+def test_detect_ap_tries_no_step_past_the_exponent(monkeypatch):
+    calls = []
+    real_sub = Group.sub
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return real_sub(self, a, b)
+
+    monkeypatch.setattr(Group, "sub", counting)
+    for factors in ([2, 2, 2], [3, 3], [2, 6], [8, 8], [4, 25]):
+        g = Group(factors)
+        for k in range(g.exponent() + 1, min(g.order, 64) + 1):
+            assert detect_ap(_gs(g, range(k))) is None
+    assert calls == []
+    assert detect_ap(_gs(Group([8, 8]), range(8))) is not None
+    assert calls
 
 
 def test_ap_build_sparse_case():

@@ -271,6 +271,18 @@ def test_lift_z_command(capsys):
     assert code == 1
 
 
+def test_lift_z_negative_ints_either_spelling(capsys):
+    # argparse alone reads "--ints -3,2" as --ints missing its value
+    outs = []
+    for argv in (("--ints", "-3,2"), ("--ints=-3,2",)):
+        code, env, err = run(capsys, "lift-z", *argv, "--mode", "safe")
+        assert code == 0 and err == ""
+        assert env["inputs"]["ints"] == [-3, 2]
+        env.pop("timing_ms")
+        outs.append(env)
+    assert outs[0] == outs[1]
+
+
 def test_lift_z_safe_mode_random_build(capsys):
     code, env, _ = run(capsys, "lift-z", "--ints", "0,1,4,6,10,11,13",
                        "--mode", "safe")

@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from addcomp import builders, complements, groups, supplements
@@ -13,6 +15,7 @@ from addcomp.complements import (EssentialityReport, compute_tmin, essentiality,
 from addcomp.decision import (MINIMAL_COMPLEMENT, NO, UNKNOWN, YES, DecisionCertificate,
                               SearchBudget)
 from addcomp.groups import Group, abelian_groups_of_order, unit_multipliers
+from addcomp.literals import parse_set
 from addcomp.oracle import oracle_exists_witness
 from addcomp.sumset import GroupSet, translate
 
@@ -386,3 +389,111 @@ def test_gap_family_members_really_fail():
         chosen = rnd.sample(members, 5)
         cert = exists_witness(GroupSet.from_elements(g, chosen))
         assert cert.verdict == NO
+
+
+def test_trap_window_is_the_trap_inequality():
+    # the window holds exactly the integers m with k < m and
+    # 2nm < k(m + 2n), for every size the size cap lets through
+    m = np.arange(1, 801)
+    for n in range(1, 401):
+        for k in range(1, 2 * n // 3 + 1):
+            fires = m[(k < m) & (2 * n * m < k * (m + 2 * n))]
+            window = complements._trap_window(n, k)
+            assert list(window) == fires.tolist(), (n, k)
+
+
+def test_trap_window_ends_fire():
+    # The 8x8 CI set fills 15 of the 16 points of Z8 x {0, 4}: m = 16
+    # is the top of the window for n = 64, k = 15 (and its bottom).
+    g = Group([8, 8])
+    c = parse_set(g, "{(0,0),(1,0),(2,0),(3,0),(4,0),(5,0),(6,0),(7,0),"
+                     "(0,4),(1,4),(2,4),(3,4),(4,4),(5,4),(6,4)}")
+    assert list(complements._trap_window(64, 15)) == [16]
+    cert = exists_witness(c)
+    assert (cert.verdict, cert.method, cert.detail["subgroup_order"]) == (
+        NO, "bound-subgroup-gap", 16)
+    # 49 of the 50 points of the index-2 subgroup: m = 50 is the bottom
+    # of the window 50..64 for n = 100, k = 49.
+    assert list(complements._trap_window(100, 49)) == list(range(50, 65))
+    for g, step in ((Group([100]), 2), (Group([4, 25]), 2)):
+        c = GroupSet.from_elements(g, [step * j for j in range(49)])
+        cert = exists_witness(c)
+        assert (cert.verdict, cert.method, cert.detail["subgroup_order"]) == (
+            NO, "bound-subgroup-gap", 50)
+
+
+def test_subgroup_trap_computed_only_with_a_divisor_in_the_window(monkeypatch):
+    calls = []
+    real = complements._containing_subgroup_order
+
+    def counting(group, c):
+        calls.append(len(c))
+        return real(group, c)
+
+    monkeypatch.setattr(complements, "_containing_subgroup_order", counting)
+    rnd = random.Random(13)
+    for factors in ((8, 8), (64,), (4, 25), (2, 2, 10)):
+        g = Group(factors)
+        n = g.order
+        for k in range(1, 2 * n // 3 + 1):
+            calls.clear()
+            c = GroupSet.from_elements(g, rnd.sample(range(n), k))
+            cert = exists_witness(c)
+            has_divisor = any(n % m == 0 for m in range(k + 1, n + 1)
+                              if 2 * n * m < k * (m + 2 * n))
+            assert calls == ([k] if has_divisor else []), (factors, k)
+            assert cert.method != "bound-subgroup-gap" or has_divisor
+
+
+def _cert_record(cert):
+    detail = sorted((key, value.hex_mask() if isinstance(value, GroupSet) else value)
+                    for key, value in cert.detail.items())
+    witness = None if cert.witness is None else cert.witness.hex_mask()
+    return (cert.verdict, cert.method, witness, detail)
+
+
+def test_certificates_pinned_on_mid_groups():
+    # Digest recorded before the subgroup trap, the progression finder and
+    # the pair search got their arithmetic pre-checks: skipping work that
+    # cannot decide must not move any verdict, method, witness or detail.
+    rnd = random.Random(20261018)
+    digest = hashlib.sha256()
+    for factors in ((24,), (2, 12), (40,), (2, 2, 10), (64,), (8, 8), (100,), (4, 25)):
+        g = Group(factors)
+        for p in (0.05, 0.1, 0.2, 0.3, 0.45, 0.6):
+            k = max(1, round(p * g.order))
+            for _ in range(4):
+                c = GroupSet.from_elements(g, rnd.sample(range(g.order), k))
+                digest.update(repr(_cert_record(exists_witness(c))).encode())
+    assert digest.hexdigest() == (
+        "761fccf1fa2720808ec99ec96f4c4803c62ceb08da6abef224fca8cff1fe3160")
+
+
+def test_certificates_pinned_on_every_subset_up_to_order_12():
+    # Same provenance as above, over every non-empty subset of every
+    # abelian group of order at most 12, where every method answers.
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        for g in abelian_groups_of_order(n):
+            for mask in range(1, 1 << n):
+                cert = exists_witness(GroupSet(g, mask))
+                digest.update(repr(_cert_record(cert)).encode())
+    assert digest.hexdigest() == (
+        "c54a967b027bdd511aa4d5eb13e516c154c719dffaee9ca3d74b4c614d0a4b50")
+
+
+@pytest.mark.parametrize("factors, sample", [((2, 4), None), ((2, 2, 2), None),
+                                             ((3, 3), None), ((2, 6), 40)])
+def test_exists_witness_matches_oracle_on_products(factors, sample):
+    # every C through 0 (or a seeded sample of them): a yes exactly where
+    # the naive oracle finds a witness, and never an unknown
+    g = Group(factors)
+    masks = range(1, 1 << g.order, 2)
+    if sample is not None:
+        masks = random.Random(sum(factors)).sample(masks, sample)
+    for mask in masks:
+        c = GroupSet(g, mask)
+        cert = exists_witness(c)
+        assert cert.verdict != UNKNOWN
+        assert (cert.verdict == YES) == (oracle_exists_witness(c) is not None), c.elements()
+        assert cert.verify()
