@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
 from .rng import SplitMix64, derive_seed
 from .sumset import (GroupSet, bits_of, difference_set, mask_of, private_points,
-                     sumset, translate, translate_mask)
+                     progression_sum, sumset, translate, translate_mask)
 from . import complements
 
 AP_DETECT_SIZE_LIMIT = 64
@@ -141,20 +142,20 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
 def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
     """Exact verdict for a progression, with a built witness on yes.
 
-    With m the order of the generated subgroup: yes iff
-    k*(2n + m) <= 2nm or k = m.  The witness construction splits on
-    k <= m/2, m/2 < k <= 2m/3, and the dense two-per-coset case.
+    With m = |<step>| (step 0 when k = 1): yes iff k*(2n + m) <= 2nm or
+    k = m.  W is built from whole masks, T the least coset representatives:
+    T when k = m; T + ({0} u {k, ..., max(k, m - k)}*step) when k <= 2m/3
+    (sparse, or two-point above m/2); else, t = m - k, T plus T moved by
+    t*step, except that its i-th point moves by i*t*step, i <= ceil(k/2t).
     """
     c = ap.set
     group = c.group
     n = group.order
     k = ap.length
-    if k == 1:
-        h = Subgroup.trivial(group)
-    else:
-        h = subgroup_generated(GroupSet.singleton(group, ap.step))
+    d = ap.step
+    h = subgroup_generated(GroupSet.singleton(group, d))
     m = h.order
-    detail = {"start": ap.start, "step": ap.step, "subgroup_order": m}
+    detail = {"start": ap.start, "step": d, "subgroup_order": m}
 
     if k == m:
         wfinal = translate(coset_representatives(h), group.neg(ap.start))
@@ -166,31 +167,21 @@ def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
         return DecisionCertificate(MINIMAL_COMPLEMENT, NO, "bound-subgroup-gap",
                                    detail={"base": c, **detail, "size": k})
 
-    d = ap.step
-    if 2 * k <= m:
-        idx = [0] + list(range(k, m - k + 1))
-        detail["case"] = "sparse"
-        wmask = 0
-        for j in idx:
-            wmask |= 1 << group.scale(d, j)
-        w = sumset(GroupSet(group, wmask), coset_representatives(h))
-    elif 3 * k <= 2 * m:
-        detail["case"] = "two-point"
-        wmask = (1 << 0) | (1 << group.scale(d, k))
-        w = sumset(GroupSet(group, wmask), coset_representatives(h))
+    reps = coset_representatives(h).mask
+    if 3 * k <= 2 * m:
+        detail["case"] = "sparse" if 2 * k <= m else "two-point"
+        far = translate_mask(group, reps, group.scale(d, k))
+        w = reps | progression_sum(group, far, d, max(1, m - 2 * k + 1))
     else:
         detail["case"] = "dense"
         t = m - k
-        first_batch = -(-k // (2 * t))
-        reps = coset_representatives(h).elements()
-        wmask = 0
-        for i, rep in enumerate(reps, start=1):
-            shift = i * t if i <= first_batch else t
-            wmask |= 1 << rep
-            wmask |= 1 << group.add(rep, group.scale(d, shift))
-        w = GroupSet(group, wmask)
+        first = list(islice(bits_of(reps), -(-k // (2 * t))))
+        rest = reps & -(2 << first[-1])  # T minus those first points
+        w = (reps | translate_mask(group, rest, group.scale(d, t))
+             | mask_of(n, [group.add(r, group.scale(d, i * t))
+                           for i, r in enumerate(first, start=1)]))
 
-    wfinal = translate(w, group.neg(ap.start))
+    wfinal = translate(GroupSet(group, w), group.neg(ap.start))
     return DecisionCertificate.verified_yes(MINIMAL_COMPLEMENT, "construction-ap",
                                             wfinal, c, **detail)
 

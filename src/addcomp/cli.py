@@ -28,7 +28,7 @@ from .experiments import (report_to_csv, report_to_dict, report_to_json,
                           scan_threshold)
 from .groups import Group, Subgroup
 from .literals import LiteralError, parse_element, parse_group, parse_set
-from .sumset import GroupSet
+from .sumset import GroupSet, progression_sum
 from .supplements import (is_maximal_supplement_for, is_supplement,
                           maximal_supplement_witness)
 
@@ -147,16 +147,10 @@ def _cmd_ap(args):
     step = parse_element(group, args.step)
     if args.len < 1:
         raise _UsageError("length must be positive")
-    mask = 0
-    cur = start
-    for _ in range(args.len):
-        bit = 1 << cur
-        if mask & bit:
-            raise _UsageError("progression revisits an element; shorten it")
-        mask |= bit
-        cur = group.add(cur, step)
-    ap = APDescriptor(GroupSet(group, mask), start,
-                      step if args.len > 1 else 0, args.len)
+    if args.len > group.element_order(step):
+        raise _UsageError("progression revisits an element; shorten it")
+    c = GroupSet(group, progression_sum(group, 1 << start, step, args.len))
+    ap = APDescriptor(c, start, step if args.len > 1 else 0, args.len)
     cert = ap_decide_and_build(ap)
     return (group, {"start": start, "step": step, "len": args.len, "c": ap.set},
             {"certificate": _certificate_json(cert)}, None, 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .sumset import GroupSet, bits_of, translate_mask
+from .sumset import GroupSet, progression_sum, translate_mask
 
 __all__ = [
     "Group",
@@ -244,48 +244,39 @@ def _check_closure(group: Group, members: GroupSet) -> None:
 
 
 def subgroup_generated(s: GroupSet) -> Subgroup:
-    """Smallest subgroup containing every element of s."""
+    """Smallest subgroup containing every element of s.
+
+    From H = {0}, each g of s not yet in H makes H the progression sum
+    H + {0, g, ..., (ord(g) - 1)*g} = H + <g>, on every group alike.
+    """
     group = s.group
-    n = group.order
-    if n == 1:
-        return Subgroup.trivial(group)
-    if len(group.factors) == 1:
-        g0 = n
-        for e in s:
-            g0 = math.gcd(g0, e)
-            if g0 == 1:
-                break
-        if g0 == n:
-            return Subgroup.trivial(group)
-        mask = ((1 << n) - 1) // ((1 << g0) - 1) if g0 > 1 else group.full_mask
-        return Subgroup(group, GroupSet(group, mask), verified=True)
-    # Closure by doubling.  With H the subgroup so far and mask equal to
-    # H + {0, ..., t-1}*g, a translate by step = t*g doubles t.  step lies
-    # in mask exactly when (t - j)*g is in H for some j < t, that is when
-    # mask is already H + <g>.
     mask = 1
     for g in s:
-        step = g
-        while not (mask >> step) & 1:
-            mask |= translate_mask(group, mask, step)
-            step = group.add(step, step)
+        if not (mask >> g) & 1:
+            mask = progression_sum(group, mask, g, group.element_order(g))
     return Subgroup(group, GroupSet(group, mask), verified=True)
 
 
 def coset_representatives(h: Subgroup) -> GroupSet:
-    """One representative per coset of h, the least index in each."""
+    """One representative per coset of h, the least index in each.
+
+    They form the box {x : x_i < g_i for every i}.  g_i is the least
+    positive i-th coordinate of a member of h with all later coordinates
+    0 (the lowest member in [s_i, d_i*s_i), s_i the stride), or d_i if
+    none; such coordinates are the multiples of g_i, so |h| is the product
+    of the d_i/g_i.  A member u != 0 with last non-zero coordinate i has
+    g_i <= u_i <= d_i - g_i, so x + u, x in the box, does not wrap at i
+    and has the larger index.  So each x of the box, n/|h| points, is the
+    least of its coset.  Its mask ANDs the low g_i*s_i bits of each block.
+    """
     group = h.parent
-    full = group.full_mask
-    covered = 0
-    reps = 0
     hmask = h.members.mask
-    while covered != full:
-        rem = ~covered & full
-        low = rem & -rem
-        g = low.bit_length() - 1
-        reps |= low
-        covered |= translate_mask(group, hmask, g)
-    return GroupSet(group, reps)
+    box = group.full_mask
+    for d, s, rep in zip(group.factors, group.strides, group.block_reps or (1,)):
+        low = (hmask >> s) & ((1 << (d - 1) * s) - 1)
+        g = ((low & -low).bit_length() - 1 + s) // s if low else d
+        box &= (rep << g * s) - rep
+    return GroupSet(group, box)
 
 
 class Homomorphism:
@@ -441,12 +432,18 @@ def quotient_map(group: Group, h: Subgroup) -> tuple[Group, Homomorphism]:
 
 
 def cyclic_subgroups(group: Group) -> list[Subgroup]:
-    """The distinct subgroups generated by single elements."""
-    seen: dict[int, Subgroup] = {}
+    """The distinct subgroups generated by single elements.
+
+    <g> = <h> exactly when g is in <h> and ord(g) = |<h>|, so there is one
+    closure per cyclic subgroup, not one per element.
+    """
+    found: dict[int, list[Subgroup]] = {}
     for g in group.elements():
-        sub = subgroup_generated(GroupSet.singleton(group, g))
-        seen.setdefault(sub.members.mask, sub)
-    return sorted(seen.values(), key=lambda s: (s.order, s.members.mask))
+        same = found.setdefault(group.element_order(g), [])
+        if not any(g in sub for sub in same):
+            same.append(subgroup_generated(GroupSet.singleton(group, g)))
+    return sorted((sub for subs in found.values() for sub in subs),
+                  key=lambda s: (s.order, s.members.mask))
 
 
 def all_subgroups(group: Group) -> list[Subgroup]:

@@ -22,6 +22,7 @@ __all__ = [
     "CoverageProfile",
     "bits_of",
     "translate_mask",
+    "progression_sum",
     "PrivatePoints",
     "private_points",
     "mask_of",
@@ -96,6 +97,24 @@ def translate_mask(group: "Group", mask: int, g: int) -> int:
         low = m & keep
         m = (low << t) | ((m ^ low) >> (block - t))
     return m
+
+
+def progression_sum(group: "Group", mask: int, step: int, length: int) -> int:
+    """Mask of A + {0, step, ..., (length - 1)*step}, by binary doubling.
+
+    mask grows as A + {0, ..., 2^b - 1}*step, and each set bit b of length
+    ORs in one translate of it: at most 2*log2(length) translates.
+    """
+    out = offset = 0
+    while length:
+        if length & 1:
+            out |= translate_mask(group, mask, offset)
+            offset = group.add(offset, step)
+        length >>= 1
+        if length:
+            mask |= translate_mask(group, mask, step)
+            step = group.add(step, step)
+    return out
 
 
 class PrivatePoints(NamedTuple):

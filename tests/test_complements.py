@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from addcomp import builders, complements, groups, supplements
+from addcomp.builders import APDescriptor, ap_decide_and_build
 from addcomp.complements import (EssentialityReport, compute_tmin, essentiality,
                                  exists_witness, is_complement,
                                  is_minimal_complement_for, prune_to_minimal,
@@ -15,7 +16,7 @@ from addcomp.complements import (EssentialityReport, compute_tmin, essentiality,
 from addcomp.decision import (MINIMAL_COMPLEMENT, NO, UNKNOWN, YES, DecisionCertificate,
                               SearchBudget)
 from addcomp.groups import Group, abelian_groups_of_order, unit_multipliers
-from addcomp.literals import parse_set
+from addcomp.literals import parse_group, parse_set
 from addcomp.oracle import oracle_exists_witness
 from addcomp.sumset import GroupSet, translate
 
@@ -480,6 +481,40 @@ def test_certificates_pinned_on_every_subset_up_to_order_12():
                 digest.update(repr(_cert_record(cert)).encode())
     assert digest.hexdigest() == (
         "c54a967b027bdd511aa4d5eb13e516c154c719dffaee9ca3d74b4c614d0a4b50")
+
+
+def test_ap_certificates_pinned_on_every_progression_up_to_order_16():
+    # Digest recorded from the loop-per-coset construction: building the
+    # witness from whole masks must not move any verdict, method, witness
+    # or detail.  Every start, step and length up to ord(step).
+    digest = hashlib.sha256()
+    for n in range(1, 17):
+        for g in abelian_groups_of_order(n):
+            for d in g.elements():
+                for length in range(1, g.element_order(d) + 1):
+                    for start in g.elements():
+                        pts = [g.add(start, g.scale(d, j)) for j in range(length)]
+                        ap = APDescriptor(_gs(g, pts), start, d if length > 1 else 0, length)
+                        digest.update(repr(_cert_record(ap_decide_and_build(ap))).encode())
+    assert digest.hexdigest() == (
+        "2de1daa7cf80c3f3627d4bd877ede946cfcec2fcee7b65c214dfc8cce5b58e5d")
+
+
+@pytest.mark.parametrize("spec, literal, case", [
+    ("16777216", "{0,1,2}", "sparse"),
+    ("16777216", "{0,4194304,8388608}", "dense"),
+    ("4096x4096", "{(0,0),(1,0),(2,0)}", "sparse"),
+    ("1000x1000", "{(0,0),(0,1),(0,2),(0,3)}", "sparse"),
+    ("1000000", "{0,1000,2000}", "sparse"),
+    ("1000000", "{0,250000,500000}", "dense"),
+])
+def test_progression_witness_takes_few_translates(monkeypatch, spec, literal, case):
+    # The transversal is a box and W a progression sum: a bounded number of
+    # translates, whatever the number of cosets.
+    masks = _count_translates(monkeypatch)
+    cert = exists_witness(parse_set(parse_group(spec), literal))
+    assert cert.method == "construction-ap" and cert.detail["case"] == case
+    assert len(masks) <= 100
 
 
 @pytest.mark.parametrize("factors, sample", [((2, 4), None), ((2, 2, 2), None),

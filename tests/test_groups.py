@@ -4,11 +4,12 @@ from collections import Counter
 
 import pytest
 
+from addcomp import groups
 from addcomp.groups import (Group, Homomorphism, Subgroup, abelian_groups_of_order,
                             all_subgroups, coset_representatives, cyclic_subgroups,
                             generated_order, quotient_map, subgroup_generated,
                             unit_multipliers)
-from addcomp.sumset import GroupSet
+from addcomp.sumset import GroupSet, mask_of
 
 
 def test_cyclic_arithmetic():
@@ -239,6 +240,36 @@ def test_coset_representatives_partition():
                 assert x not in seen
                 seen.add(x)
         assert len(seen) == grp.order
+
+
+def test_coset_representatives_are_least_in_each_coset():
+    for n in range(1, 33):
+        for g in abelian_groups_of_order(n):
+            for h in all_subgroups(g):
+                least = {min(g.add(x, u) for u in h.members) for x in g.elements()}
+                assert coset_representatives(h) == GroupSet.from_elements(g, least), h
+
+
+def test_coset_representatives_of_a_row_are_a_column():
+    # <(1, 0)> in 4096x4096: the least of each coset is (0, y)
+    g = Group([4096, 4096])
+    h = subgroup_generated(GroupSet.singleton(g, g.index_of((1, 0))))
+    column = GroupSet(g, mask_of(g.order, range(0, g.order, 4096)))
+    assert coset_representatives(h) == column
+
+
+def test_cyclic_subgroups_close_once_per_subgroup(monkeypatch):
+    calls = []
+    real = groups.subgroup_generated
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(groups, "subgroup_generated", counting)
+    subs = cyclic_subgroups(Group([30000]))
+    assert len(subs) == 50  # one per divisor of 30000 = 2^4 * 3 * 5^4
+    assert len(calls) <= 60
 
 
 def test_quotient_map_cyclic():

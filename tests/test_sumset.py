@@ -12,7 +12,8 @@ from addcomp.oracle import (naive_coverage, naive_difference_set, naive_sumset,
                             oracle_is_minimal_complement_for)
 from addcomp.sumset import (GroupSet, array_to_mask, bits_of, coverage,
                             difference_set, mask_to_array, negated,
-                            private_points, sumset, translate, translate_mask)
+                            private_points, progression_sum, sumset, translate,
+                            translate_mask)
 
 # The package re-exports the function sumset, which shadows the module name.
 sumset_module = importlib.import_module("addcomp.sumset")
@@ -174,6 +175,20 @@ def test_translate_mask_matches_definition(factors):
             assert translate_mask(g, mask, t) == _translate_by_definition(g, mask, t)
     for t in shifts:
         assert translate_mask(g, g.full_mask, t) == g.full_mask
+
+
+@pytest.mark.parametrize("factors", [[12], [16], [2, 6], [4, 4], [2, 3, 4]])
+def test_progression_sum_matches_union_of_translates(factors):
+    # lengths past 2*ord(step) wrap the progression; step 0 stays on A
+    g = Group(factors)
+    rnd = random.Random(g.order)
+    for mask in (1, rnd.randrange(1 << g.order)):
+        for step in g.elements():
+            for length in range(2 * g.element_order(step) + 2):
+                naive = 0
+                for j in range(length):
+                    naive |= translate_mask(g, mask, g.scale(step, j))
+                assert progression_sum(g, mask, step, length) == naive, (mask, step, length)
 
 
 def _wide_masks():
