@@ -164,8 +164,8 @@ def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
             case="full-coset")
 
     if k * (2 * n + m) > 2 * n * m:
-        return DecisionCertificate(MINIMAL_COMPLEMENT, NO, "bound-subgroup-gap",
-                                   detail={"base": c, **detail, "size": k})
+        return DecisionCertificate(MINIMAL_COMPLEMENT, NO, "bound-subgroup-gap", c,
+                                   detail={**detail, "size": k})
 
     reps = coset_representatives(h).mask
     if 3 * k <= 2 * m:

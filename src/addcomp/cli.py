@@ -26,7 +26,6 @@ from .complements import (compute_tmin, essentiality, exists_witness,
 from .decision import UNKNOWN, YES, DecisionCertificate, SearchBudget
 from .experiments import (report_to_csv, report_to_dict, report_to_json,
                           scan_threshold)
-from .groups import Group, Subgroup
 from .literals import LiteralError, parse_element, parse_group, parse_set
 from .sumset import GroupSet, progression_sum
 from .supplements import (is_maximal_supplement_for, is_supplement,
@@ -47,10 +46,6 @@ def _sanitize(value):
     stays as it is, for _render to write as its hex mask."""
     if isinstance(value, GroupSet):
         return value
-    if isinstance(value, Subgroup):
-        return {"order": value.order, "members": value.members}
-    if isinstance(value, Group):
-        return value.spec_string()
     if isinstance(value, dict):
         return {str(k): _sanitize(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -136,7 +131,7 @@ def _cmd_check(args):
 def _cmd_witness(args):
     group = parse_group(args.group)
     c = parse_set(group, args.c)
-    cert = exists_witness(c, _budget(args), fast_paths=not args.no_fast_paths)
+    cert = exists_witness(c, _budget(args))
     code = 0 if cert.verdict != UNKNOWN else 2
     return group, {"c": c}, {"certificate": _certificate_json(cert)}, None, code
 
@@ -269,7 +264,6 @@ def _build_parser() -> _Parser:
     p = add("witness", _cmd_witness, "decide whether C has any witness W")
     p.add_argument("--group", required=True)
     p.add_argument("--c", required=True)
-    p.add_argument("--no-fast-paths", action="store_true")
     p.add_argument("--max-candidates", type=int)
 
     p = add("ap", _cmd_ap, "decide a progression and build its witness")

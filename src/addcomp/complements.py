@@ -70,11 +70,13 @@ class EssentialityReport:
 
 def essentiality(w: GroupSet, c: GroupSet) -> EssentialityReport:
     group = w.group
-    if not is_complement(w, c):
-        raise ValueError("essentiality is defined for complements only")
+    if group != c.group:
+        raise ValueError("sets belong to different groups")
     ec = c.elements()
-    least = private_points(group, w.mask, ec).least
-    witness = {e: x for e, x in zip(ec, least) if x is not None}
+    pts = private_points(group, w.mask, ec)
+    if pts.covered != group.full_mask:
+        raise ValueError("essentiality is defined for complements only")
+    witness = {e: x for e, x in zip(ec, pts.least) if x is not None}
     return EssentialityReport(w, c, GroupSet.from_elements(group, witness), witness)
 
 
@@ -83,16 +85,19 @@ def prune_to_minimal(w: GroupSet, c: GroupSet) -> GroupSet:
 
     The result is a minimal complement for W contained in C.
     """
-    if not is_complement(w, c):
-        raise ValueError("cannot prune a non-complement")
     group = w.group
+    if group != c.group:
+        raise ValueError("sets belong to different groups")
     cur = c
-    while True:
+    ec = cur.elements()
+    pts = private_points(group, w.mask, ec)
+    if pts.covered != group.full_mask:
+        raise ValueError("cannot prune a non-complement")
+    while None in pts.least:
+        cur = cur.without_element(ec[pts.least.index(None)])
         ec = cur.elements()
-        least = private_points(group, w.mask, ec).least
-        if None not in least:
-            return cur
-        cur = cur.without_element(ec[least.index(None)])
+        pts = private_points(group, w.mask, ec)
+    return cur
 
 
 def scan_for_witness(group: Group, c: GroupSet,
@@ -166,8 +171,7 @@ def _trap_window(n: int, k: int) -> range:
     return range(k + 1, (2 * n * k - 1) // (2 * n - k) + 1)
 
 
-def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
-                   fast_paths: bool = True) -> DecisionCertificate:
+def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> DecisionCertificate:
     """Decide whether any W makes c a minimal complement.
 
     Yes-certificates always carry a re-verified witness.  No-certificates
@@ -193,48 +197,45 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None,
 
     if c.mask == group.full_mask:
         return yes(problem, "trivial", GroupSet(group, 1), c)
+    if 3 * k > 2 * n:
+        return DecisionCertificate(problem, NO, "bound-size-gap", c, detail={
+            "size": k, "cap": (2 * n) // 3})
+    window = _trap_window(n, k)
+    if any(n % m == 0 for m in window):
+        m = _containing_subgroup_order(group, c)
+        if m in window:
+            return DecisionCertificate(problem, NO, "bound-subgroup-gap", c, detail={
+                "size": k, "subgroup_order": m})
 
-    if fast_paths:
-        if 3 * k > 2 * n:
-            return DecisionCertificate(problem, NO, "bound-size-gap", detail={
-                "base": c, "size": k, "cap": (2 * n) // 3})
-        window = _trap_window(n, k)
-        if any(n % m == 0 for m in window):
-            m = _containing_subgroup_order(group, c)
-            if m in window:
-                return DecisionCertificate(problem, NO, "bound-subgroup-gap", detail={
-                    "base": c, "size": k, "subgroup_order": m})
+    from . import builders
 
-        from . import builders
-
-        ap = builders.detect_ap(c)
-        if ap is not None:
-            # C - min C generates <step>: the trap above already gave its "no"
-            return builders.ap_decide_and_build(ap)
-        if n <= PAIR_SCAN_LIMIT:
-            a = builders.pair_witness_search(c)
-            if a is not None:
-                w = GroupSet.from_elements(group, [0, a])
-                return yes(problem, "construction-pair", w, c, offset=a)
-        if not search_fits:
-            s = max(1, math.ceil(1.5 * math.log(n)))
-            if builders.check_feasibility(n, k, s).feasible:
-                # the low 64 bits of C: & reads only those, % divides the n-bit mask
-                seed = derive_seed(0x57A97E55, n, k, c.mask & ((1 << 64) - 1))
-                trace = builders.random_witness(c, s, max_retries=10, seed=seed)
-                if trace.result is not None:
-                    return yes(problem, "random-build", trace.result, c,
-                               s=s, retries=trace.retries_used)
-
+    ap = builders.detect_ap(c)
+    if ap is not None:
+        # C - min C generates <step>: the trap above already gave its "no"
+        return builders.ap_decide_and_build(ap)
+    if n <= PAIR_SCAN_LIMIT:
+        a = builders.pair_witness_search(c)
+        if a is not None:
+            w = GroupSet.from_elements(group, [0, a])
+            return yes(problem, "construction-pair", w, c, offset=a)
     if search_fits:
         w, checked, complete = scan_for_witness(group, c, budget.max_candidates)
         if w is not None:
             return yes(problem, "exhaustive", w, c, candidates=checked)
         if complete:
-            return DecisionCertificate(problem, NO, "exhaustive", detail={
-                "base": c, "candidates": checked})
-    return DecisionCertificate(problem, UNKNOWN, "budget", detail={
-        "base": c, "candidates_needed_log2": n - 1})
+            return DecisionCertificate(problem, NO, "exhaustive", c, detail={
+                "candidates": checked})
+    else:
+        s = max(1, math.ceil(1.5 * math.log(n)))
+        if builders.check_feasibility(n, k, s).feasible:
+            # the low 64 bits of C: & reads only those, % divides the n-bit mask
+            seed = derive_seed(0x57A97E55, n, k, c.mask & ((1 << 64) - 1))
+            trace = builders.random_witness(c, s, max_retries=10, seed=seed)
+            if trace.result is not None:
+                return yes(problem, "random-build", trace.result, c,
+                           s=s, retries=trace.retries_used)
+    return DecisionCertificate(problem, UNKNOWN, "budget", c, detail={
+        "candidates_needed_log2": n - 1})
 
 
 def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None

@@ -7,15 +7,9 @@ obstruction; unknown means a budget or method gap, never an error.
 SearchBudget holds the one cap, max_candidates, that every exhaustive
 search counts against.  Every yes is built through
 DecisionCertificate.verified_yes, so this is the one place a witness is
-re-verified before it leaves the package.
-
-A minimal-complement witness is rechecked through the one private-point
-kernel, sumset.private_points, which takes one of two paths: k translates
-of W (twice), or, when W misses few points (8192 * (|Z| + 1) * k <
-(k - 1) * n with Z = G minus W, k = |C|, n = |G|), a count over Z + C.
-So a dense witness, such as every randomized-build one, costs O(n/8 +
-|Z|*k^2) to recheck instead of O(k*n), and groups of order up to 8192
-always take the translate path.
+re-verified before it leaves the package.  A minimal-complement witness
+is rechecked through the one private-point kernel, sumset.private_points,
+whose docstring says which of its two paths it takes.
 """
 
 from __future__ import annotations
@@ -68,6 +62,7 @@ class DecisionCertificate:
     problem: str
     verdict: str
     method: str
+    base: GroupSet  # the set C the certificate decides
     witness: Optional[GroupSet] = None
     detail: dict[str, Any] = field(default_factory=dict)
 
@@ -89,8 +84,7 @@ class DecisionCertificate:
         Raises RuntimeError when the witness fails verify(): a procedure
         that reached a wrong witness must never hand it out.
         """
-        cert = cls(problem, YES, method, witness=witness,
-                   detail={"base": base, **detail})
+        cert = cls(problem, YES, method, base, witness, detail)
         if not cert.verify():
             raise RuntimeError(f"{method} witness failed verification")
         return cert
@@ -104,9 +98,9 @@ class DecisionCertificate:
         if self.verdict != YES:
             return True
         if self.problem == MINIMAL_COMPLEMENT:
-            return complements.is_minimal_complement_for(self.witness, self.detail["base"])
+            return complements.is_minimal_complement_for(self.witness, self.base)
         if self.problem == MAXIMAL_SUPPLEMENT:
-            return supplements.is_maximal_supplement_for(self.witness, self.detail["base"])
+            return supplements.is_maximal_supplement_for(self.witness, self.base)
         raise ValueError(f"no checker for problem {self.problem!r}")
 
     def summary(self) -> str:

@@ -136,11 +136,7 @@ def independent_search(group: Group, allowed: int, goal: Callable[[int], bool],
             return r, candidates, True
         if not p:
             continue
-        pool = r | p
-        reach = 0
-        for e in bits_of(pool):
-            reach |= translate_mask(group, pool, neg(e))
-        if not goal(reach & allowed):
+        if not goal(difference_set(GroupSet(group, r | p)).mask & allowed):
             continue
         pivot = max((compatible(u) & p for u in bits_of(p | x)), key=int.bit_count)
         children = []
@@ -204,8 +200,8 @@ def maximal_supplement_witness(c: GroupSet,
 
     rep = is_solid(c)
     if not rep.solid:
-        return DecisionCertificate(problem, NO, "bound-solidity", detail={
-            "base": c, "violator": rep.violator})
+        return DecisionCertificate(problem, NO, "bound-solidity", c, detail={
+            "violator": rep.violator})
 
     allowed = (full & ~difference_set(c).mask) | 1
     w, checked, complete = independent_search(
@@ -215,5 +211,4 @@ def maximal_supplement_witness(c: GroupSet,
         return DecisionCertificate.verified_yes(problem, "exhaustive", GroupSet(group, w), c,
                                                 candidates=checked)
     verdict, method = (NO, "exhaustive") if complete else (UNKNOWN, "budget")
-    return DecisionCertificate(problem, verdict, method, detail={
-        "base": c, "candidates": checked})
+    return DecisionCertificate(problem, verdict, method, c, detail={"candidates": checked})

@@ -13,7 +13,7 @@ from addcomp.builders import (check_feasibility, lift_integer_window,
                               lift_via_quotient, lift_via_subgroup,
                               random_witness)
 from addcomp.complements import (exists_witness, is_minimal_complement_for,
-                                 subgroup_gap_family)
+                                 scan_for_witness, subgroup_gap_family)
 from addcomp.decision import NO, YES
 from addcomp.experiments import report_to_json, scan_threshold
 from addcomp.groups import (Group, Homomorphism, Subgroup, quotient_map,
@@ -71,13 +71,11 @@ def test_criterion_3_subgroup_trap():
         evens = [0, 2, 4, 6, 8, 10]
         for chosen in itertools.combinations(evens, 5):
             c = GroupSet.from_elements(g, chosen)
-            fast = exists_witness(c)
-            assert fast.verdict == NO
-            assert fast.method == "bound-subgroup-gap"
-            slow = exists_witness(c, fast_paths=False)
-            assert slow.verdict == NO
-            assert slow.method == "exhaustive"
-            assert slow.detail["candidates"] <= 1 << 11
+            cert = exists_witness(c)
+            assert cert.verdict == NO
+            assert cert.method == "bound-subgroup-gap"
+            w, nodes, complete = scan_for_witness(g, c)
+            assert w is None and complete and nodes <= 1 << 11
         for k, n in ((5, 12), (7, 24), (9, 40)):
             fam = subgroup_gap_family(Group([n]))
             rows = [e for e in fam if e.subgroup.order == k + 1]

@@ -12,7 +12,7 @@ from addcomp.builders import APDescriptor, ap_decide_and_build
 from addcomp.complements import (EssentialityReport, compute_tmin, essentiality,
                                  exists_witness, is_complement,
                                  is_minimal_complement_for, prune_to_minimal,
-                                 subgroup_gap_family, tmin_of_order)
+                                 scan_for_witness, subgroup_gap_family, tmin_of_order)
 from addcomp.decision import (MINIMAL_COMPLEMENT, NO, UNKNOWN, YES, DecisionCertificate,
                               SearchBudget)
 from addcomp.groups import Group, abelian_groups_of_order, unit_multipliers
@@ -107,12 +107,11 @@ def test_exists_witness_trivial_cases():
 def test_exists_witness_subgroup_gap_vs_exhaustion():
     g = Group([12])
     c = _gs(g, [0, 2, 4, 6, 8])
-    fast = exists_witness(c)
-    assert fast.verdict == NO
-    assert fast.method == "bound-subgroup-gap"
-    slow = exists_witness(c, fast_paths=False)
-    assert slow.verdict == NO
-    assert slow.method == "exhaustive"
+    cert = exists_witness(c)
+    assert cert.verdict == NO
+    assert cert.method == "bound-subgroup-gap"
+    w, _, complete = scan_for_witness(g, c)
+    assert w is None and complete
 
 
 def test_subgroup_trap_fires_on_products_above_order_65536():
@@ -312,7 +311,7 @@ def test_orbit_verdicts_files_only_search_answers(monkeypatch):
         verdict = complements.orbit_verdicts(g)
         assert verdict(c) == verdict(mate) == YES
         assert calls == ([c] if filed else [c, mate])
-    unknown = DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget")
+    unknown = DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget", c)
     calls.clear()
     monkeypatch.setattr(complements, "exists_witness",
                         lambda c, budget=None: calls.append(c) or unknown)
@@ -447,8 +446,8 @@ def test_subgroup_trap_computed_only_with_a_divisor_in_the_window(monkeypatch):
 
 
 def _cert_record(cert):
-    detail = sorted((key, value.hex_mask() if isinstance(value, GroupSet) else value)
-                    for key, value in cert.detail.items())
+    # the decided set was the detail key "base" when these digests were recorded
+    detail = sorted([("base", cert.base.hex_mask()), *cert.detail.items()])
     witness = None if cert.witness is None else cert.witness.hex_mask()
     return (cert.verdict, cert.method, witness, detail)
 

@@ -10,26 +10,24 @@ def test_verdict_witness_pairing():
     g = Group([6])
     w = GroupSet.from_elements(g, [0, 3])
     c = GroupSet.from_elements(g, [0, 1, 2])
-    cert = DecisionCertificate("minimal-complement-for", YES, "exhaustive",
-                               witness=w, detail={"base": c})
+    cert = DecisionCertificate("minimal-complement-for", YES, "exhaustive", c, w)
     assert cert.verify()
     with pytest.raises(ValueError):
-        DecisionCertificate("minimal-complement-for", YES, "exhaustive")
+        DecisionCertificate("minimal-complement-for", YES, "exhaustive", c)
     with pytest.raises(ValueError):
-        DecisionCertificate("minimal-complement-for", NO, "bound-size-gap",
+        DecisionCertificate("minimal-complement-for", NO, "bound-size-gap", c,
                             witness=w)
     with pytest.raises(ValueError):
-        DecisionCertificate("minimal-complement-for", "maybe", "exhaustive")
+        DecisionCertificate("minimal-complement-for", "maybe", "exhaustive", c)
     with pytest.raises(ValueError):
-        DecisionCertificate("minimal-complement-for", NO, "vibes")
+        DecisionCertificate("minimal-complement-for", NO, "vibes", c)
 
 
 def test_verify_catches_bad_witness():
     g = Group([6])
     c = GroupSet.from_elements(g, [0, 1, 2])
-    bad = DecisionCertificate("minimal-complement-for", YES, "exhaustive",
-                              witness=GroupSet.from_elements(g, [0, 1]),
-                              detail={"base": c})
+    bad = DecisionCertificate("minimal-complement-for", YES, "exhaustive", c,
+                              witness=GroupSet.from_elements(g, [0, 1]))
     assert not bad.verify()
 
 
@@ -40,7 +38,7 @@ def test_verified_yes_builds_checked_certificates():
     sup = DecisionCertificate.verified_yes(MAXIMAL_SUPPLEMENT, "exhaustive",
                                            w, c, nodes=3)
     assert sup.verdict == YES and sup.witness == w
-    assert sup.detail == {"base": c, "nodes": 3}
+    assert sup.base == c and sup.detail == {"nodes": 3}
     g6 = Group([6])
     comp = DecisionCertificate.verified_yes(
         MINIMAL_COMPLEMENT, "construction-pair",
@@ -64,8 +62,9 @@ def test_verified_yes_raises_on_failing_witness():
 
 
 def test_verify_vacuous_for_no_and_unknown():
-    no = DecisionCertificate("minimal-complement-for", NO, "bound-size-gap")
-    unk = DecisionCertificate("minimal-complement-for", UNKNOWN, "budget")
+    c = GroupSet.from_elements(Group([6]), [0, 1, 2])
+    no = DecisionCertificate("minimal-complement-for", NO, "bound-size-gap", c)
+    unk = DecisionCertificate("minimal-complement-for", UNKNOWN, "budget", c)
     assert no.verify() and unk.verify()
 
 
@@ -73,15 +72,14 @@ def test_verify_supplement_problem():
     g = Group([8])
     c = GroupSet.from_elements(g, [0, 1])
     w = GroupSet.from_elements(g, [0, 2, 4])
-    cert = DecisionCertificate("maximal-supplement-for", YES, "exhaustive",
-                               witness=w, detail={"base": c})
+    cert = DecisionCertificate("maximal-supplement-for", YES, "exhaustive", c, w)
     assert cert.verify()
 
 
 def test_verify_unknown_problem_raises():
     g = Group([4])
-    cert = DecisionCertificate("made-up", YES, "exhaustive",
-                               witness=GroupSet.full(g), detail={})
+    cert = DecisionCertificate("made-up", YES, "exhaustive", GroupSet.full(g),
+                               GroupSet.full(g))
     with pytest.raises(ValueError):
         cert.verify()
 
@@ -90,8 +88,7 @@ def test_summary_mentions_witness_size():
     g = Group([6])
     cert = DecisionCertificate(
         "minimal-complement-for", YES, "construction-ap",
-        witness=GroupSet.from_elements(g, [0, 3]),
-        detail={"base": GroupSet.from_elements(g, [0, 1, 2])})
+        GroupSet.from_elements(g, [0, 1, 2]), GroupSet.from_elements(g, [0, 3]))
     s = cert.summary()
     assert "yes" in s and "construction-ap" in s and "2" in s
 

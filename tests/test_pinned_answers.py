@@ -1,0 +1,93 @@
+"""Pinned answers: verdicts, methods, witnesses and details do not drift.
+
+Each digest is a sha256 over (verdict, method, witness mask, detail) of
+every certificate one seeded batch of calls returns.  The digests were
+recorded before the decided set moved out of detail into
+DecisionCertificate.base, with detail's "base" key left out, so they
+pin every other detail key to its value from before that change.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from addcomp import complements
+from addcomp.groups import Group
+from addcomp.sumset import GroupSet
+from addcomp.supplements import maximal_supplement_witness
+
+# The witness-mid groups and densities of the benchmark: same-order
+# cyclic and product pairs where the exhaustive search does not fit.
+MID_GROUPS = ((24,), (2, 12), (40,), (2, 2, 10), (64,), (8, 8), (100,), (4, 25))
+MID_DENSITIES = (0.05, 0.1, 0.2, 0.3, 0.45, 0.6)
+# The supplement-small groups and fractions of the benchmark.
+SUPP_GROUPS = ((8,), (2, 4), (2, 2, 2), (9,), (10,), (12,), (2, 6), (14,),
+               (17,), (20,), (24,), (2, 12), (27,), (32,), (4, 8))
+SUPP_FRACTIONS = (0.2, 0.3, 0.4, 0.5)
+TMIN_GROUPS = ((12,), (2, 6), (14,), (2, 2, 4))
+TMIN_DIGESTS = {
+    (12,): "00e0879a1e648c9d4316e0e4a3b022f2e916f023232a0c73c9d77588bf788209",
+    (2, 6): "aec8c34b0f1701b6437cae8cfa5c28a4745914a55e7e982246c6a188b324ce19",
+    (14,): "681c1a24b4814977aa31193fdca9e7136bd9c85ee4a28162a7f03e439b61f488",
+    (2, 2, 4): "04f0b0cee00bb75af3d14c2906605fda50124975ecadde73e69ba12f2cc65698",
+}
+
+
+def _random_set(rng, group, k):
+    """0 plus k - 1 distinct non-zero elements."""
+    return GroupSet.from_elements(group, [0] + rng.sample(range(1, group.order), k - 1))
+
+
+def _row(cert):
+    witness = None if cert.witness is None else cert.witness.mask
+    detail = sorted(cert.detail.items())
+    return repr((cert.verdict, cert.method, witness, detail))
+
+
+def _digest(rows):
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def test_witness_mid_answers_are_pinned():
+    rng = random.Random("pinned:witness-mid")
+    rows = []
+    for factors in MID_GROUPS:
+        g = Group(list(factors))
+        for p in MID_DENSITIES:
+            for _ in range(2):
+                c = _random_set(rng, g, max(1, round(p * g.order)))
+                rows.append(_row(complements.exists_witness(c)))
+    assert _digest(rows) == (
+        "61cab5f2a5b9c988454224748445dd920c4cc9eaf8c91ae858bc2f82dc8f8561")
+
+
+def test_supplement_small_answers_are_pinned():
+    rng = random.Random("pinned:supplement-small")
+    rows = []
+    for factors in SUPP_GROUPS:
+        g = Group(list(factors))
+        for frac in SUPP_FRACTIONS:
+            for _ in range(2):
+                c = _random_set(rng, g, max(2, round(frac * g.order)))
+                rows.append(_row(maximal_supplement_witness(c)))
+    assert _digest(rows) == (
+        "32b2d5f10260072654cbce879f5a4b3db9943ee99c93e75ac95295d0d7e1c76d")
+
+
+@pytest.mark.parametrize("factors", TMIN_GROUPS)
+def test_tmin_answers_are_pinned(factors, monkeypatch):
+    # every certificate compute_tmin's walk asks for, then its report
+    real = complements.exists_witness
+    rows = []
+
+    def recorded(c, budget=None):
+        cert = real(c, budget)
+        rows.append(_row(cert))
+        return cert
+
+    monkeypatch.setattr(complements, "exists_witness", recorded)
+    rep = complements.compute_tmin(Group(list(factors)))
+    failing = None if rep.first_failing is None else rep.first_failing.mask
+    rows.append(repr((rep.value, rep.exact, failing, rep.subsets_checked)))
+    assert _digest(rows) == TMIN_DIGESTS[factors]

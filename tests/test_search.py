@@ -20,11 +20,10 @@ def test_exhaustive_routes_match_oracles(factors):
     for cmask in range(1, 1 << n):
         c = GroupSet(g, cmask)
 
-        cert = exists_witness(c, fast_paths=False)
-        expect = oracle_exists_witness(c)
-        assert cert.verdict == (YES if expect is not None else NO)
-        if cert.verdict == YES:
-            assert oracle_is_minimal_complement_for(cert.witness, c)
+        w, _, complete = scan_for_witness(g, c)
+        assert complete and (w is None) == (oracle_exists_witness(c) is None)
+        if w is not None:
+            assert oracle_is_minimal_complement_for(w, c)
 
         cert = maximal_supplement_witness(c)
         exists = oracle_maximal_supplement(c) is not None
@@ -40,11 +39,10 @@ def test_complement_search_matches_oracle_on_order_12_products(factors):
     rng = random.Random(12)
     for _ in range(50):
         c = GroupSet(g, 1 | rng.getrandbits(12) & ~1)
-        cert = exists_witness(c, fast_paths=False)
-        expect = oracle_exists_witness(c)
-        assert cert.verdict == (YES if expect is not None else NO), c
-        if cert.verdict == YES:
-            assert oracle_is_minimal_complement_for(cert.witness, c)
+        w, _, complete = scan_for_witness(g, c)
+        assert complete and (w is None) == (oracle_exists_witness(c) is None), c
+        if w is not None:
+            assert oracle_is_minimal_complement_for(w, c)
 
 
 def test_candidate_cap_stops_the_search_at_exactly_k():
@@ -58,12 +56,13 @@ def test_candidate_cap_stops_the_search_at_exactly_k():
 
 
 def test_search_runs_only_where_its_worst_case_fits_the_cap():
-    # 2^11 sets contain 0 in Z12; one fewer and the search must not start
+    # 2^11 sets contain 0 in Z12; one fewer and the search must not start.
+    # No bound or construction decides {0, 1, 3}, so only the search can.
     g = Group([12])
-    c = GroupSet.from_elements(g, [0, 2, 4, 6, 8])
-    cert = exists_witness(c, SearchBudget(max_candidates=1 << 11), fast_paths=False)
-    assert (cert.verdict, cert.method) == (NO, "exhaustive")
-    cert = exists_witness(c, SearchBudget(max_candidates=(1 << 11) - 1), fast_paths=False)
+    c = GroupSet.from_elements(g, [0, 1, 3])
+    cert = exists_witness(c, SearchBudget(max_candidates=1 << 11))
+    assert (cert.verdict, cert.method) == (YES, "exhaustive")
+    cert = exists_witness(c, SearchBudget(max_candidates=(1 << 11) - 1))
     assert (cert.verdict, cert.method) == (UNKNOWN, "budget")
     assert cert.detail["candidates_needed_log2"] == 11
 
@@ -72,9 +71,8 @@ def test_search_decides_a_no_in_far_fewer_nodes_than_masks():
     # every node is a distinct W through 0, but the cuts leave few of the 2^21
     g = Group([22])
     c = GroupSet.from_elements(g, [0, 1, 2, 9, 11, 12, 13, 14, 15, 18])
-    cert = exists_witness(c, fast_paths=False)
-    assert (cert.verdict, cert.method) == (NO, "exhaustive")
-    assert cert.detail["candidates"] < 1 << 12
+    w, nodes, complete = scan_for_witness(g, c)
+    assert w is None and complete and nodes < 1 << 12
 
 
 def test_scan_for_witness_trivial_group():
