@@ -26,8 +26,8 @@ from typing import Optional
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
 from .rng import SplitMix64, derive_seed
-from .sumset import (GroupSet, bits_of, difference_set, mask_of, private_points,
-                     progression_sum, sumset, translate, translate_mask)
+from .sumset import (GroupSet, bits_of, difference_set, doubling_reaches, mask_of,
+                     private_points, progression_sum, sumset, translate, translate_mask)
 from . import complements
 
 AP_DETECT_SIZE_LIMIT = 64
@@ -100,10 +100,24 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
     with ord(d) = k, or a walk of k distinct points).  So a set with more
     points than the group's exponent has no presentation, and no
     candidate step is tried.
+
+    Nor is one tried when the size of a sumset rules c out
+    (sumset.doubling_reaches).  A walk of k points s + jd has c + c =
+    {2s + jd : j <= 2k - 2}, and a coset has |c + c| = k, so a
+    presentable c has |c + c| <= 2k - 1.  For k > n/2 a walk has
+    ord(d) >= k > n/2, and ord(d) divides n, so ord(d) = n: G is the
+    cycle of d and Z = G minus c is the rest of that cycle, a walk of
+    n - k points, with |Z + Z| <= 2|Z| - 1; a coset of more than n/2
+    points would be G.
     """
     group = c.group
     k = len(c)
     if k == 0 or k > min(AP_DETECT_SIZE_LIMIT, group.exponent()):
+        return None
+    n = group.order
+    if 2 <= k and 2 * k <= n and doubling_reaches(group, c.mask, 2 * k):
+        return None
+    if k < n < 2 * k and doubling_reaches(group, group.full_mask & ~c.mask, 2 * (n - k)):
         return None
     ec = c.elements()
     if k == 1:

@@ -21,13 +21,12 @@ from typing import Optional
 from . import __version__
 from .builders import (APDescriptor, ap_decide_and_build, lift_integer_window,
                        pair_witness_check, random_witness, trace_fields)
-from .complements import (compute_tmin, essentiality, exists_witness,
-                          is_complement, is_minimal_complement_for, tmin_of_order)
+from .complements import compute_tmin, exists_witness, tmin_of_order
 from .decision import UNKNOWN, YES, DecisionCertificate, SearchBudget
 from .experiments import (report_to_csv, report_to_dict, report_to_json,
                           scan_threshold)
 from .literals import LiteralError, parse_element, parse_group, parse_set
-from .sumset import GroupSet, progression_sum
+from .sumset import GroupSet, private_points, progression_sum
 from .supplements import (is_maximal_supplement_for, is_supplement,
                           maximal_supplement_witness)
 
@@ -115,16 +114,18 @@ def _cmd_check(args):
     group = parse_group(args.group)
     w = parse_set(group, args.w)
     c = parse_set(group, args.c)
-    comp = is_complement(w, c)
+    ec = c.elements()
+    pts = private_points(group, w.mask, ec)  # answers all three fields
+    comp = pts.covered == group.full_mask
     result = {
         "complement": comp,
-        "minimal_complement": is_minimal_complement_for(w, c),
+        "minimal_complement": comp and None not in pts.least,
         "essential": None,
     }
     if comp:
-        rep = essentiality(w, c)
-        result["essential"] = rep.essential
-        result["essential_elements"] = rep.essential.elements()
+        essential = [e for e, x in zip(ec, pts.least) if x is not None]
+        result["essential"] = GroupSet.from_elements(group, essential)
+        result["essential_elements"] = essential
     return group, {"w": w, "c": c}, result, None, 0
 
 

@@ -28,8 +28,8 @@ from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
-from .sumset import (GroupSet, bits_of, negated_mask, private_points, sumset,
-                     translate_mask)
+from .sumset import (GroupSet, bits_of, doubling_reaches, negated_mask, private_points,
+                     sumset, translate_mask)
 
 PAIR_SCAN_LIMIT = 1 << 16
 
@@ -179,9 +179,12 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
     search, which runs only when its worst case of 2^(n-1) nodes fits
     budget.max_candidates.  Anything else is unknown (method "budget").
 
-    The subgroup trap fires when the smallest subgroup holding a translate
-    of C has an order m in _trap_window(n, |C|).  m divides n, so the
-    subgroup is computed only when some divisor of n lies in that window.
+    The subgroup trap fires when the smallest subgroup H holding a
+    translate c0 + H of C has an order m in _trap_window(n, |C|).  The
+    subgroup is computed only when some divisor of n lies in that window,
+    since m divides n, and |C + C| is not shown to reach the window's
+    end (sumset.doubling_reaches), since C + C lies in 2c0 + H, so
+    |C + C| <= m.
     """
     group = c.group
     n = group.order
@@ -201,7 +204,8 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         return DecisionCertificate(problem, NO, "bound-size-gap", c, detail={
             "size": k, "cap": (2 * n) // 3})
     window = _trap_window(n, k)
-    if any(n % m == 0 for m in window):
+    if (any(n % m == 0 for m in window)
+            and not doubling_reaches(group, c.mask, window.stop)):
         m = _containing_subgroup_order(group, c)
         if m in window:
             return DecisionCertificate(problem, NO, "bound-subgroup-gap", c, detail={

@@ -28,6 +28,7 @@ __all__ = [
     "mask_of",
     "negated_mask",
     "sumset",
+    "doubling_reaches",
     "difference_set",
     "translate",
     "negated",
@@ -343,6 +344,26 @@ def sumset(a: GroupSet, b: GroupSet) -> GroupSet:
         if acc == full:
             break
     return GroupSet(group, acc)
+
+
+def doubling_reaches(group: "Group", mask: int, bound: int) -> bool:
+    """True when A + A is shown to have at least bound points, A = mask.
+
+    ORs the translates A + a, a in A ascending, and stops as soon as the
+    union reaches bound; for a random set that takes a few translates.
+    On groups of order at most BITS_CHUNK a False is exact: |A + A| <
+    bound.  On larger groups it is "not shown", returned without a
+    translate, since there one n-bit translate costs more than the O(|A|)
+    element loops a True lets callers skip.
+    """
+    if group.order > BITS_CHUNK:
+        return False
+    acc = 0
+    for a in bits_of(mask):
+        acc |= translate_mask(group, mask, a)
+        if acc.bit_count() >= bound:
+            return True
+    return False
 
 
 def negated(a: GroupSet) -> GroupSet:

@@ -127,6 +127,27 @@ def test_detect_ap_matches_brute_force_on_every_subset(factors):
             _check_descriptor(g, add, c, ap)
 
 
+def test_detect_ap_same_without_the_doubling_filter(monkeypatch):
+    # The |C + C| and |Z + Z| pre-checks only skip sets the candidate loop
+    # would reject: with the kernel answering "not shown" every
+    # descriptor is the same, start and step included.
+    real = builders.doubling_reaches
+    shown = []
+
+    def recording(group, mask, bound):
+        shown.append(real(group, mask, bound))
+        return shown[-1]
+
+    def descriptors(g, kernel):
+        monkeypatch.setattr(builders, "doubling_reaches", kernel)
+        return [detect_ap(GroupSet(g, mask)) for mask in range(1, 1 << g.order)]
+
+    for factors in AP_GROUPS:
+        g = Group(factors)
+        assert descriptors(g, recording) == descriptors(g, lambda group, mask, bound: False)
+    assert any(shown)
+
+
 @pytest.mark.parametrize("factors", ([4, 25], [8, 8], [2, 2, 10], [2, 2, 2, 2, 2]))
 def test_detect_ap_on_run_plus_whole_cosets(factors):
     # A run along d plus whole cosets of <d>: d has one start, but the

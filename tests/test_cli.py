@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -38,6 +39,26 @@ def test_check_envelope(capsys):
     assert env["result"]["minimal_complement"] is True
     assert env["result"]["essential_elements"] == [0, 1, 2]
     assert env["seed"] is None
+
+
+def test_check_answers_every_field_from_one_private_point_pass(capsys, monkeypatch):
+    # Cover, minimality and the essential elements all come from the one
+    # private_points call: its 2k translates of W, and no other.
+    sumset_module = importlib.import_module("addcomp.sumset")
+    real = sumset_module.translate_mask
+    masks = []
+
+    def counted(group, mask, g):
+        masks.append(mask)
+        return real(group, mask, g)
+
+    monkeypatch.setattr(sumset_module, "translate_mask", counted)
+    w = "{" + ",".join(map(str, range(0, 100000, 4))) + "}"
+    code, env, err = run(capsys, "check", "--group", "100000", "--w", w, "--c", "{0,1,2,3,5}")
+    assert code == 0 and err == ""
+    assert env["result"] == {"complement": True, "minimal_complement": False,
+                             "essential": "0xd", "essential_elements": [0, 2, 3]}
+    assert len(masks) == 10 and set(masks) == {int(env["inputs"]["w"], 16)}
 
 
 def test_witness_yes(capsys):

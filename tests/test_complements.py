@@ -18,7 +18,7 @@ from addcomp.decision import (MINIMAL_COMPLEMENT, NO, UNKNOWN, YES, DecisionCert
 from addcomp.groups import Group, abelian_groups_of_order, unit_multipliers
 from addcomp.literals import parse_group, parse_set
 from addcomp.oracle import oracle_exists_witness
-from addcomp.sumset import GroupSet, translate
+from addcomp.sumset import GroupSet, sumset, translate
 
 # The package re-exports the function sumset, which shadows the module name.
 sumset_module = importlib.import_module("addcomp.sumset")
@@ -423,6 +423,8 @@ def test_trap_window_ends_fire():
 
 
 def test_subgroup_trap_computed_only_with_a_divisor_in_the_window(monkeypatch):
+    # ... and only when |C + C| stays below the window's end: C + C lies
+    # in a coset of the subgroup, so a larger C + C proves m too large.
     calls = []
     real = complements._containing_subgroup_order
 
@@ -439,10 +441,11 @@ def test_subgroup_trap_computed_only_with_a_divisor_in_the_window(monkeypatch):
             calls.clear()
             c = GroupSet.from_elements(g, rnd.sample(range(n), k))
             cert = exists_witness(c)
-            has_divisor = any(n % m == 0 for m in range(k + 1, n + 1)
-                              if 2 * n * m < k * (m + 2 * n))
-            assert calls == ([k] if has_divisor else []), (factors, k)
-            assert cert.method != "bound-subgroup-gap" or has_divisor
+            window = [m for m in range(k + 1, n + 1) if 2 * n * m < k * (m + 2 * n)]
+            has_divisor = any(n % m == 0 for m in window)
+            computed = has_divisor and len(sumset(c, c)) <= window[-1]
+            assert calls == ([k] if computed else []), (factors, k)
+            assert cert.method != "bound-subgroup-gap" or computed
 
 
 def _cert_record(cert):
@@ -467,6 +470,43 @@ def test_certificates_pinned_on_mid_groups():
                 digest.update(repr(_cert_record(exists_witness(c))).encode())
     assert digest.hexdigest() == (
         "761fccf1fa2720808ec99ec96f4c4803c62ceb08da6abef224fca8cff1fe3160")
+
+
+def _mid_sets(seed):
+    rnd = random.Random(seed)
+    for factors in ((24,), (2, 12), (40,), (2, 2, 10), (64,), (8, 8), (100,), (4, 25)):
+        g = Group(factors)
+        for p in (0.05, 0.1, 0.2, 0.3, 0.45, 0.6):
+            k = max(1, round(p * g.order))
+            for _ in range(8):
+                yield GroupSet.from_elements(g, rnd.sample(range(g.order), k))
+
+
+def test_doubling_filter_moves_no_certificate(monkeypatch):
+    # With the kernel answering "not shown", as before it existed, the
+    # trap and the progression finder run in full; every certificate must
+    # come out the same, and the filter must fire on each family.
+    families = {
+        "order <= 12": [GroupSet(g, mask) for n in range(1, 13)
+                        for g in abelian_groups_of_order(n) for mask in range(1, 1 << n)],
+        "witness-mid": list(_mid_sets(16)),
+    }
+    real = sumset_module.doubling_reaches
+    shown = []
+
+    def recording(group, mask, bound):
+        shown.append(real(group, mask, bound))
+        return shown[-1]
+
+    def records(sets, kernel):
+        monkeypatch.setattr(complements, "doubling_reaches", kernel)
+        monkeypatch.setattr(builders, "doubling_reaches", kernel)
+        return [_cert_record(exists_witness(c)) for c in sets]
+
+    for name, sets in families.items():
+        shown.clear()
+        assert records(sets, recording) == records(sets, lambda group, mask, bound: False), name
+        assert any(shown), name
 
 
 def test_certificates_pinned_on_every_subset_up_to_order_12():

@@ -191,6 +191,42 @@ def test_progression_sum_matches_union_of_translates(factors):
                 assert progression_sum(g, mask, step, length) == naive, (mask, step, length)
 
 
+@pytest.mark.parametrize("factors", [[], [7], [12], [2, 6], [4, 4], [3, 3, 3], [64, 64]])
+def test_doubling_reaches_matches_sumset_size(factors):
+    g = Group(factors)
+    n = g.order
+    rnd = random.Random(n)
+    masks = [0, 1, g.full_mask, (1 << (n // 2)) - 1]
+    masks += [GroupSet.from_elements(g, rnd.sample(range(n), rnd.randint(1, min(n, 12)))).mask
+              for _ in range(20)]
+    for mask in masks:
+        a = GroupSet(g, mask)
+        size = len(sumset(a, a))
+        for bound in sorted({1, 2, size, size + 1, 2 * len(a), n, n + 1} - {0}):
+            assert sumset_module.doubling_reaches(g, mask, bound) == (size >= bound), (mask, bound)
+
+
+def test_doubling_reaches_makes_no_translate_past_bits_chunk(monkeypatch):
+    # Above BITS_CHUNK one n-bit translate costs more than the element
+    # loops a True would skip, so the kernel answers "not shown" at once.
+    chunk = sumset_module.BITS_CHUNK
+    calls = []
+    real = sumset_module.translate_mask
+
+    def counted(group, mask, g):
+        calls.append(group.order)
+        return real(group, mask, g)
+
+    monkeypatch.setattr(sumset_module, "translate_mask", counted)
+    for factors in ([chunk], [chunk // 64, 64]):
+        assert sumset_module.doubling_reaches(Group(factors), 0b1011, 4)
+    assert calls and set(calls) == {chunk}
+    calls.clear()
+    for factors in ([chunk + 1], [2, chunk], [1 << 24], [chunk, chunk]):
+        assert not sumset_module.doubling_reaches(Group(factors), 0b1011, 4)
+    assert calls == []
+
+
 def _wide_masks():
     chunk = sumset_module.BITS_CHUNK
     rnd = random.Random(chunk)
