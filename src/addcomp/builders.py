@@ -19,15 +19,16 @@ before accepting it, and each lift rechecks the set it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Optional
 
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
 from .rng import SplitMix64, derive_seed
-from .sumset import (GroupSet, bits_of, difference_set, doubling_reaches, mask_of,
-                     private_points, progression_sum, sumset, translate, translate_mask)
+from .sumset import (GroupSet, _same_group, bits_of, difference_set, doubling_reaches,
+                     mask_of, private_points, progression_sum, sumset, translate,
+                     translate_mask)
 from . import complements
 
 AP_DETECT_SIZE_LIMIT = 64
@@ -156,9 +157,10 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
 def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
     """Exact verdict for a progression, with a built witness on yes.
 
-    With m = |<step>| (step 0 when k = 1): yes iff k*(2n + m) <= 2nm or
-    k = m.  W is built from whole masks, T the least coset representatives:
-    T when k = m; T + ({0} u {k, ..., max(k, m - k)}*step) when k <= 2m/3
+    With m = |<step>| (step 0 when k = 1): yes iff k = m or m is outside
+    the subgroup trap's window for k (complements._trap_window).  W is
+    built from whole masks, T the least coset representatives: T when
+    k = m; T + ({0} u {k, ..., max(k, m - k)}*step) when k <= 2m/3
     (sparse, or two-point above m/2); else, t = m - k, T plus T moved by
     t*step, except that its i-th point moves by i*t*step, i <= ceil(k/2t).
     """
@@ -177,7 +179,7 @@ def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
             MINIMAL_COMPLEMENT, "construction-subgroup", wfinal, c, **detail,
             case="full-coset")
 
-    if k * (2 * n + m) > 2 * n * m:
+    if m in complements._trap_window(n, k):  # k < m <= n here
         return DecisionCertificate(MINIMAL_COMPLEMENT, NO, "bound-subgroup-gap", c,
                                    detail={**detail, "size": k})
 
@@ -274,21 +276,9 @@ class RandomBuildTrace:
 def trace_fields(trace: RandomBuildTrace) -> dict:
     """The trace as a JSON-ready dict, except that C and the result stay
     GroupSets, for a caller that renders masks itself."""
-    return {
-        "group": trace.c.group.spec_string(),
-        "c": trace.c,
-        "s": trace.s,
-        "rng_seed": trace.rng_seed,
-        "retries_used": trace.retries_used,
-        "samples": trace.samples,
-        "derived": trace.derived,
-        "e1": trace.e1,
-        "e2": trace.e2,
-        "e3": trace.e3,
-        "chosen": {str(i): p for i, p in trace.chosen.items()},
-        "result": trace.result,
-        "debug": trace.debug,
-    }
+    return {"group": trace.c.group.spec_string(),
+            **{f.name: getattr(trace, f.name) for f in fields(trace)},
+            "chosen": {str(i): p for i, p in trace.chosen.items()}}
 
 
 def trace_to_json(trace: RandomBuildTrace) -> dict:
@@ -428,9 +418,8 @@ def lift_via_subgroup(wh: GroupSet, c: GroupSet,
     subgroup H (derived as wh + c when not supplied), c minimal for wh
     within H.  The lifted witness is wh plus a transversal of H.
     """
+    _same_group(wh, c)
     group = wh.group
-    if group != c.group:
-        raise ValueError("sets belong to different groups")
     if not wh or not c:
         raise ValueError("need non-empty sets")
     span = sumset(wh, c)

@@ -40,23 +40,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _sanitize(value):
-    """value with plain JSON types throughout, except that each GroupSet
-    stays as it is, for _render to write as its hex mask."""
-    if isinstance(value, GroupSet):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return str(value)
-
-
 def _render(envelope: dict) -> list[str]:
     """The pieces of json.dumps(envelope, indent=2, sort_keys=True) + "\n",
-    with each GroupSet in envelope as the hex string of its mask.
+    with each GroupSet in envelope as the hex string of its mask, and any
+    other value json has no form for as its str().
 
     json renders everything else, with a placeholder string where each
     GroupSet goes.  Each distinct GroupSet is hex-ed once and its hex
@@ -67,22 +54,24 @@ def _render(envelope: dict) -> list[str]:
     """
     sets = {}  # id of a GroupSet -> (index, GroupSet)
 
-    def placeholder(gs: GroupSet) -> str:
+    def default(value) -> str:
         nonlocal uses
+        if not isinstance(value, GroupSet):
+            return str(value)
         uses += 1
-        return pad + str(sets.setdefault(id(gs), (len(sets), gs))[0])
+        return pad + str(sets.setdefault(id(value), (len(sets), value))[0])
 
     pad = "\x00"
     while True:
         uses = 0
-        text = json.dumps(envelope, indent=2, sort_keys=True, default=placeholder)
+        text = json.dumps(envelope, indent=2, sort_keys=True, default=default)
         head, *rest = text.split(json.dumps(pad)[:-1])
         if len(rest) == uses:
             break
         pad += "\x00"
     hexes = [gs.hex_mask() for _, gs in sets.values()]
     # json's encoder functions form a reference cycle that keeps
-    # placeholder, and so sets, alive until the next garbage collection;
+    # default, and so sets, alive until the next garbage collection;
     # emptying sets lets the masks go as soon as the caller drops them.
     sets.clear()
     pieces = [head]
@@ -344,8 +333,8 @@ def main(argv=None) -> int:
             "version": __version__,
             "command": args.command,
             "group": group.spec_string() if group is not None else None,
-            "inputs": _sanitize(inputs),
-            "result": _sanitize(result),
+            "inputs": inputs,
+            "result": result,
             "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
             "seed": seed,
         }

@@ -22,14 +22,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import builders
 from .decision import MINIMAL_COMPLEMENT, NO, UNKNOWN, DecisionCertificate, SearchBudget
 from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
                      cyclic_subgroups, generated_order, unit_multipliers)
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
-from .sumset import (GroupSet, bits_of, doubling_reaches, negated_mask, private_points,
-                     sumset, translate_mask)
+from .sumset import (GroupSet, _same_group, bits_of, doubling_reaches, negated_mask,
+                     private_points, sumset, translate_mask)
 
 PAIR_SCAN_LIMIT = 1 << 16
 
@@ -41,9 +42,8 @@ def is_complement(w: GroupSet, c: GroupSet) -> bool:
 
 def is_minimal_complement_for(w: GroupSet, c: GroupSet) -> bool:
     """True when W + C = G and dropping any element of C breaks coverage."""
+    _same_group(w, c)
     group = w.group
-    if group != c.group:
-        raise ValueError("sets belong to different groups")
     ec = c.elements()
     if not ec:
         return False
@@ -69,9 +69,8 @@ class EssentialityReport:
 
 
 def essentiality(w: GroupSet, c: GroupSet) -> EssentialityReport:
+    _same_group(w, c)
     group = w.group
-    if group != c.group:
-        raise ValueError("sets belong to different groups")
     ec = c.elements()
     pts = private_points(group, w.mask, ec)
     if pts.covered != group.full_mask:
@@ -85,9 +84,8 @@ def prune_to_minimal(w: GroupSet, c: GroupSet) -> GroupSet:
 
     The result is a minimal complement for W contained in C.
     """
+    _same_group(w, c)
     group = w.group
-    if group != c.group:
-        raise ValueError("sets belong to different groups")
     cur = c
     ec = cur.elements()
     pts = private_points(group, w.mask, ec)
@@ -165,8 +163,10 @@ def _trap_window(n: int, k: int) -> range:
     """The subgroup orders m at which the subgroup trap fires for |C| = k.
 
     The trap needs k < m and 2nm < k(m + 2n), that is m(2n - k) < 2nk.
-    For 3k <= 2n the factor 2n - k is positive, so the integers m below
-    2nk / (2n - k) are those with m(2n - k) <= 2nk - 1.
+    For k <= n the factor 2n - k is positive, so the integers m below
+    2nk / (2n - k) are those with m(2n - k) <= 2nk - 1.  This is the one
+    place the inequality is written: exists_witness, ap_decide_and_build
+    and subgroup_gap_family all read it from here.
     """
     return range(k + 1, (2 * n * k - 1) // (2 * n - k) + 1)
 
@@ -210,8 +210,6 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         if m in window:
             return DecisionCertificate(problem, NO, "bound-subgroup-gap", c, detail={
                 "size": k, "subgroup_order": m})
-
-    from . import builders
 
     ap = builders.detect_ap(c)
     if ap is not None:
@@ -362,8 +360,7 @@ def subgroup_gap_family(group: Group) -> list[GapEntry]:
     out = []
     for h in subs:
         m = h.order
-        low = (2 * n * m) // (m + 2 * n) + 1
-        high = m - 1
-        if low <= high:
-            out.append(GapEntry(h, low, high))
+        sizes = [k for k in range(1, m) if m in _trap_window(n, k)]
+        if sizes:
+            out.append(GapEntry(h, sizes[0], sizes[-1]))
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Sequence
 
 from .complements import orbit_verdicts
@@ -107,19 +107,7 @@ def report_to_dict(report: ScanReport) -> dict:
         "group": report.group.spec_string(),
         "seed": report.seed,
         "trials_per_p": report.trials_per_p,
-        "rows": [
-            {
-                "p": row.p,
-                "trials": row.trials,
-                "skipped": row.skipped,
-                "yes": row.yes,
-                "no": row.no,
-                "unknown": row.unknown,
-                "freq_yes": row.freq_yes,
-                "mean_size": row.mean_size,
-            }
-            for row in report.rows
-        ],
+        "rows": [asdict(row) for row in report.rows],
     }
 
 
@@ -133,10 +121,6 @@ def report_to_csv(report: ScanReport) -> str:
     """The same rows as the JSON report, one line per density."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p", "trials", "skipped", "yes", "no", "unknown",
-                     "freq_yes", "mean_size"])
-    for row in report.rows:
-        writer.writerow([repr(row.p), row.trials, row.skipped, row.yes,
-                         row.no, row.unknown, repr(row.freq_yes),
-                         repr(row.mean_size)])
+    writer.writerow(f.name for f in fields(ScanRow))
+    writer.writerows(astuple(row) for row in report.rows)
     return buf.getvalue()

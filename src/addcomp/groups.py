@@ -10,7 +10,7 @@ transversals, quotients) all work on these indices and on bitmask sets.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .sumset import GroupSet, progression_sum, translate_mask
 
@@ -257,24 +257,43 @@ def subgroup_generated(s: GroupSet) -> Subgroup:
     return Subgroup(group, GroupSet(group, mask), verified=True)
 
 
-def coset_representatives(h: Subgroup) -> GroupSet:
-    """One representative per coset of h, the least index in each.
+def _lowest_members(h: Subgroup) -> list[Optional[int]]:
+    """For each factor i, the least member of h in [s_i, d_i*s_i), or None.
 
-    They form the box {x : x_i < g_i for every i}.  g_i is the least
-    positive i-th coordinate of a member of h with all later coordinates
-    0 (the lowest member in [s_i, d_i*s_i), s_i the stride), or d_i if
-    none; such coordinates are the multiples of g_i, so |h| is the product
-    of the d_i/g_i.  A member u != 0 with last non-zero coordinate i has
-    g_i <= u_i <= d_i - g_i, so x + u, x in the box, does not wrap at i
-    and has the larger index.  So each x of the box, n/|h| points, is the
-    least of its coset.  Its mask ANDs the low g_i*s_i bits of each block.
+    s_i is the stride of factor i.  A member in that range has every
+    coordinate after i at 0 and coordinate i non-zero, so the least one,
+    u_i, has the least positive i-th coordinate g_i among such members.
+    Those coordinates form a subgroup of Z/d_i, so they are the multiples
+    of g_i.  The u_i generate h: a member x != 0 whose last non-zero
+    coordinate is j has x_j = t*g_j, and x - t*u_j is a member whose
+    coordinates from j on are 0, so induction on j writes x as a sum of
+    multiples of the u_i.
     """
     group = h.parent
     hmask = h.members.mask
-    box = group.full_mask
-    for d, s, rep in zip(group.factors, group.strides, group.block_reps or (1,)):
+    out = []
+    for d, s in zip(group.factors, group.strides):
         low = (hmask >> s) & ((1 << (d - 1) * s) - 1)
-        g = ((low & -low).bit_length() - 1 + s) // s if low else d
+        out.append((low & -low).bit_length() - 1 + s if low else None)
+    return out
+
+
+def coset_representatives(h: Subgroup) -> GroupSet:
+    """One representative per coset of h, the least index in each.
+
+    They form the box {x : x_i < g_i for every i}, g_i the i-th
+    coordinate of u_i = _lowest_members(h)[i], or d_i if there is none;
+    |h| is the product of the d_i/g_i.  A member u != 0
+    with last non-zero coordinate i has g_i <= u_i <= d_i - g_i, so
+    x + u, x in the box, does not wrap at i and has the larger index.  So
+    each x of the box, n/|h| points, is the least of its coset.  Its mask
+    ANDs the low g_i*s_i bits of each block.
+    """
+    group = h.parent
+    box = group.full_mask
+    for d, s, rep, u in zip(group.factors, group.strides, group.block_reps or (1,),
+                            _lowest_members(h)):
+        g = d if u is None else u // s
         box &= (rep << g * s) - rep
     return GroupSet(group, box)
 
@@ -399,8 +418,6 @@ def _smith(group: Group, elements: Sequence[int]) -> tuple[list[int], list[list[
 
 def generated_order(group: Group, elements: Sequence[int]) -> int:
     """Order of the subgroup generated by elements, without listing it."""
-    if len(group.factors) <= 1:
-        return group.order // math.gcd(group.order, *elements)
     diag, _ = _smith(group, elements)
     return group.order // math.prod(diag)
 
@@ -410,10 +427,14 @@ def quotient_map(group: Group, h: Subgroup) -> tuple[Group, Homomorphism]:
 
     The projection is additive, surjective, and has kernel exactly h; its
     preimage method recovers the union of cosets over any quotient set.
+    The relations are the at most r members of _lowest_members, which
+    generate h, so neither the diagonalization nor the check that the
+    projection kills h lists h.
     """
     if h.parent != group:
         raise ValueError("subgroup belongs to a different group")
-    diag, u = _smith(group, h.members.elements())
+    gens = [x for x in _lowest_members(h) if x is not None]
+    diag, u = _smith(group, gens)
     if any(v == 0 for v in diag):
         raise RuntimeError("degenerate relation lattice in quotient computation")
     keep = [i for i, v in enumerate(diag) if v > 1]
@@ -425,7 +446,7 @@ def quotient_map(group: Group, h: Subgroup) -> tuple[Group, Homomorphism]:
         coords = [u[i][gen] % diag[i] for i in keep]
         images.append(q.index_of(coords))
     hom = Homomorphism(group, q, images)
-    for e in h.members:
+    for e in gens:
         if hom.apply(e) != 0:
             raise RuntimeError("projection does not kill the subgroup")
     return q, hom
@@ -479,9 +500,6 @@ def unit_multipliers(group: Group) -> list[int]:
 
 
 def _partitions(n: int) -> Iterable[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
     def rec(remaining: int, cap: int):
         if remaining == 0:
             yield ()

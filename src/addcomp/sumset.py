@@ -12,9 +12,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .groups import Group
 
 __all__ = [
@@ -394,6 +394,8 @@ def translate(a: GroupSet, g: int) -> GroupSet:
 
 def mask_to_array(group: "Group", mask: int) -> np.ndarray:
     """Bitmask to a uint8 0/1 array over element indices."""
+    import numpy as np
+
     n = group.order
     nbytes = (n + 7) // 8
     raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
@@ -401,6 +403,8 @@ def mask_to_array(group: "Group", mask: int) -> np.ndarray:
 
 
 def array_to_mask(arr: np.ndarray) -> int:
+    import numpy as np
+
     packed = np.packbits(arr.astype(bool), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
@@ -431,7 +435,7 @@ class CoverageProfile:
         return array_to_mask(self.counts == 1)
 
     def total(self) -> int:
-        return int(self.counts.sum(dtype=np.int64))
+        return int(self.counts.sum(dtype="int64"))
 
 
 def coverage(w: GroupSet, c: GroupSet) -> CoverageProfile:
@@ -441,6 +445,8 @@ def coverage(w: GroupSet, c: GroupSet) -> CoverageProfile:
     into one index, and a bincount tallies the indices, in blocks of about
     COVERAGE_CHUNK pairs so memory stays bounded on large groups.
     """
+    import numpy as np
+
     _same_group(w, c)
     group = w.group
     n = group.order

@@ -26,14 +26,13 @@ from typing import Callable, Optional
 from .decision import (MAXIMAL_SUPPLEMENT, NO, UNKNOWN, DecisionCertificate,
                        SearchBudget)
 from .groups import Group
-from .sumset import (GroupSet, bits_of, difference_set, negated_mask, sumset,
-                     translate_mask)
+from .sumset import (GroupSet, _same_group, bits_of, difference_set, negated_mask,
+                     sumset, translate_mask)
 
 
 def is_supplement(w: GroupSet, c: GroupSet) -> bool:
     """Do the W-translates by elements of c stay pairwise disjoint?"""
-    if w.group != c.group:
-        raise ValueError("sets belong to different groups")
+    _same_group(w, c)
     if not w or not c:
         raise ValueError("supplement check needs non-empty sets")
     cc = difference_set(c)
@@ -43,8 +42,7 @@ def is_supplement(w: GroupSet, c: GroupSet) -> bool:
 
 def is_maximal_supplement_for(w: GroupSet, c: GroupSet) -> bool:
     """Supplement, and no proper superset of c still is one for w."""
-    if w.group != c.group:
-        raise ValueError("sets belong to different groups")
+    _same_group(w, c)
     if not w or not c:
         return False
     cc = difference_set(c)

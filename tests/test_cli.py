@@ -338,27 +338,64 @@ def canonical(out):
     return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("check", "--group", "8", "--w", "{0,1}", "--c", "{0,2,4,6}"),
-    ("check", "--group", "6", "--w", "{0}", "--c", "{0,1}"),
-    ("witness", "--group", "6", "--c", "{0,1,2}"),
-    ("witness", "--group", "67", "--c", "{0,1,3}", "--max-candidates", "4"),
-    ("ap", "--group", "6", "--start", "0", "--step", "1", "--len", "3"),
-    ("pair", "--group", "6", "--c", "{0,2,4}", "--a", "1"),
+def without_timing(out):
+    return re.sub(r'^  "timing_ms": .*\n', "", out, flags=re.M)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Each digest is of the envelope minus its timing_ms line.
+ENVELOPE_DIGESTS = {
+    ("check", "--group", "8", "--w", "{0,1}", "--c", "{0,2,4,6}"):
+        "3292d9b147cc1b4f1931ee2d915f056455963e053648249daa1bad971b747114",
+    ("check", "--group", "6", "--w", "{0}", "--c", "{0,1}"):
+        "588cee801c5509b43396a889c4f199ad1ba22c6f436300f17c87ea653fd4cc02",
+    ("witness", "--group", "6", "--c", "{0,1,2}"):
+        "b7ac88f7707e4e85b11ba5b48cf14a2af1aa2c4149e3426e2fb8e438d5c11357",
+    ("witness", "--group", "67", "--c", "{0,1,3}", "--max-candidates", "4"):
+        "077b9739c23d4db5a4bc10bff5da7021de54c21cfad2ca0610e5e49fd5ee8185",
+    ("ap", "--group", "6", "--start", "0", "--step", "1", "--len", "3"):
+        "2fa4bf69deb085567fe749c628aba58fd6eeb6ba45dadcc7473030c77258da2e",
+    ("pair", "--group", "6", "--c", "{0,2,4}", "--a", "1"):
+        "16d8bf64c7fd37fbaeed6e189cdc4cca89f64649813110435cb774cd001b98ce",
     ("random-build", "--group", "10000", "--c", "{0, 417, 2905, 7311}",
-     "--s", "12", "--seed", "3"),
-    ("supplement", "--group", "8", "--c", "{0,1}"),
-    ("supplement", "--group", "8", "--c", "{0,1}", "--w", "{0,2,4}"),
-    ("tmin", "--group", "12"),
-    ("tmin", "--order", "4"),
-    ("scan-threshold", "--group", "6", "--trials", "5", "--grid", "0.5"),
-    ("lift-z", "--ints=-3,2", "--mode", "safe"),
-    HUGE_WITNESS,
-])
+     "--s", "12", "--seed", "3"):
+        "a14b2c198b8284c178dee90abf8d98ded25862e5d1cd5c527909e535f70d4066",
+    ("supplement", "--group", "8", "--c", "{0,1}"):
+        "6f8fd32dded6a6826326bd49f81c878914c3af038c0b76f9f8e45d14248d9af7",
+    ("supplement", "--group", "8", "--c", "{0,1}", "--w", "{0,2,4}"):
+        "97372b8120fca44b17e7b0c8f6d5221a0a384bdce5243f54ac0f2b2ebf5effd0",
+    ("tmin", "--group", "12"):
+        "0f8ddd5da7a05364d6abb69bedad82efac1780c2208f7c95af5b8c8326b846b8",
+    ("tmin", "--order", "4"):
+        "9f203f59f9f90e22e8f94ecde4816319d9e4af20e4998f4f99bd3b29d851410e",
+    ("scan-threshold", "--group", "6", "--trials", "5", "--grid", "0.5"):
+        "ea4f1d9f7d838630a11aaf97fc6dc79ed54fec97bfb27164d22bd20f1d42e697",
+    ("lift-z", "--ints=-3,2", "--mode", "safe"):
+        "e983ef7f7fad82db44800720cebf49c332308413efff95ef18aeeb583484b773",
+    HUGE_WITNESS:
+        "5fc61979107c6689d5d3a99972c7dce0bb10c7b238641b0dfc5ead2068651511",
+}
+
+
+@pytest.mark.parametrize("argv", list(ENVELOPE_DIGESTS))
 def test_envelope_is_json_dumps_output(capsys, argv):
     main(list(argv))
     out = capsys.readouterr().out
     assert out == canonical(out)
+    assert sha256(without_timing(out)) == ENVELOPE_DIGESTS[argv]
+
+
+def test_scan_files_are_pinned(tmp_path, capsys):
+    out, table = tmp_path / "scan.json", tmp_path / "scan.csv"
+    code = main(["scan-threshold", "--group", "2x4", "--trials", "10", "--seed", "5",
+                 "--out", str(out), "--csv", str(table)])
+    capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes() + table.read_bytes()).hexdigest() == (
+        "29c2dccde2b3a3eb24a023de9d184ca9fafab411612ff90e32b64be669825659")
 
 
 def test_envelope_strings_cannot_pose_as_masks(capsys, monkeypatch):
@@ -407,9 +444,8 @@ def test_huge_witness_renders_each_mask_once(capsys, monkeypatch):
     # minus timing, when it repeated C as detail.base: put that key back
     # and the rest must be byte for byte the same.
     env["result"]["certificate"]["detail"]["base"] = c
-    text = re.sub(r'^  "timing_ms": .*\n', "",
-                  json.dumps(env, indent=2, sort_keys=True) + "\n", flags=re.M)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
+    text = without_timing(json.dumps(env, indent=2, sort_keys=True) + "\n")
+    assert sha256(text) == (
         "17aec5fb534d6d0526b8d63cdb4695d8a049a74a520ebe3d2c45541ec84c0fad")
 
 
@@ -430,3 +466,15 @@ def test_closed_stdout_exits_1_without_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_witness_leaves_numpy_unimported():
+    # numpy is loaded only by coverage and the array converters
+    src = os.path.dirname(os.path.dirname(os.path.abspath(addcomp.__file__)))
+    code = ("import sys, addcomp\n"
+            "from addcomp import cli\n"
+            "assert cli.main(['witness', '--group', '12', '--c', '{0,1,3}']) == 0\n"
+            "assert 'numpy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr

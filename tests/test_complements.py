@@ -369,6 +369,17 @@ def test_gap_family_z12():
     assert list(by_order[12].sizes()) == [9, 10, 11]
 
 
+def test_gap_family_is_the_closed_form():
+    # each subgroup of order m bars the sizes 2nm/(m + 2n) < k < m
+    for n in range(1, 65):
+        for g in abelian_groups_of_order(n):
+            fam = subgroup_gap_family(g)
+            expect = [(h, (2 * n * h.order) // (h.order + 2 * n) + 1, h.order - 1)
+                      for h in groups.all_subgroups(g)]
+            assert [(e.subgroup, e.low, e.high) for e in fam] == [
+                row for row in expect if row[1] <= row[2]], g
+
+
 def test_gap_family_blocks_k_plus_one_subgroups():
     # orders where a subgroup of order k+1 bars size-k subsets
     for k, n in ((5, 12), (7, 24), (9, 40)):
@@ -393,10 +404,11 @@ def test_gap_family_members_really_fail():
 
 def test_trap_window_is_the_trap_inequality():
     # the window holds exactly the integers m with k < m and
-    # 2nm < k(m + 2n), for every size the size cap lets through
+    # 2nm < k(m + 2n), for every size up to n: the size cap lets 3k <= 2n
+    # through, and ap_decide_and_build asks with any k <= m <= n
     m = np.arange(1, 801)
     for n in range(1, 401):
-        for k in range(1, 2 * n // 3 + 1):
+        for k in range(1, n + 1):
             fires = m[(k < m) & (2 * n * m < k * (m + 2 * n))]
             window = complements._trap_window(n, k)
             assert list(window) == fires.tolist(), (n, k)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -296,8 +297,11 @@ def test_quotient_map_general():
     assert pi.kernel() == h
 
 
-@pytest.mark.parametrize("factors", [[2, 4], [2, 2, 4], [4, 4], [2, 6], [3, 9], [6, 6],
-                                     [2, 4, 4], []] + [[n] for n in range(2, 40)])
+QUOTIENT_GROUPS = [[2, 4], [2, 2, 4], [4, 4], [2, 6], [3, 9], [6, 6],
+                   [2, 4, 4], []] + [[n] for n in range(2, 40)]
+
+
+@pytest.mark.parametrize("factors", QUOTIENT_GROUPS)
 def test_quotient_map_on_every_subgroup(factors):
     g = Group(factors)
     for h in all_subgroups(g):
@@ -317,6 +321,19 @@ def test_quotient_map_on_every_subgroup(factors):
                 k += 1
             coset_orders[k] += 1
         assert _order_histogram(q) == coset_orders, h
+
+
+def test_quotient_map_images_are_pinned():
+    # (q.factors, images) of every subgroup above, as computed when the
+    # relations were all of h's members rather than its lowest ones
+    digest = hashlib.sha256()
+    for factors in QUOTIENT_GROUPS:
+        g = Group(factors)
+        for h in all_subgroups(g):
+            q, pi = quotient_map(g, h)
+            digest.update(repr((factors, h.members.mask, q.factors, pi.images)).encode())
+    assert digest.hexdigest() == (
+        "b74dfd8353a47d58aec5310c4962243369b8b3eeee7d46690835ce61b3640649")
 
 
 def test_quotient_by_full_and_trivial():
