@@ -19,6 +19,7 @@ before accepting it, and each lift rechecks the set it returns.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Optional
@@ -315,11 +316,7 @@ def random_witness(c: GroupSet, s: int, max_retries: int = 10,
                                 {}, w, {"fast_path": "singleton"})
 
     cset = set(ec)
-    r_d: dict[int, int] = {}
-    for ci in ec:
-        for cj in ec:
-            delta = group.sub(cj, ci)
-            r_d[delta] = r_d.get(delta, 0) + 1
+    r_d = Counter(group.sub(cj, ci) for ci in ec for cj in ec)
     diffs = sorted(r_d)
     good_offsets = []
     for delta, r in sorted(r_d.items()):
@@ -347,19 +344,12 @@ def random_witness(c: GroupSet, s: int, max_retries: int = 10,
         # other than (i, p).  A draw reaches each point of x_jq + C once,
         # and (i, p) always reaches g_ip = x_ip + c_i, so e1 holds exactly
         # when some g_ip is reached by two draws.
-        reach: dict[int, int] = {}
-        for j, q in flat:
-            for ct in ec:
-                z = group.add(samples[j][q], ct)
-                reach[z] = reach.get(z, 0) + 1
+        reach = Counter(group.add(samples[j][q], ct) for j, q in flat for ct in ec)
         e1 = any(reach[derived[i][p]] > 1 for i, p in flat)
 
-        pile: dict[int, int] = {}
-        for i, p in flat:
-            gv = derived[i][p]
-            for z in {group.add(gv, delta) for delta in diffs}:
-                pile[z] = pile.get(z, 0) + 1
-        pile_max = max(pile.values()) if pile else 0
+        pile = Counter(group.add(derived[i][p], delta)
+                       for i, p in flat for delta in diffs)
+        pile_max = max(pile.values())
         e2 = pile_max >= s
 
         e3 = False
@@ -486,7 +476,7 @@ def lift_integer_window(c_ints, mode: str = "minimal",
     then correspond one to one, so the cyclic verification transfers.
     mode "minimal" scans M upward from diameter+1 and returns the first
     modulus where a verified witness lands; "safe" jumps straight to
-    M = 100*k^4 + 1.
+    M = max(diameter + 1, 100*k^4 + 1), the scan's last modulus.
     """
     raw = [int(x) for x in c_ints]
     ints = sorted(set(raw))
@@ -500,11 +490,11 @@ def lift_integer_window(c_ints, mode: str = "minimal",
     base = ints[0]
     shifted = [x - base for x in ints]
     diam = shifted[-1]
-    safe_m = SAFE_MODULUS_SCALE * (k ** 4) + 1
+    safe_m = max(diam + 1, SAFE_MODULUS_SCALE * k ** 4 + 1)
     if mode == "safe":
         m_values = [safe_m]
     else:
-        m_values = range(max(diam + 1, 1), safe_m + 1)
+        m_values = range(diam + 1, safe_m + 1)
     skipped = []
     for m in m_values:
         modulus = 2 * m

@@ -69,6 +69,8 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
     if trials < 1:
         raise ValueError("need at least one trial per density")
     grid = DEFAULT_GRID if p_values is None else tuple(p_values)
+    if not grid:
+        raise ValueError("need at least one density")
     for p in grid:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"density {p} outside [0, 1]")

@@ -10,6 +10,9 @@ transversals, quotients) all work on these indices and on bitmask sets.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from dataclasses import InitVar, dataclass, field
+from itertools import chain, product
 from typing import Iterable, Optional, Sequence
 
 from .sumset import GroupSet, progression_sum, translate_mask
@@ -29,13 +32,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class Group:
     """Direct product of cyclic groups Z/d_1 x ... x Z/d_r."""
 
-    __slots__ = ("factors", "order", "strides", "full_mask", "block_reps")
+    factors: tuple[int, ...]
+    order: int = field(init=False, compare=False)
+    strides: tuple[int, ...] = field(init=False, compare=False)
+    full_mask: int = field(init=False, compare=False)
+    block_reps: tuple[int, ...] = field(init=False, compare=False)
 
-    def __init__(self, factors: Sequence[int]):
-        fs = tuple(int(d) for d in factors)
+    def __post_init__(self):
+        fs = tuple(int(d) for d in self.factors)
         for d in fs:
             if d < 2:
                 raise ValueError(f"cyclic factors must be >= 2, got {d}")
@@ -60,9 +68,6 @@ class Group:
                     width *= 2
                 reps.append(rep & full)
         object.__setattr__(self, "block_reps", tuple(reps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Group is immutable")
 
     # -- element codec -------------------------------------------------
 
@@ -128,10 +133,10 @@ class Group:
 
     def scale(self, a: int, k: int) -> int:
         """k-fold sum of a (k any integer); coordinatewise multiplication."""
-        if len(self.factors) == 1:
-            return (a * k) % self.order
         if not 0 <= a < self.order:
             raise ValueError(f"element index {a} out of range for {self}")
+        if len(self.factors) == 1:
+            return (a * k) % self.order
         out = 0
         for d, s in zip(self.factors, self.strides):
             out += ((a // s * k) % d) * s
@@ -166,35 +171,34 @@ class Group:
             return "1"
         return "x".join(str(d) for d in self.factors)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Group) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
-
     def __repr__(self) -> str:
         return f"Group({self.spec_string()})"
 
 
-def _prime_factorization(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _prime_factorization(n: int) -> Counter[int]:
+    out: Counter[int] = Counter()
     d = 2
     while d * d <= n:
         while n % d == 0:
-            out[d] = out.get(d, 0) + 1
+            out[d] += 1
             n //= d
         d += 1
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] += 1
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class Subgroup:
     """Subgroup of a parent group, stored by its member set."""
 
-    __slots__ = ("parent", "members", "order")
+    parent: Group
+    members: GroupSet
+    verified: InitVar[bool] = False
+    order: int = field(init=False, compare=False)
 
-    def __init__(self, parent: Group, members: GroupSet, verified: bool = False):
+    def __post_init__(self, verified: bool):
+        parent, members = self.parent, self.members
         if members.group != parent:
             raise ValueError("member set belongs to a different group")
         if 0 not in members:
@@ -204,12 +208,7 @@ class Subgroup:
             raise ValueError(f"size {m} cannot divide group order {parent.order}")
         if not verified:
             _check_closure(parent, members)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "members", members)
         object.__setattr__(self, "order", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgroup is immutable")
 
     @classmethod
     def trivial(cls, parent: Group) -> "Subgroup":
@@ -221,16 +220,6 @@ class Subgroup:
 
     def __contains__(self, e: int) -> bool:
         return e in self.members
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent == other.parent
-            and self.members.mask == other.members.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parent, self.members.mask))
 
     def __repr__(self) -> str:
         return f"Subgroup(order {self.order} of {self.parent.spec_string()})"
@@ -298,13 +287,17 @@ def coset_representatives(h: Subgroup) -> GroupSet:
     return GroupSet(group, box)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Homomorphism:
     """Additive map between groups, given by images of the domain generators."""
 
-    __slots__ = ("domain", "codomain", "images")
+    domain: Group
+    codomain: Group
+    images: tuple[int, ...]
 
-    def __init__(self, domain: Group, codomain: Group, images: Sequence[int]):
-        images = tuple(int(x) for x in images)
+    def __post_init__(self):
+        domain, codomain = self.domain, self.codomain
+        images = tuple(int(x) for x in self.images)
         if len(images) != len(domain.factors):
             raise ValueError(
                 f"need {len(domain.factors)} generator images, got {len(images)}"
@@ -316,12 +309,7 @@ class Homomorphism:
                 raise ValueError(
                     f"image {img} has order not dividing generator order {d}"
                 )
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Homomorphism is immutable")
 
     def apply(self, e: int) -> int:
         out = 0
@@ -514,19 +502,9 @@ def abelian_groups_of_order(n: int) -> list[Group]:
     """One group per isomorphism class of abelian groups of order n."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    if n == 1:
-        return [Group([])]
-    prime_options: list[list[tuple[int, ...]]] = []
-    for p, e in sorted(_prime_factorization(n).items()):
-        options = [tuple(p ** part for part in parts) for parts in _partitions(e)]
-        prime_options.append(options)
-    groups: list[Group] = []
-    def build(idx: int, acc: tuple[int, ...]):
-        if idx == len(prime_options):
-            groups.append(Group(sorted(acc)))
-            return
-        for opt in prime_options[idx]:
-            build(idx + 1, acc + opt)
-    build(0, ())
+    prime_options = [[tuple(p ** part for part in parts) for parts in _partitions(e)]
+                     for p, e in sorted(_prime_factorization(n).items())]
+    groups = [Group(sorted(chain.from_iterable(combo)))
+              for combo in product(*prime_options)]
     groups.sort(key=lambda g: g.factors)
     return groups

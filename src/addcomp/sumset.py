@@ -9,6 +9,8 @@ checks, coverage, supplement tests) reduces to these kernels.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -183,11 +185,7 @@ def _private_points_by_complement(group: "Group", w: int, elements: list) -> Pri
     full = group.full_mask
     holes = list(bits_of(full & ~w))
     add = group.add
-    count: dict[int, int] = {}
-    for z in holes:
-        for e in elements:
-            x = add(z, e)
-            count[x] = count.get(x, 0) + 1
+    count = Counter(add(z, e) for z in holes for e in elements)
     uncovered = [x for x, m in count.items() if m == k]
     covered = full & ~mask_of(n, uncovered) if uncovered else full
     if k == 1:  # every covered point is covered once
@@ -226,21 +224,18 @@ def negated_mask(group: "Group", mask: int) -> int:
     return out
 
 
+@dataclass(frozen=True, slots=True)
 class GroupSet:
     """Immutable subset of a finite abelian group, stored as a bitmask."""
 
-    __slots__ = ("group", "mask")
+    group: Group
+    mask: int
 
-    def __init__(self, group: "Group", mask: int):
-        if mask < 0 or mask >> group.order:
+    def __post_init__(self):
+        if self.mask < 0 or self.mask >> self.group.order:
             raise ValueError(
-                f"mask 0x{mask:x} does not fit a group of order {group.order}"
+                f"mask 0x{self.mask:x} does not fit a group of order {self.group.order}"
             )
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupSet is immutable")
 
     @classmethod
     def from_elements(cls, group: "Group", elements: Iterable[int]) -> "GroupSet":
@@ -304,16 +299,6 @@ class GroupSet:
     def __sub__(self, other: "GroupSet") -> "GroupSet":
         _same_group(self, other)
         return GroupSet(self.group, self.mask & ~other.mask)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupSet)
-            and self.group == other.group
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.mask))
 
     def __repr__(self) -> str:
         size = len(self)
@@ -409,6 +394,7 @@ def array_to_mask(arr: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CoverageProfile:
     """Per-element representation counts for a pair (W, C).
 
@@ -418,11 +404,8 @@ class CoverageProfile:
     which keeps the narrow counters honest.
     """
 
-    __slots__ = ("group", "counts")
-
-    def __init__(self, group: "Group", counts: np.ndarray):
-        self.group = group
-        self.counts = counts
+    group: Group
+    counts: np.ndarray
 
     def count(self, g: int) -> int:
         return int(self.counts[g])

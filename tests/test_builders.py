@@ -575,6 +575,17 @@ def test_lift_integer_window_safe_mode():
     assert is_minimal_complement_for(lift.witness, lift.residues)
 
 
+@pytest.mark.parametrize("ints, modulus", [([0, 3202], 6406), ([3, 9, 100000], 199996)])
+@pytest.mark.parametrize("mode", ["minimal", "safe"])
+def test_lift_integer_window_wider_than_safe_modulus(ints, modulus, mode):
+    # the diameter exceeds 100*k^4 + 1, so both modes land on M = diameter + 1
+    lift = lift_integer_window(ints, mode=mode)
+    assert lift.modulus == modulus
+    assert lift.skipped == ()
+    assert lift.residues == _gs(Group([modulus]), [x % modulus for x in ints])
+    assert is_minimal_complement_for(lift.witness, lift.residues)
+
+
 def test_lift_integer_window_rejects_bad_input():
     with pytest.raises(ValueError):
         lift_integer_window([])

@@ -262,6 +262,12 @@ def test_scan_threshold_csv_file(tmp_path, capsys):
     assert lines[0].startswith("p,") and len(lines) == 2
 
 
+def test_scan_threshold_empty_grid_exit_1(capsys):
+    code, env, err = run(capsys, "scan-threshold", "--group", "4", "--grid", ",")
+    assert code == 1 and env is None
+    assert err == "error: need at least one density\n"
+
+
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
 def test_scan_threshold_unwritable_path_exit_1(tmp_path, capsys, flag):
     target = tmp_path / "missing" / "scan.txt"
@@ -294,6 +300,19 @@ def test_lift_z_negative_ints_either_spelling(capsys):
         env.pop("timing_ms")
         outs.append(env)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("ints, modulus", [("0,3202", 6406), ("3,9,100000", 199996)])
+@pytest.mark.parametrize("mode", ["minimal", "safe"])
+def test_lift_z_wider_than_safe_modulus(capsys, ints, modulus, mode):
+    code, env, err = run(capsys, "lift-z", "--ints", ints, "--mode", mode)
+    assert code == 0 and err == ""
+    result = env["result"]
+    assert result["modulus"] == modulus
+    group = Group([modulus])
+    w = GroupSet(group, int(result["witness"], 16))
+    residues = GroupSet(group, int(result["residues"], 16))
+    assert is_minimal_complement_for(w, residues)
 
 
 def test_lift_z_safe_mode_random_build(capsys):

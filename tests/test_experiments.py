@@ -49,6 +49,8 @@ def test_scan_rejects_bad_args():
         scan_threshold(g, trials=0)
     with pytest.raises(ValueError):
         scan_threshold(g, p_values=[1.5])
+    with pytest.raises(ValueError, match="need at least one density"):
+        scan_threshold(g, p_values=[])
 
 
 def test_report_serializations():

@@ -90,12 +90,9 @@ def test_arithmetic_rejects_out_of_range(factors):
     for bad in (-1, g.order):
         for call in (lambda: g.add(bad, 0), lambda: g.add(0, bad),
                      lambda: g.sub(bad, 0), lambda: g.sub(0, bad),
-                     lambda: g.neg(bad)):
+                     lambda: g.neg(bad), lambda: g.scale(bad, 3)):
             with pytest.raises(ValueError):
                 call()
-        if len(factors) > 1:
-            with pytest.raises(ValueError):
-                g.scale(bad, 3)
 
 
 def _closure_oracle(g, gens):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addcomp.complements import is_minimal_complement_for
-from addcomp.groups import Group
+from addcomp.groups import Group, Homomorphism, subgroup_generated
 from addcomp.oracle import (naive_coverage, naive_difference_set, naive_sumset,
                             oracle_is_minimal_complement_for)
 from addcomp.sumset import (GroupSet, array_to_mask, bits_of, coverage,
@@ -107,11 +107,42 @@ def test_groupset_ops():
     assert 1 in a and 3 not in a
 
 
-def test_groupset_immutable():
-    g = Group([6])
-    a = GroupSet.from_elements(g, [0, 1])
+G4X25 = Group([4, 25])
+
+# Each entry builds one value twice from separate inputs (call 0 and 1),
+# names a field, and says whether equality is by value or by identity.
+VALUE_TYPES = {
+    "Group": (lambda i: Group([4, 25] if i else (4, 25)), "factors", True),
+    "GroupSet": (lambda i: GroupSet(G4X25, 5) if i
+                 else GroupSet.from_elements(G4X25, [2, 0]), "mask", True),
+    "Subgroup": (lambda i: subgroup_generated(GroupSet.singleton(G4X25, 4 + 4 * i)),
+                 "members", True),
+    "Homomorphism": (lambda i: Homomorphism(G4X25, Group([25]), [0, 1]),
+                     "images", False),
+    "CoverageProfile": (lambda i: coverage(GroupSet.full(G4X25), GroupSet(G4X25, 1)),
+                        "counts", False),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUE_TYPES))
+def test_value_types_are_immutable(name):
+    make, field, by_value = VALUE_TYPES[name]
+    a, b = make(0), make(1)
     with pytest.raises(AttributeError):
-        a.mask = 7
+        setattr(a, field, getattr(b, field))
+    if by_value:
+        assert a is not b and a == b and hash(a) == hash(b)
+    else:
+        assert a == a and a != b
+
+
+def test_value_type_reprs():
+    assert repr(G4X25) == "Group(4x25)"
+    assert repr(GroupSet.from_elements(G4X25, [0, 2])) == "GroupSet(4x25, {0, 2})"
+    assert (repr(subgroup_generated(GroupSet.singleton(G4X25, 1)))
+            == "Subgroup(order 4 of 4x25)")
+    assert (repr(Homomorphism(G4X25, Group([25]), [0, 1]))
+            == "Homomorphism(4x25 -> 25, images=[0, 1])")
 
 
 def test_groupset_rejects_out_of_range_mask():
