@@ -16,16 +16,15 @@ import json
 import os
 import sys
 import time
-from typing import Optional
 
 from . import __version__
 from .builders import (APDescriptor, ap_decide_and_build, lift_integer_window,
                        pair_witness_check, random_witness, trace_fields)
 from .complements import compute_tmin, exists_witness, tmin_of_order
-from .decision import UNKNOWN, YES, DecisionCertificate, SearchBudget
+from .decision import UNKNOWN, DecisionCertificate, SearchBudget
 from .experiments import (report_to_csv, report_to_dict, report_to_json,
                           scan_threshold)
-from .literals import LiteralError, parse_element, parse_group, parse_set
+from .literals import parse_element, parse_group, parse_set
 from .sumset import GroupSet, private_points, progression_sum
 from .supplements import (is_maximal_supplement_for, is_supplement,
                           maximal_supplement_witness)
@@ -82,21 +81,24 @@ def _render(envelope: dict) -> list[str]:
     return pieces
 
 
-def _certificate_json(cert: DecisionCertificate) -> dict:
-    return {
+def _answer(cert: DecisionCertificate) -> tuple[dict, int]:
+    """The result field for a certificate, and its exit code (2 if unknown)."""
+    fields = {
         "problem": cert.problem,
         "verdict": cert.verdict,
         "method": cert.method,
         "witness": cert.witness,
         "detail": cert.detail,
     }
+    return {"certificate": fields}, 2 if cert.verdict == UNKNOWN else 0
 
 
-def _budget(args) -> Optional[SearchBudget]:
-    cap = getattr(args, "max_candidates", None)
-    if cap is None:
-        return None
-    return SearchBudget(max_candidates=cap)
+def _numbers(text: str, convert, what: str) -> list:
+    """The comma-separated numbers in text, empty entries skipped."""
+    try:
+        return [convert(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise _UsageError(f"bad {what}: {exc}")
 
 
 def _cmd_check(args):
@@ -121,9 +123,8 @@ def _cmd_check(args):
 def _cmd_witness(args):
     group = parse_group(args.group)
     c = parse_set(group, args.c)
-    cert = exists_witness(c, _budget(args))
-    code = 0 if cert.verdict != UNKNOWN else 2
-    return group, {"c": c}, {"certificate": _certificate_json(cert)}, None, code
+    result, code = _answer(exists_witness(c, SearchBudget(args.max_candidates)))
+    return group, {"c": c}, result, None, code
 
 
 def _cmd_ap(args):
@@ -136,9 +137,9 @@ def _cmd_ap(args):
         raise _UsageError("progression revisits an element; shorten it")
     c = GroupSet(group, progression_sum(group, 1 << start, step, args.len))
     ap = APDescriptor(c, start, step if args.len > 1 else 0, args.len)
-    cert = ap_decide_and_build(ap)
+    result, code = _answer(ap_decide_and_build(ap))
     return (group, {"start": start, "step": step, "len": args.len, "c": ap.set},
-            {"certificate": _certificate_json(cert)}, None, 0)
+            result, None, code)
 
 
 def _cmd_pair(args):
@@ -168,9 +169,8 @@ def _cmd_supplement(args):
             "maximal": is_maximal_supplement_for(w, c),
         }
         return group, {"c": c, "w": w}, result, None, 0
-    cert = maximal_supplement_witness(c, _budget(args))
-    code = 0 if cert.verdict != UNKNOWN else 2
-    return group, {"c": c}, {"certificate": _certificate_json(cert)}, None, code
+    result, code = _answer(maximal_supplement_witness(c, SearchBudget(args.max_candidates)))
+    return group, {"c": c}, result, None, code
 
 
 def _cmd_tmin(args):
@@ -178,7 +178,7 @@ def _cmd_tmin(args):
         raise _UsageError("give exactly one of --group or --order")
     if args.group is not None:
         group = parse_group(args.group)
-        rep = compute_tmin(group, _budget(args))
+        rep = compute_tmin(group, SearchBudget(args.max_candidates))
         result = {
             "value": rep.value,
             "exact": rep.exact,
@@ -186,7 +186,7 @@ def _cmd_tmin(args):
             "subsets_checked": rep.subsets_checked,
         }
         return group, {}, result, None, 0 if rep.exact else 2
-    value, exact, reports = tmin_of_order(args.order, _budget(args))
+    value, exact, reports = tmin_of_order(args.order, SearchBudget(args.max_candidates))
     result = {
         "value": value,
         "exact": exact,
@@ -198,31 +198,21 @@ def _cmd_tmin(args):
 
 def _cmd_scan_threshold(args):
     group = parse_group(args.group)
-    grid = None
-    if args.grid:
-        try:
-            grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise _UsageError(f"bad grid: {exc}")
+    grid = None if args.grid is None else _numbers(args.grid, float, "grid")
     report = scan_threshold(group, grid, trials=args.trials, seed=args.seed,
-                            budget=_budget(args))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report_to_json(report))
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report_to_csv(report))
+                            budget=SearchBudget(args.max_candidates))
+    for path, render in ((args.out, report_to_json), (args.csv, report_to_csv)):
+        if path:
+            with open(path, "w") as fh:
+                fh.write(render(report))
     code = 2 if any(row.unknown for row in report.rows) else 0
     return (group, {"trials": args.trials}, {"report": report_to_dict(report)},
             args.seed, code)
 
 
 def _cmd_lift_z(args):
-    try:
-        ints = [int(tok) for tok in args.ints.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad integer list: {exc}")
-    lift = lift_integer_window(ints, mode=args.mode, budget=_budget(args))
+    ints = _numbers(args.ints, int, "integer list")
+    lift = lift_integer_window(ints, mode=args.mode, budget=SearchBudget(args.max_candidates))
     group = lift.witness.group
     result = {
         "modulus": lift.modulus,
@@ -235,71 +225,57 @@ def _cmd_lift_z(args):
     return group, {"ints": list(lift.c_ints)}, result, None, 0
 
 
+# A flag is (option, add_argument keywords); flags shared by commands are
+# declared once here.
+_GROUP = ("--group", {})
+_C = ("--c", {})
+_W = ("--w", {})
+_SEED = ("--seed", {"type": int, "default": 0})
+_MAX_CANDIDATES = ("--max-candidates",
+                   {"type": int, "default": SearchBudget().max_candidates})
+
+# One entry per command: (name, handler, help, required flags, optional
+# flags).  --help lists the required flags first, each group in order.
+_COMMANDS = (
+    ("check", _cmd_check, "check a (W, C) pair", (_GROUP, _W, _C), ()),
+    ("witness", _cmd_witness, "decide whether C has any witness W",
+     (_GROUP, _C), (_MAX_CANDIDATES,)),
+    ("ap", _cmd_ap, "decide a progression and build its witness",
+     (_GROUP, ("--start", {}), ("--step", {}), ("--len", {"type": int})), ()),
+    ("pair", _cmd_pair, "test C against the witness {0, a}",
+     (_GROUP, _C, ("--a", {})), ()),
+    ("random-build", _cmd_random_build, "randomized witness for large groups",
+     (_GROUP, _C, ("--s", {"type": int})),
+     (("--retries", {"type": int, "default": 10}), _SEED)),
+    ("supplement", _cmd_supplement, "supplement checks and witnesses",
+     (_GROUP, _C), (_W, _MAX_CANDIDATES)),
+    ("tmin", _cmd_tmin, "largest all-small-sets threshold",
+     (), (_GROUP, ("--order", {"type": int}), _MAX_CANDIDATES)),
+    ("scan-threshold", _cmd_scan_threshold, "random-density scan",
+     (_GROUP,), (("--trials", {"type": int, "default": 200}), _SEED, ("--grid", {}),
+                 ("--out", {}), ("--csv", {}), _MAX_CANDIDATES)),
+    ("lift-z", _cmd_lift_z, "realize integers as a cyclic minimal complement",
+     (("--ints", {}),),
+     (("--mode", {"choices": ["minimal", "safe"], "default": "minimal"}), _MAX_CANDIDATES)),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="addcomp",
                      description="Minimal complements and maximal supplements "
                                  "in finite abelian groups.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, func, help_text, required, optional in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    p = add("check", _cmd_check, "check a (W, C) pair")
-    p.add_argument("--group", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--c", required=True)
-
-    p = add("witness", _cmd_witness, "decide whether C has any witness W")
-    p.add_argument("--group", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--max-candidates", type=int)
-
-    p = add("ap", _cmd_ap, "decide a progression and build its witness")
-    p.add_argument("--group", required=True)
-    p.add_argument("--start", required=True)
-    p.add_argument("--step", required=True)
-    p.add_argument("--len", type=int, required=True)
-
-    p = add("pair", _cmd_pair, "test C against the witness {0, a}")
-    p.add_argument("--group", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--a", required=True)
-
-    p = add("random-build", _cmd_random_build, "randomized witness for large groups")
-    p.add_argument("--group", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--retries", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("supplement", _cmd_supplement, "supplement checks and witnesses")
-    p.add_argument("--group", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--w")
-    p.add_argument("--max-candidates", type=int)
-
-    p = add("tmin", _cmd_tmin, "largest all-small-sets threshold")
-    p.add_argument("--group")
-    p.add_argument("--order", type=int)
-    p.add_argument("--max-candidates", type=int)
-
-    p = add("scan-threshold", _cmd_scan_threshold, "random-density scan")
-    p.add_argument("--group", required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid")
-    p.add_argument("--out")
-    p.add_argument("--csv")
-    p.add_argument("--max-candidates", type=int)
-
-    p = add("lift-z", _cmd_lift_z, "realize integers as a cyclic minimal complement")
-    p.add_argument("--ints", required=True)
-    p.add_argument("--mode", choices=["minimal", "safe"], default="minimal")
-    p.add_argument("--max-candidates", type=int)
-
+        for option, keywords in required:
+            p.add_argument(option, required=True, **keywords)
+        for option, keywords in optional:
+            p.add_argument(option, **keywords)
     return parser
+
+
+_PARSER = _build_parser()  # built once: main may run many times per process
 
 
 def _glue_negative_ints(argv: list) -> list:
@@ -318,16 +294,9 @@ def _glue_negative_ints(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_glue_negative_ints(sys.argv[1:] if argv is None else argv))
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    started = time.perf_counter()
-    try:
+        args = _PARSER.parse_args(_glue_negative_ints(sys.argv[1:] if argv is None else argv))
+        started = time.perf_counter()
         group, inputs, result, seed, code = args.func(args)
         envelope = {
             "version": __version__,
@@ -339,7 +308,9 @@ def main(argv=None) -> int:
             "seed": seed,
         }
         pieces = _render(envelope)
-    except (_UsageError, LiteralError, ValueError, OSError) as exc:
+    except SystemExit as exc:  # --help, or argparse's own exit
+        return 0 if exc.code in (0, None) else 1
+    except (_UsageError, ValueError, OSError) as exc:  # LiteralError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

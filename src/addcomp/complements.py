@@ -229,7 +229,8 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
                 "candidates": checked})
     else:
         s = max(1, math.ceil(1.5 * math.log(n)))
-        if builders.check_feasibility(n, k, s).feasible:
+        # feasibility needs its first term s^2 k^3 / n below 1 (the others are >= 0)
+        if s * s * k ** 3 < n and builders.check_feasibility(n, k, s).feasible:
             # the low 64 bits of C: & reads only those, % divides the n-bit mask
             seed = derive_seed(0x57A97E55, n, k, c.mask & ((1 << 64) - 1))
             trace = builders.random_witness(c, s, max_retries=10, seed=seed)

@@ -25,21 +25,29 @@ class LiteralError(ValueError):
     """Raised when a group, element, or set literal cannot be read."""
 
 
+def _integer(token: str, message: str) -> int:
+    """ASCII decimal digits after an optional "-"; else LiteralError(message)."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise LiteralError(message)
+    return int(token)
+
+
 def parse_group(text: str) -> Group:
     t = text.strip()
     if not t:
         raise LiteralError("empty group spec")
     if t == "1":
         return Group([])
-    parts = t.split("x")
     factors = []
-    for p in parts:
+    for p in t.split("x"):
         p = p.strip()
-        if not p.isdigit():
-            raise LiteralError(f"bad factor {p!r} in group spec {text!r}")
-        d = int(p)
+        bad = f"bad factor {p!r} in group spec {text!r}"
+        d = _integer(p, bad)
         if d < 2:
-            raise LiteralError(f"factor {d} in group spec {text!r} must be >= 2")
+            # a signed factor is malformed, not merely too small
+            raise LiteralError(bad if p.startswith("-") else
+                               f"factor {d} in group spec {text!r} must be >= 2")
         factors.append(d)
     return Group(factors)
 
@@ -48,33 +56,21 @@ def parse_element(group: Group, text: str) -> int:
     t = text.strip()
     if not t:
         raise LiteralError("empty element literal")
-    if t.startswith("("):
-        if not t.endswith(")"):
-            raise LiteralError(f"unclosed tuple in element literal {text!r}")
-        inner = t[1:-1].strip()
-        parts = [p.strip() for p in inner.split(",")] if inner else []
-        parts = [p for p in parts if p]
-        coords = []
-        for p in parts:
-            neg = p.startswith("-")
-            digits = p[1:] if neg else p
-            if not digits.isdigit():
-                raise LiteralError(f"bad coordinate {p!r} in {text!r}")
-            coords.append(-int(digits) if neg else int(digits))
-        if len(coords) != len(group.factors):
-            raise LiteralError(
-                f"{text!r} has {len(coords)} coordinates, "
-                f"group {group.spec_string()} needs {len(group.factors)}"
-            )
-        return group.index_of(coords)
-    neg = t.startswith("-")
-    digits = t[1:] if neg else t
-    if not digits.isdigit():
-        raise LiteralError(f"bad element literal {text!r}")
-    v = int(digits)
-    if neg:
-        v = -v
-    return v % group.order
+    if not t.startswith("("):
+        return _integer(t, f"bad element literal {text!r}") % group.order
+    if not t.endswith(")"):
+        raise LiteralError(f"unclosed tuple in element literal {text!r}")
+    coords = []
+    for p in t[1:-1].split(","):
+        p = p.strip()
+        if p:
+            coords.append(_integer(p, f"bad coordinate {p!r} in {text!r}"))
+    if len(coords) != len(group.factors):
+        raise LiteralError(
+            f"{text!r} has {len(coords)} coordinates, "
+            f"group {group.spec_string()} needs {len(group.factors)}"
+        )
+    return group.index_of(coords)
 
 
 def parse_set(group: Group, text: str) -> GroupSet:
@@ -82,9 +78,8 @@ def parse_set(group: Group, text: str) -> GroupSet:
     if not t:
         raise LiteralError("empty set literal")
     if t.lower().startswith("0x"):
-        body = t[2:]
         try:
-            mask = int(body, 16)
+            mask = int(t[2:], 16)
         except ValueError:
             raise LiteralError(f"bad hex mask {text!r}") from None
         if mask >> group.order:
@@ -96,37 +91,31 @@ def parse_set(group: Group, text: str) -> GroupSet:
         raise LiteralError(
             f"set literal {text!r} must be '{{...}}' or a 0x hex mask"
         )
-    inner = t[1:-1]
     mask = 0
-    for piece in _split_top_level(inner):
+    for piece in _split_top_level(t[1:-1]):
         mask |= 1 << parse_element(group, piece)
     return GroupSet(group, mask)
 
 
 def _split_top_level(text: str) -> list[str]:
-    out = []
+    """The non-blank pieces of text between commas outside parentheses."""
+    pieces = []
     depth = 0
-    cur = []
-    for ch in text:
+    start = 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise LiteralError(f"unbalanced parens in {text!r}")
-        if ch == "," and depth == 0:
-            piece = "".join(cur).strip()
-            if piece:
-                out.append(piece)
-            cur = []
-        else:
-            cur.append(ch)
+        elif ch == "," and depth == 0:
+            pieces.append(text[start:i].strip())
+            start = i + 1
     if depth != 0:
         raise LiteralError(f"unbalanced parens in {text!r}")
-    piece = "".join(cur).strip()
-    if piece:
-        out.append(piece)
-    return out
+    pieces.append(text[start:].strip())
+    return [piece for piece in pieces if piece]
 
 
 def format_element(group: Group, e: int) -> str:

@@ -345,6 +345,21 @@ def test_check_feasibility_anchors():
         check_feasibility(0, 1, 1)
 
 
+def test_feasible_only_when_first_term_below_one():
+    # exists_witness skips check_feasibility unless s^2 k^3 < n
+    for k in range(1, 40):
+        for s in range(1, 40):
+            edge = s * s * k ** 3
+            for n in (edge - 1, edge, edge + 1, 10 ** 4, 10 ** 6, 2 ** 24, 10 ** 12):
+                if n >= 1 and check_feasibility(n, k, s).feasible:
+                    assert edge < n, (n, k, s)
+    for n in range(2, 5000):
+        s = max(1, math.ceil(1.5 * math.log(n)))
+        for k in range(1, 20):
+            if check_feasibility(n, k, s).feasible:
+                assert s * s * k ** 3 < n, (n, k, s)
+
+
 def test_feasibility_overflow_guard():
     rep = check_feasibility(2, 1000, 1000)
     assert rep.term1 > 0 and not rep.feasible

@@ -108,6 +108,40 @@ def test_help_exits_0(capsys):
     assert code == 0
 
 
+# sha256 of each --help text at 80 columns
+HELP_DIGESTS = {
+    (): "a96735d1aed649c923a7587f37a7b514d3ed11601e720b76129d5148f6214afe",
+    ("check",): "8fa79e951ea5b72f757c9b31e652ff3891718ef2cfd7cc3a80e126caad598d58",
+    ("witness",): "875d130b73d6e2d11c89393a7ed6e795d6a0a1c608222d700ae7bfa175a191da",
+    ("ap",): "e71b4a5d3502dde07125500e778ad102f1ae21fe3d12e0c4e5ce191deada0c5c",
+    ("pair",): "c4b48ea6e84b7303abb46aef2e197e3190b9ba5a2077f5ff17ad62e05041aafb",
+    ("random-build",): "6b430cf7fcf5c69e9187237bb9b3ff30818da2bd20d11478ca6d859b0c661c92",
+    ("supplement",): "18f9a7e3fe93d0cd7da58ca7a67c4b15e16bdcb9dbea847eca481cb08397b739",
+    ("tmin",): "f97e8c11aee52f8200c2c9dd67bb30957b19e20e78157e82065869f9bcad1cd8",
+    ("scan-threshold",): "7314da162ef74191cca7e21993591159b38c4a4270360125b2f5f5c0bfc74650",
+    ("lift-z",): "19ca23e7a8eb6bd542bde14afdabb7a41d3630cd9a6501cf0ba339f1b2b713b2",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_DIGESTS))
+def test_help_texts_are_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main([*command, "--help"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert sha256(captured.out) == HELP_DIGESTS[command]
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    def no_rebuild():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", no_rebuild)
+    for _ in range(2):
+        code, env, err = run(capsys, "witness", "--group", "6", "--c", "{0,1,2}")
+        assert code == 0 and err == "" and env["command"] == "witness"
+
+
 def test_ap_command(capsys):
     code, env, _ = run(capsys, "ap", "--group", "6", "--start", "0",
                        "--step", "1", "--len", "3")
@@ -263,9 +297,10 @@ def test_scan_threshold_csv_file(tmp_path, capsys):
 
 
 def test_scan_threshold_empty_grid_exit_1(capsys):
-    code, env, err = run(capsys, "scan-threshold", "--group", "4", "--grid", ",")
-    assert code == 1 and env is None
-    assert err == "error: need at least one density\n"
+    for grid in (",", ""):
+        code, env, err = run(capsys, "scan-threshold", "--group", "4", "--grid", grid)
+        assert code == 1 and env is None
+        assert err == "error: need at least one density\n"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
@@ -348,6 +383,9 @@ def test_literal_errors_exit_1(capsys):
     code, _, err = run(capsys, "check", "--group", "6", "--w", "0x100",
                        "--c", "{0}")
     assert code == 1 and "beyond group order" in err
+    code, env, err = run(capsys, "witness", "--group", "²", "--c", "{0}")
+    assert code == 1 and env is None
+    assert err == "error: bad factor '²' in group spec '²'\n"
 
 
 HUGE_WITNESS = ("witness", "--group", "16777216", "--c", "{0,8839392,9786826}")

@@ -18,6 +18,18 @@ def test_parse_group():
         parse_group("0")
     with pytest.raises(LiteralError):
         parse_group("")
+    with pytest.raises(LiteralError, match="bad factor '-3'"):
+        parse_group("2x-3")
+
+
+def test_non_ascii_digits_are_literal_errors():
+    # str.isdigit passes these; int() rejects "²" and reads "٣" as 3
+    with pytest.raises(LiteralError, match="bad factor '²'"):
+        parse_group("²")
+    with pytest.raises(LiteralError, match="bad element literal '٣'"):
+        parse_element(Group([6]), "٣")
+    with pytest.raises(LiteralError, match="bad coordinate '²'"):
+        parse_element(Group([2, 3]), "(1,²)")
 
 
 def test_parse_element_wraps_mod_order():
