@@ -288,7 +288,10 @@ def trace_to_json(trace: RandomBuildTrace) -> dict:
             for key, value in trace_fields(trace).items()}
 
 
-def random_witness(c: GroupSet, s: int, max_retries: int = 10,
+RANDOM_RETRIES = 10  # attempts of random_witness, in the library and the CLI
+
+
+def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
                    seed: int = 0) -> RandomBuildTrace:
     """Randomized witness for large groups, verified before acceptance.
 

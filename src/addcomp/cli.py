@@ -18,13 +18,14 @@ import sys
 import time
 
 from . import __version__
-from .builders import (APDescriptor, ap_decide_and_build, lift_integer_window,
-                       pair_witness_check, random_witness, trace_fields)
+from .builders import (RANDOM_RETRIES, APDescriptor, ap_decide_and_build,
+                       lift_integer_window, pair_witness_check, random_witness,
+                       trace_fields)
 from .complements import compute_tmin, exists_witness, tmin_of_order
 from .decision import UNKNOWN, DecisionCertificate, SearchBudget
 from .experiments import (report_to_csv, report_to_dict, report_to_json,
                           scan_threshold)
-from .literals import parse_element, parse_group, parse_set
+from .literals import _integer, parse_element, parse_group, parse_set
 from .sumset import GroupSet, private_points, progression_sum
 from .supplements import (is_maximal_supplement_for, is_supplement,
                           maximal_supplement_witness)
@@ -91,6 +92,21 @@ def _answer(cert: DecisionCertificate) -> tuple[dict, int]:
         "detail": cert.detail,
     }
     return {"certificate": fields}, 2 if cert.verdict == UNKNOWN else 0
+
+
+def _int(text: str) -> int:
+    """An --ints token or integer flag, read by the literals' integer rule."""
+    return _integer(text.strip(), f"invalid int value: {text!r}")
+
+
+_int.__name__ = "int"  # argparse says "invalid int value: ...", as _int does
+
+
+def _density(text: str) -> float:
+    """A --grid token: float's reading of ASCII text without "_"."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def _numbers(text: str, convert, what: str) -> list:
@@ -198,7 +214,7 @@ def _cmd_tmin(args):
 
 def _cmd_scan_threshold(args):
     group = parse_group(args.group)
-    grid = None if args.grid is None else _numbers(args.grid, float, "grid")
+    grid = None if args.grid is None else _numbers(args.grid, _density, "grid")
     report = scan_threshold(group, grid, trials=args.trials, seed=args.seed,
                             budget=SearchBudget(args.max_candidates))
     for path, render in ((args.out, report_to_json), (args.csv, report_to_csv)):
@@ -211,7 +227,7 @@ def _cmd_scan_threshold(args):
 
 
 def _cmd_lift_z(args):
-    ints = _numbers(args.ints, int, "integer list")
+    ints = _numbers(args.ints, _int, "integer list")
     lift = lift_integer_window(ints, mode=args.mode, budget=SearchBudget(args.max_candidates))
     group = lift.witness.group
     result = {
@@ -230,9 +246,9 @@ def _cmd_lift_z(args):
 _GROUP = ("--group", {})
 _C = ("--c", {})
 _W = ("--w", {})
-_SEED = ("--seed", {"type": int, "default": 0})
+_SEED = ("--seed", {"type": _int, "default": 0})
 _MAX_CANDIDATES = ("--max-candidates",
-                   {"type": int, "default": SearchBudget().max_candidates})
+                   {"type": _int, "default": SearchBudget().max_candidates})
 
 # One entry per command: (name, handler, help, required flags, optional
 # flags).  --help lists the required flags first, each group in order.
@@ -241,18 +257,18 @@ _COMMANDS = (
     ("witness", _cmd_witness, "decide whether C has any witness W",
      (_GROUP, _C), (_MAX_CANDIDATES,)),
     ("ap", _cmd_ap, "decide a progression and build its witness",
-     (_GROUP, ("--start", {}), ("--step", {}), ("--len", {"type": int})), ()),
+     (_GROUP, ("--start", {}), ("--step", {}), ("--len", {"type": _int})), ()),
     ("pair", _cmd_pair, "test C against the witness {0, a}",
      (_GROUP, _C, ("--a", {})), ()),
     ("random-build", _cmd_random_build, "randomized witness for large groups",
-     (_GROUP, _C, ("--s", {"type": int})),
-     (("--retries", {"type": int, "default": 10}), _SEED)),
+     (_GROUP, _C, ("--s", {"type": _int})),
+     (("--retries", {"type": _int, "default": RANDOM_RETRIES}), _SEED)),
     ("supplement", _cmd_supplement, "supplement checks and witnesses",
      (_GROUP, _C), (_W, _MAX_CANDIDATES)),
     ("tmin", _cmd_tmin, "largest all-small-sets threshold",
-     (), (_GROUP, ("--order", {"type": int}), _MAX_CANDIDATES)),
+     (), (_GROUP, ("--order", {"type": _int}), _MAX_CANDIDATES)),
     ("scan-threshold", _cmd_scan_threshold, "random-density scan",
-     (_GROUP,), (("--trials", {"type": int, "default": 200}), _SEED, ("--grid", {}),
+     (_GROUP,), (("--trials", {"type": _int, "default": 200}), _SEED, ("--grid", {}),
                  ("--out", {}), ("--csv", {}), _MAX_CANDIDATES)),
     ("lift-z", _cmd_lift_z, "realize integers as a cyclic minimal complement",
      (("--ints", {}),),
@@ -312,6 +328,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     except (_UsageError, ValueError, OSError) as exc:  # LiteralError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; the group or set is too large", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -233,7 +233,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         if s * s * k ** 3 < n and builders.check_feasibility(n, k, s).feasible:
             # the low 64 bits of C: & reads only those, % divides the n-bit mask
             seed = derive_seed(0x57A97E55, n, k, c.mask & ((1 << 64) - 1))
-            trace = builders.random_witness(c, s, max_retries=10, seed=seed)
+            trace = builders.random_witness(c, s, seed=seed)
             if trace.result is not None:
                 return yes(problem, "random-build", trace.result, c,
                            s=s, retries=trace.retries_used)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Sequence
 
@@ -78,26 +79,17 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
     rows = []
     for pi, p in enumerate(grid):
         threshold = min(int(p * 2.0 ** 64), 1 << 64)
-        skipped = yes = no = unknown = 0
+        counts = Counter()  # verdicts of this density's draws, "skipped" if empty
         size_total = 0
         for t in range(trials):
             rng = SplitMix64(derive_seed(seed, pi, t))
             c = _draw(group, rng, threshold)
-            if not c:
-                skipped += 1
-                continue
+            counts[verdict_of(c) if c else "skipped"] += 1
             size_total += len(c)
-            verdict = verdict_of(c)
-            if verdict == YES:
-                yes += 1
-            elif verdict == NO:
-                no += 1
-            else:
-                unknown += 1
-        drawn = trials - skipped
+        drawn = trials - counts["skipped"]
         rows.append(ScanRow(
-            p=p, trials=trials, skipped=skipped, yes=yes, no=no,
-            unknown=unknown, freq_yes=yes / trials,
+            p=p, trials=trials, skipped=counts["skipped"], yes=counts[YES],
+            no=counts[NO], unknown=counts[UNKNOWN], freq_yes=counts[YES] / trials,
             mean_size=(size_total / drawn) if drawn else 0.0))
     return ScanReport(group, seed, trials, tuple(rows))
 

@@ -8,6 +8,8 @@ braced element list "{0, 3, (1,2)}" or a hex mask "0x1b" read little-endian
 
 from __future__ import annotations
 
+import re
+
 from .groups import Group
 from .sumset import GroupSet
 
@@ -25,12 +27,16 @@ class LiteralError(ValueError):
     """Raised when a group, element, or set literal cannot be read."""
 
 
-def _integer(token: str, message: str) -> int:
-    """ASCII decimal digits after an optional "-"; else LiteralError(message)."""
-    digits = token[1:] if token.startswith("-") else token
-    if not (digits.isascii() and digits.isdigit()):
+# [0-9] is ASCII only, unlike \d and str.isdigit
+_SPELLING = {10: re.compile("-?[0-9]+"), 16: re.compile("[0-9a-fA-F]+")}
+
+
+def _integer(token: str, message: str, base: int = 10) -> int:
+    """token read in base 10 (ASCII digits after an optional "-") or in
+    base 16 (ASCII hex digits, no sign); else LiteralError(message)."""
+    if not _SPELLING[base].fullmatch(token):
         raise LiteralError(message)
-    return int(token)
+    return int(token, base)
 
 
 def parse_group(text: str) -> Group:
@@ -77,11 +83,8 @@ def parse_set(group: Group, text: str) -> GroupSet:
     t = text.strip()
     if not t:
         raise LiteralError("empty set literal")
-    if t.lower().startswith("0x"):
-        try:
-            mask = int(t[2:], 16)
-        except ValueError:
-            raise LiteralError(f"bad hex mask {text!r}") from None
+    if t[:2].lower() == "0x":
+        mask = _integer(t[2:], f"bad hex mask {text!r}", 16)
         if mask >> group.order:
             raise LiteralError(
                 f"mask {text!r} has bits beyond group order {group.order}"

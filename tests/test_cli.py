@@ -8,6 +8,11 @@ import sys
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import addcomp
 from addcomp import cli
 from addcomp.cli import main
@@ -25,6 +30,14 @@ def run(capsys, *argv):
     body = captured.out.strip()
     env = json.loads(body) if body.startswith("{") else None
     return code, env, captured.err
+
+
+def run_process(*argv, **kwargs):
+    """`python -m addcomp argv` in a fresh process, this checkout's addcomp."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(addcomp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    return subprocess.run([sys.executable, "-m", "addcomp", *argv], capture_output=True,
+                          env=env, timeout=120, **kwargs)
 
 
 def test_check_envelope(capsys):
@@ -386,6 +399,44 @@ def test_literal_errors_exit_1(capsys):
     code, env, err = run(capsys, "witness", "--group", "²", "--c", "{0}")
     assert code == 1 and env is None
     assert err == "error: bad factor '²' in group spec '²'\n"
+
+
+# Python's int (and so argparse's type=int) reads "١٢", "1_000" and "+7";
+# float reads "٠.٥" and "0.5_0".  Every integer flag and --ints go through
+# literals._integer instead, and --grid takes ASCII without "_".
+@pytest.mark.parametrize("argv, spelling", [
+    (("ap", "--group", "12", "--start", "0", "--step", "1", "--len", "٣"), "٣"),
+    (("random-build", "--group", "10000", "--c", "{0,1,5}", "--s", "٩"), "٩"),
+    (("random-build", "--group", "10000", "--c", "{0,1,5}", "--s", "9",
+      "--retries", "1_0"), "1_0"),
+    (("random-build", "--group", "10000", "--c", "{0,1,5}", "--s", "9",
+      "--seed", "+7"), "+7"),
+    (("tmin", "--order", "١٢"), "١٢"),
+    (("scan-threshold", "--group", "4", "--trials", "٢"), "٢"),
+    (("witness", "--group", "6", "--c", "{0,1,2}", "--max-candidates", "1_000"), "1_000"),
+    (("lift-z", "--ints", "5,6,7_0"), "7_0"),
+    (("scan-threshold", "--group", "4", "--trials", "2", "--grid", "٠.٥"), "٠.٥"),
+], ids=["len", "s", "retries", "seed", "order", "trials", "max-candidates", "ints", "grid"])
+def test_numbers_outside_the_literal_rule_exit_1(argv, spelling):
+    proc = run_process(*argv)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert err.startswith("error: ") and repr(spelling) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_out_of_memory_is_an_error_line():
+    # the group's full mask alone is 10^11 bits, far past a 1 GB address space
+    def cap_memory():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    proc = run_process("witness", "--group", "100000000000", "--c", "{0}",
+                       preexec_fn=cap_memory)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
 HUGE_WITNESS = ("witness", "--group", "16777216", "--c", "{0,8839392,9786826}")

@@ -30,6 +30,12 @@ def test_non_ascii_digits_are_literal_errors():
         parse_element(Group([6]), "٣")
     with pytest.raises(LiteralError, match="bad coordinate '²'"):
         parse_element(Group([2, 3]), "(1,²)")
+    # int(..., 16) reads all but "0x" after the prefix, as 16, 3, 3, 3, 0,
+    # -1 and 26; a hex mask is ASCII hex digits only, with no sign, "_",
+    # space or second "0x"
+    for text in ("0x1_0", "0x٣", "0x+3", "0x 3", "0X-0", "0x-1", "0x0x1a", "0x"):
+        with pytest.raises(LiteralError, match="bad hex mask"):
+            parse_set(Group([16]), text)
 
 
 def test_parse_element_wraps_mod_order():
