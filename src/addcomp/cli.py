@@ -96,7 +96,7 @@ def _answer(cert: DecisionCertificate) -> tuple[dict, int]:
 
 def _int(text: str) -> int:
     """An --ints token or integer flag, read by the literals' integer rule."""
-    return _integer(text.strip(), f"invalid int value: {text!r}")
+    return _integer(text.strip(), "invalid int value: {!r}", text)
 
 
 _int.__name__ = "int"  # argparse says "invalid int value: ...", as _int does

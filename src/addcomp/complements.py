@@ -171,6 +171,18 @@ def _trap_window(n: int, k: int) -> range:
     return range(k + 1, (2 * n * k - 1) // (2 * n - k) + 1)
 
 
+def _search_fits(n: int, budget: SearchBudget) -> bool:
+    """True when the exhaustive search's worst case fits the budget.
+
+    A complete search sees at most 2^(n-1) nodes (scan_for_witness), so
+    where 2^(n-1) <= budget.max_candidates it always completes: it is the
+    gate of exists_witness's search stage, and where it holds no stage of
+    exists_witness answers unknown.
+    """
+    # 1 << (n - 1) <= max_candidates, without building the power
+    return n <= budget.max_candidates.bit_length()
+
+
 def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> DecisionCertificate:
     """Decide whether any W makes c a minimal complement.
 
@@ -195,8 +207,6 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
     problem = MINIMAL_COMPLEMENT
     yes = DecisionCertificate.verified_yes
     k = len(c)
-    # 1 << (n - 1) <= max_candidates, without building the power
-    search_fits = n <= budget.max_candidates.bit_length()
 
     if c.mask == group.full_mask:
         return yes(problem, "trivial", GroupSet(group, 1), c)
@@ -220,7 +230,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         if a is not None:
             w = GroupSet.from_elements(group, [0, a])
             return yes(problem, "construction-pair", w, c, offset=a)
-    if search_fits:
+    if _search_fits(n, budget):
         w, checked, complete = scan_for_witness(group, c, budget.max_candidates)
         if w is not None:
             return yes(problem, "exhaustive", w, c, candidates=checked)
@@ -243,20 +253,20 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
 
 def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None
                    ) -> Callable[[GroupSet], str]:
-    """exists_witness's verdict, searched once per orbit, for one call's use.
+    """exists_witness's verdict, decided once per orbit, for one call's use.
 
     The verdict does not change under C -> u*C + t, u a unit multiplier:
     if C is a minimal complement of W, then u*C + t is one of u*W.  The
-    returned function looks C up as C - min(C) and, after an exhaustive
-    search decided it, files the verdict under every through-0 member
-    u*C - x (x in u*C) of its orbit.  Only search answers are filed: the
-    bounds and builders cost less than filing |units| x |C| keys, and the
-    search runs only where 2^(n-1) fits the budget, so on larger groups
-    nothing is filed and nothing is looked up.  Where the search fits it
-    always completes, and no stage answers unknown, so a hit repeats what
-    exists_witness would return for that very set.
+    returned function looks C up as C - min(C) and, after exists_witness
+    decided it, files the verdict under every through-0 member u*C - x
+    (x in u*C) of its orbit.  Answers are filed wherever the search fits
+    the budget (_search_fits): there every stage's answer is exact and
+    none is unknown, so a hit repeats what exists_witness would return
+    for that very set.  Past that gate an orbit-mate may end unknown
+    where C did not, so nothing is filed and nothing is looked up.
     """
     n = group.order
+    fits = _search_fits(n, budget or SearchBudget())
     images: list[list[int]] = []  # built on the first filing
     neg: list[int] = []
     memo: dict[int, str] = {}
@@ -268,7 +278,7 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None
             if hit is not None:
                 return hit
         cert = exists_witness(c, budget)
-        if cert.method == "exhaustive":
+        if fits and cert.verdict != UNKNOWN:
             if not images:
                 images.extend([1 << group.scale(e, u) for e in range(n)]
                               for u in unit_multipliers(group))
@@ -302,20 +312,23 @@ class TminReport:
 def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminReport:
     """T(G) by walking every C through 0, by size, then lexicographically.
 
-    Each orbit under translation x unit multipliers is searched at most
-    once per call (orbit_verdicts); the walk order, first_failing,
-    unknown_at and subsets_checked, which counts every subset walked, are
-    as if each were decided on its own.
+    Where the search fits the budget, each orbit under translation x unit
+    multipliers is decided at most once per call (orbit_verdicts), by
+    whichever stage answers it; past that gate every C is decided on its
+    own.  The walk order, first_failing, unknown_at and subsets_checked,
+    which counts every subset walked, are as if each were decided on its
+    own.
     """
     import itertools
 
     n = group.order
     verdict_of = orbit_verdicts(group, budget)
+    bits = [1 << e for e in range(n)]
     checked = 0
     for size in range(1, n + 1):
         unknown_here: Optional[GroupSet] = None
-        for rest in itertools.combinations(range(1, n), size - 1):
-            c = GroupSet.from_elements(group, (0,) + rest)
+        for rest in itertools.combinations(bits[1:], size - 1):
+            c = GroupSet(group, sum(rest, 1))
             verdict = verdict_of(c)
             checked += 1
             if verdict == NO:

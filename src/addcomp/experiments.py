@@ -62,10 +62,11 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
                    budget: Optional[SearchBudget] = None) -> ScanReport:
     """Verdict counts of `trials` random subsets per density in the grid.
 
-    Each orbit under translation x unit multipliers is searched at most
-    once per call (complements.orbit_verdicts), so a draw whose orbit-mate
-    was searched earlier is counted without a second search; the counts
-    are those of deciding every draw on its own.
+    Where the search fits the budget, each orbit under translation x
+    unit multipliers is decided at most once per call
+    (complements.orbit_verdicts), so a draw whose orbit-mate was decided
+    earlier is counted without a second decision; the counts are those
+    of deciding every draw on its own.
     """
     if trials < 1:
         raise ValueError("need at least one trial per density")

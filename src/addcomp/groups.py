@@ -13,9 +13,9 @@ import math
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .sumset import GroupSet, progression_sum, translate_mask
+from .sumset import BITS_CHUNK, GroupSet, progression_sum, translate_mask
 
 __all__ = [
     "Group",
@@ -34,13 +34,19 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class Group:
-    """Direct product of cyclic groups Z/d_1 x ... x Z/d_r."""
+    """Direct product of cyclic groups Z/d_1 x ... x Z/d_r.
+
+    Equality, hashing and pickling see the factors only, never the
+    translate plans a small group keeps (translate_plan).
+    """
 
     factors: tuple[int, ...]
     order: int = field(init=False, compare=False)
     strides: tuple[int, ...] = field(init=False, compare=False)
     full_mask: int = field(init=False, compare=False)
     block_reps: tuple[int, ...] = field(init=False, compare=False)
+    _plans: dict = field(init=False, compare=False)
+    _steps: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         fs = tuple(int(d) for d in self.factors)
@@ -68,6 +74,46 @@ class Group:
                     width *= 2
                 reps.append(rep & full)
         object.__setattr__(self, "block_reps", tuple(reps))
+        object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_steps", {})
+
+    def __reduce__(self):
+        return Group, (self.factors,)
+
+    def translate_plan(self, g: int) -> Iterable[tuple[int, int, int]]:
+        """How sumset.translate_mask moves a mask by g, factor by factor.
+
+        One (keep, shift, back) per factor i where g's digit a is non-zero:
+        with s = s_i and block = d_i*s, keep marks the low block - a*s bits
+        of every block, which move up by shift = a*s, and the other bits
+        wrap down by back = block - a*s.  On groups of order at most
+        BITS_CHUNK the plan is a tuple kept after its first use, and its
+        steps are shared per (factor, digit), so the cache holds at most
+        sum(d_i) masks of n bits and n small tuples.  Above that order
+        nothing is kept: the steps are yielded one at a time, so only one
+        n-bit keep mask is alive at once.
+        """
+        plan = self._plans.get(g)
+        if plan is None:
+            plan = self._plan_steps(g)
+            if self.order <= BITS_CHUNK:
+                plan = self._plans[g] = tuple(plan)
+        return plan
+
+    def _plan_steps(self, g: int) -> Iterator[tuple[int, int, int]]:
+        kept = self.order <= BITS_CHUNK
+        steps = self._steps
+        for i, (d, s, rep) in enumerate(zip(self.factors, self.strides,
+                                            self.block_reps or (1,))):
+            a = (g // s) % d
+            if a:
+                step = steps.get((i, a))
+                if step is None:
+                    back = (d - a) * s
+                    step = ((rep << back) - rep, a * s, back)
+                    if kept:
+                        steps[i, a] = step
+                yield step
 
     # -- element codec -------------------------------------------------
 

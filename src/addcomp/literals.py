@@ -31,11 +31,13 @@ class LiteralError(ValueError):
 _SPELLING = {10: re.compile("-?[0-9]+"), 16: re.compile("[0-9a-fA-F]+")}
 
 
-def _integer(token: str, message: str, base: int = 10) -> int:
+def _integer(token: str, message: str, *args, base: int = 10) -> int:
     """token read in base 10 (ASCII digits after an optional "-") or in
-    base 16 (ASCII hex digits, no sign); else LiteralError(message)."""
+    base 16 (ASCII hex digits, no sign); else LiteralError with
+    message.format(*args), formatted only then, since an argument may be
+    a literal of millions of characters."""
     if not _SPELLING[base].fullmatch(token):
-        raise LiteralError(message)
+        raise LiteralError(message.format(*args))
     return int(token, base)
 
 
@@ -48,11 +50,11 @@ def parse_group(text: str) -> Group:
     factors = []
     for p in t.split("x"):
         p = p.strip()
-        bad = f"bad factor {p!r} in group spec {text!r}"
-        d = _integer(p, bad)
+        bad = "bad factor {!r} in group spec {!r}"
+        d = _integer(p, bad, p, text)
         if d < 2:
             # a signed factor is malformed, not merely too small
-            raise LiteralError(bad if p.startswith("-") else
+            raise LiteralError(bad.format(p, text) if p.startswith("-") else
                                f"factor {d} in group spec {text!r} must be >= 2")
         factors.append(d)
     return Group(factors)
@@ -63,14 +65,14 @@ def parse_element(group: Group, text: str) -> int:
     if not t:
         raise LiteralError("empty element literal")
     if not t.startswith("("):
-        return _integer(t, f"bad element literal {text!r}") % group.order
+        return _integer(t, "bad element literal {!r}", text) % group.order
     if not t.endswith(")"):
         raise LiteralError(f"unclosed tuple in element literal {text!r}")
     coords = []
     for p in t[1:-1].split(","):
         p = p.strip()
         if p:
-            coords.append(_integer(p, f"bad coordinate {p!r} in {text!r}"))
+            coords.append(_integer(p, "bad coordinate {!r} in {!r}", p, text))
     if len(coords) != len(group.factors):
         raise LiteralError(
             f"{text!r} has {len(coords)} coordinates, "
@@ -84,7 +86,7 @@ def parse_set(group: Group, text: str) -> GroupSet:
     if not t:
         raise LiteralError("empty set literal")
     if t[:2].lower() == "0x":
-        mask = _integer(t[2:], f"bad hex mask {text!r}", 16)
+        mask = _integer(t[2:], "bad hex mask {!r}", text, base=16)
         if mask >> group.order:
             raise LiteralError(
                 f"mask {text!r} has bits beyond group order {group.order}"

@@ -78,28 +78,24 @@ def _wide_bits_of(mask: int) -> Iterator[int]:
 def translate_mask(group: "Group", mask: int, g: int) -> int:
     """Mask of {a + g : a in mask}, via block rotations along each factor.
 
-    Translation by 0 returns mask itself.  Each factor costs a fixed number
-    of shifts, ANDs and ORs of n-bit operands, so one translate is linear
-    in n (no multiply).
+    Translation by 0 returns mask itself.  A cyclic group rotates the
+    whole mask; a product follows group.translate_plan(g), one step of
+    two shifts, an AND, an XOR and an OR of n-bit operands per factor
+    where g's digit is non-zero, so one translate is linear in n (no
+    multiply).  Products of order at most BITS_CHUNK keep each element's
+    plan, so a translate there builds no mask.
     """
     n = group.order
     if g == 0 or n <= 1:
         return mask
     if len(group.factors) == 1:
         return ((mask << g) | (mask >> (n - g))) & group.full_mask
-    m = mask
-    for d, stride, rep in zip(group.factors, group.strides, group.block_reps):
-        a = (g // stride) % d
-        if a == 0:
-            continue
-        block = d * stride
-        t = a * stride
-        # the low block - t bits of every block move up by t, the rest
-        # wrap down to the bottom of the same block
-        keep = (rep << (block - t)) - rep
-        low = m & keep
-        m = (low << t) | ((m ^ low) >> (block - t))
-    return m
+    for keep, shift, back in group.translate_plan(g):
+        # the low block - shift bits of every block move up by shift, the
+        # rest wrap down to the bottom of the same block
+        low = mask & keep
+        mask = (low << shift) | ((mask ^ low) >> back)
+    return mask
 
 
 def progression_sum(group: "Group", mask: int, step: int, length: int) -> int:

@@ -65,16 +65,24 @@ class SolidityReport:
     violator: Optional[int] = None
 
 
-def is_solid(c: GroupSet) -> SolidityReport:
+def is_solid(c: GroupSet, difference: Optional[int] = None) -> SolidityReport:
+    """The least x outside c with x - c inside c - c, if there is one.
+
+    difference, when given, is the mask of c - c, so a caller holding it
+    does not compute it twice.  When c - c = G every translate of it is
+    G, so every point outside c extends c and the translates are not
+    intersected.  The extension point found is rechecked either way.
+    """
     group = c.group
     if not c:
         raise ValueError("solidity is about non-empty sets")
-    d = difference_set(c).mask
+    d = difference_set(c).mask if difference is None else difference
     inter = group.full_mask
-    for e in c.elements():
-        inter &= translate_mask(group, d, e)
-        if inter == 0:
-            break
+    if d != inter:
+        for e in c.elements():
+            inter &= translate_mask(group, d, e)
+            if inter == 0:
+                break
     candidates = inter & ~c.mask
     if candidates == 0:
         return SolidityReport(c, True)
@@ -196,12 +204,13 @@ def maximal_supplement_witness(c: GroupSet,
     if c.mask == full:
         return DecisionCertificate.verified_yes(problem, "trivial", GroupSet(group, 1), c)
 
-    rep = is_solid(c)
+    diff = difference_set(c).mask
+    rep = is_solid(c, diff)
     if not rep.solid:
         return DecisionCertificate(problem, NO, "bound-solidity", c, detail={
             "violator": rep.violator})
 
-    allowed = (full & ~difference_set(c).mask) | 1
+    allowed = (full & ~diff) | 1
     w, checked, complete = independent_search(
         group, allowed, lambda d: sumset(c, GroupSet(group, d)).mask == full,
         budget.max_candidates)

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +223,31 @@ def test_compute_tmin_matches_orbit_free_walk(factors):
     assert _fields(compute_tmin(g)) == _reference_tmin(g)
 
 
+@pytest.mark.parametrize("factors", [(12,), (2, 6), (14,), (2, 2, 4)])
+def test_compute_tmin_asks_for_a_subsequence_of_the_orbit_free_walk(factors, monkeypatch):
+    # the memo only skips certificates: each one compute_tmin asks for is
+    # the one the orbit-free walk gets for that set, in the same order
+    g = Group(factors)
+    real = complements.exists_witness
+
+    def recording(rows):
+        def decide(c, budget=None):
+            cert = real(c, budget)
+            rows.append((c.mask, cert.verdict, cert.method, cert.witness,
+                         sorted(cert.detail.items())))
+            return cert
+        return decide
+
+    asked, every = [], []
+    monkeypatch.setattr(complements, "exists_witness", recording(asked))
+    rep = compute_tmin(g)
+    monkeypatch.setattr(sys.modules[__name__], "exists_witness", recording(every))
+    assert _fields(rep) == _reference_tmin(g)
+    rest = iter(every)
+    assert all(row in rest for row in asked)
+    assert 0 < len(asked) < len(every)
+
+
 @pytest.mark.parametrize("cap", [1, 16, 256])
 @pytest.mark.parametrize("n", [8, 12])
 def test_compute_tmin_matches_orbit_free_walk_capped(n, cap):
@@ -297,20 +323,21 @@ def test_compute_tmin_searches_once_per_orbit(monkeypatch):
     assert len(searched) == 2 * first
 
 
-def test_orbit_verdicts_files_only_search_answers(monkeypatch):
+def test_orbit_verdicts_files_every_answer_where_the_search_fits(monkeypatch):
+    # Z10 is inside the search gate, so whichever stage decided c, its
+    # orbit-mate is answered from the memo; an unknown is never filed
     g = Group([10])
     c, mate = _gs(g, [0, 1, 3]), _gs(g, [1, 2, 5])  # mate = 3*c + 2
     calls = []
     base = exists_witness(c)
-    for method, filed in (("exhaustive", True), ("construction-pair", False),
-                          ("random-build", False)):
+    for method in ("exhaustive", "construction-pair", "random-build"):
         cert = dataclasses.replace(base, method=method)
         calls.clear()
         monkeypatch.setattr(complements, "exists_witness",
                             lambda c, budget=None, cert=cert: calls.append(c) or cert)
         verdict = complements.orbit_verdicts(g)
         assert verdict(c) == verdict(mate) == YES
-        assert calls == ([c] if filed else [c, mate])
+        assert calls == [c]
     unknown = DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget", c)
     calls.clear()
     monkeypatch.setattr(complements, "exists_witness",

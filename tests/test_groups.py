@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -10,7 +11,7 @@ from addcomp.groups import (Group, Homomorphism, Subgroup, abelian_groups_of_ord
                             all_subgroups, coset_representatives, cyclic_subgroups,
                             generated_order, quotient_map, subgroup_generated,
                             unit_multipliers)
-from addcomp.sumset import GroupSet, mask_of
+from addcomp.sumset import GroupSet, mask_of, translate_mask
 
 
 def test_cyclic_arithmetic():
@@ -29,6 +30,18 @@ def test_product_arithmetic():
     assert g.coords_of(g.add(a, b)) == (0, 1)
     # -(1,3) = (1,1)
     assert g.coords_of(g.neg(a)) == (1, 1)
+
+
+def test_translate_plans_unseen_by_equality_hashing_and_pickling():
+    used, fresh = Group([2, 8]), Group([2, 8])
+    for t in range(used.order):
+        translate_mask(used, 0b1011, t)
+    assert used._plans and not fresh._plans
+    assert used == fresh and hash(used) == hash(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(used))
+    assert copy == used and not copy._plans
+    assert copy.translate_plan(5) == used.translate_plan(5)
 
 
 def test_index_coord_roundtrip():

@@ -38,6 +38,22 @@ def test_non_ascii_digits_are_literal_errors():
             parse_set(Group([16]), text)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_group, "6x", "bad factor '' in group spec '6x'"),
+    (parse_group, "2x-3", "bad factor '-3' in group spec '2x-3'"),
+    (parse_group, "0", "factor 0 in group spec '0' must be >= 2"),
+    (lambda t: parse_element(Group([6]), t), "٣", "bad element literal '٣'"),
+    (lambda t: parse_element(Group([2, 3]), t), "(1,²)", "bad coordinate '²' in '(1,²)'"),
+    (lambda t: parse_set(Group([16]), t), "0x-1", "bad hex mask '0x-1'"),
+    (lambda t: parse_set(Group([6]), t), "{x}", "bad element literal 'x'"),
+])
+def test_integer_error_messages_in_full(parse, text, message):
+    # the message is formatted only on failure, and reads as it always did
+    with pytest.raises(LiteralError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_parse_element_wraps_mod_order():
     g = Group([6])
     assert parse_element(g, "9") == 3

@@ -208,6 +208,49 @@ def test_translate_mask_matches_definition(factors):
         assert translate_mask(g, g.full_mask, t) == g.full_mask
 
 
+def _translate_by_coordinates(g, mask, t):
+    """The translate from coords_of and index_of alone, no kernel."""
+    shift = g.coords_of(t)
+    out = 0
+    for a, bit in enumerate(reversed(bin(mask)[2:])):
+        if bit == "1":
+            out |= 1 << g.index_of([x + y for x, y in zip(g.coords_of(a), shift)])
+    return out
+
+
+@pytest.mark.parametrize("factors", [[2, 6], [2, 2, 4], [2, 8], [4, 4], [3, 3, 3],
+                                     [2, 2, 2, 2]])
+def test_translate_plans_match_coordinates(factors):
+    g = Group(factors)
+    rnd = random.Random(g.order)
+    masks = [0, 1, g.full_mask] + [rnd.getrandbits(g.order) for _ in range(3)]
+    for _ in range(2):  # the second pass reads every plan from the cache
+        for t in range(g.order):
+            for mask in masks:
+                assert translate_mask(g, mask, t) == _translate_by_coordinates(g, mask, t)
+
+
+@pytest.mark.parametrize("factors", [[64, 64], [2, 2049]])
+def test_translate_plans_kept_up_to_bits_chunk_only(factors):
+    # order 4096 keeps a plan per element and a step per (factor, digit);
+    # order 4098 keeps nothing, however many translates it makes
+    g = Group(factors)
+    n = g.order
+    rnd = random.Random(n)
+    sparse = sum(1 << e for e in rnd.sample(range(n), 8))
+    dense = rnd.getrandbits(n)
+    for _ in range(2):
+        for t in range(n):
+            assert translate_mask(g, sparse, t) == _translate_by_coordinates(g, sparse, t)
+        for t in rnd.sample(range(n), 16):
+            assert translate_mask(g, dense, t) == _translate_by_coordinates(g, dense, t)
+    if n <= sumset_module.BITS_CHUNK:
+        assert len(g._plans) == n - 1  # translating by 0 needs no plan
+        assert len(g._steps) == sum(d - 1 for d in factors)
+    else:
+        assert g._plans == {} and g._steps == {}
+
+
 @pytest.mark.parametrize("factors", [[12], [16], [2, 6], [4, 4], [2, 3, 4]])
 def test_progression_sum_matches_union_of_translates(factors):
     # lengths past 2*ord(step) wrap the progression; step 0 stays on A

@@ -73,6 +73,16 @@ def test_is_solid():
         is_solid(GroupSet.empty(g8))
 
 
+@pytest.mark.parametrize("factors", [[8], [2, 4], [2, 2, 2], [9], [10]])
+def test_is_solid_same_with_passed_difference_set(factors):
+    # maximal_supplement_witness passes C - C it already holds; when C - C
+    # is the whole group is_solid skips its intersection loop
+    g = Group(factors)
+    for cmask in range(1, 1 << g.order):
+        c = GroupSet(g, cmask)
+        assert is_solid(c, difference_set(c).mask) == is_solid(c)
+
+
 def test_is_solid_matches_oracle():
     for n in (4, 5, 6, 7):
         g = Group([n])
