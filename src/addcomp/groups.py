@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass, field
 from itertools import chain, product
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .sumset import BITS_CHUNK, GroupSet, progression_sum, translate_mask
+from .sumset import BITS_CHUNK, GroupSet, mask_of, progression_sum, translate_mask
 
 __all__ = [
     "Group",
@@ -367,21 +367,16 @@ class Homomorphism:
     def image_set(self, s: GroupSet) -> GroupSet:
         if s.group != self.domain:
             raise ValueError("set is not in the domain")
-        mask = 0
-        for e in s:
-            mask |= 1 << self.apply(e)
-        return GroupSet(self.codomain, mask)
+        return GroupSet(self.codomain,
+                        mask_of(self.codomain.order, [self.apply(e) for e in s]))
 
     def preimage(self, s: GroupSet) -> GroupSet:
         """Full preimage of s. Scans the domain, so intended for small orders."""
         if s.group != self.codomain:
             raise ValueError("set is not in the codomain")
-        mask = 0
         want = s.mask
-        for e in self.domain.elements():
-            if (want >> self.apply(e)) & 1:
-                mask |= 1 << e
-        return GroupSet(self.domain, mask)
+        points = [e for e in self.domain.elements() if (want >> self.apply(e)) & 1]
+        return GroupSet(self.domain, mask_of(self.domain.order, points))
 
     def kernel(self) -> Subgroup:
         ker = self.preimage(GroupSet(self.codomain, 1))

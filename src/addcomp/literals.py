@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .groups import Group
-from .sumset import GroupSet
+from .sumset import GroupSet, mask_of
 
 __all__ = [
     "parse_group",
@@ -96,10 +96,8 @@ def parse_set(group: Group, text: str) -> GroupSet:
         raise LiteralError(
             f"set literal {text!r} must be '{{...}}' or a 0x hex mask"
         )
-    mask = 0
-    for piece in _split_top_level(t[1:-1]):
-        mask |= 1 << parse_element(group, piece)
-    return GroupSet(group, mask)
+    points = [parse_element(group, piece) for piece in _split_top_level(t[1:-1])]
+    return GroupSet(group, mask_of(group.order, points))
 
 
 def _split_top_level(text: str) -> list[str]:

@@ -4,7 +4,9 @@ Everything here recomputes from the definitions with plain loops over an
 addition table, kept deliberately separate from the production bitmask
 kernels so the two can check each other.  The only shortcut any oracle
 takes is translation normalization of the searched-for W (0 in W), and
-the unnormalized variant exists so tests can validate that too.
+the unnormalized variant exists so tests can validate that too.  The
+oracles count on numpy addition tables, so they need numpy from the
+`test` extra; no other module of the package imports numpy.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 import importlib
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +9,9 @@ from addcomp.complements import is_minimal_complement_for
 from addcomp.groups import Group, Homomorphism, subgroup_generated
 from addcomp.oracle import (naive_coverage, naive_difference_set, naive_sumset,
                             oracle_is_minimal_complement_for)
-from addcomp.sumset import (GroupSet, array_to_mask, bits_of, coverage,
-                            difference_set, mask_to_array, negated,
-                            private_points, progression_sum, sumset, translate,
-                            translate_mask)
+from addcomp.sumset import (GroupSet, bits_of, coverage, difference_set,
+                            negated, private_points, progression_sum, sumset,
+                            translate, translate_mask)
 
 # The package re-exports the function sumset, which shadows the module name.
 sumset_module = importlib.import_module("addcomp.sumset")
@@ -85,13 +83,6 @@ def test_sumset_algebra(am, bm, t):
         assert 0 in d
 
 
-def test_mask_array_roundtrip():
-    g = Group([2, 3, 3])
-    for mask in (0, 1, 0b1011001, g.full_mask):
-        arr = mask_to_array(g, mask)
-        assert array_to_mask(arr) == mask
-
-
 def test_groupset_ops():
     g = Group([6])
     a = GroupSet.from_elements(g, [0, 1])
@@ -161,21 +152,37 @@ def test_cross_group_mix_rejected():
 
 
 @pytest.mark.parametrize("factors", [[], [30], [2, 3, 5], [4, 6]])
-def test_coverage_in_blocks_matches_naive(monkeypatch, factors):
-    monkeypatch.setattr(sumset_module, "COVERAGE_CHUNK", 7)
+def test_coverage_in_blocks_matches_naive(factors):
     g = Group(factors)
     rnd = random.Random(3)
     for _ in range(30):
         a = GroupSet(g, rnd.randrange(1, 1 << g.order))
         b = GroupSet(g, rnd.randrange(1, 1 << g.order))
-        assert list(coverage(a, b).counts) == list(naive_coverage(a, b))
+        prof = coverage(a, b)
+        counts = list(naive_coverage(a, b))
+        assert list(prof.counts) == counts
+        assert prof.total() == sum(counts)
+        assert prof.covered_mask() == sum(1 << x for x, m in enumerate(counts) if m)
+        assert prof.unique_mask() == sum(1 << x for x, m in enumerate(counts) if m == 1)
 
 
-def test_coverage_refuses_huge_counts():
+def test_mask_of_on_both_sides_of_the_or_rule():
+    rnd = random.Random(8)
+    for n in (1, 9, 64, 5000, 1 << 20):
+        for k in range(min(n, sumset_module.MASK_OR_POINTS + 3) + 1):
+            points = rnd.sample(range(n), k)
+            want = sum(1 << x for x in points)
+            assert sumset_module.mask_of(n, points) == want
+            assert sumset_module.mask_of(n, points + points[:1]) == want
+
+
+def test_coverage_counts_past_16_bits():
     g = Group([70000])
     a = GroupSet.full(g)
-    with pytest.raises(OverflowError):
-        coverage(a, a)
+    prof = coverage(a, a)
+    assert prof.counts == (70000,) * 70000
+    assert prof.total() == 70000 ** 2
+    assert prof.covered_mask() == g.full_mask and prof.unique_mask() == 0
 
 
 def _translate_by_definition(g, mask, t):
@@ -336,11 +343,11 @@ def test_repr_shows_ten_elements_of_a_large_set():
 def _answer_from_counts(w, c):
     """(covered, private, least) of W + C, read off coverage() counts."""
     g = w.group
-    counts = coverage(w, c).counts
-    private = np.flatnonzero(counts == 1).tolist()
+    prof = coverage(w, c)
+    private = list(bits_of(prof.unique_mask()))
     least = [next((x for x in private if g.sub(x, e) in w), None)
              for e in c.elements()]
-    return array_to_mask(counts > 0), array_to_mask(counts == 1), least
+    return prof.covered_mask(), prof.unique_mask(), least
 
 
 def _with_holes(g, holes):
