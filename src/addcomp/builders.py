@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import Optional
+from typing import Callable, Optional
 
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
@@ -83,7 +83,8 @@ class APDescriptor:
     length: int
 
 
-def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
+def detect_ap(c: GroupSet, *, _k: Optional[int] = None,
+              _elements: Optional[Callable[[], list]] = None) -> Optional[APDescriptor]:
     """Find a progression presentation of c, or None.
 
     Candidate steps are differences with the least element (both signs):
@@ -111,9 +112,12 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
     cycle of d and Z = G minus c is the rest of that cycle, a walk of
     n - k points, with |Z + Z| <= 2|Z| - 1; a coset of more than n/2
     points would be G.
+
+    _k and _elements, when given, are len(c) and a function returning
+    c.elements(), from a caller that shares them between stages.
     """
     group = c.group
-    k = len(c)
+    k = len(c) if _k is None else _k
     if k == 0 or k > min(AP_DETECT_SIZE_LIMIT, group.exponent()):
         return None
     n = group.order
@@ -121,7 +125,7 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
         return None
     if k < n < 2 * k and doubling_reaches(group, group.full_mask & ~c.mask, 2 * (n - k)):
         return None
-    ec = c.elements()
+    ec = c.elements() if _elements is None else _elements()
     if k == 1:
         return APDescriptor(c, ec[0], 0, 1)
     cset = set(ec)
@@ -292,7 +296,8 @@ RANDOM_RETRIES = 10  # attempts of random_witness, in the library and the CLI
 
 
 def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
-                   seed: int = 0) -> RandomBuildTrace:
+                   seed: int = 0, *, _elements: Optional[Callable[[], list]] = None
+                   ) -> RandomBuildTrace:
     """Randomized witness for large groups, verified before acceptance.
 
     Draws s candidate translates per element of C, rejects the whole
@@ -300,11 +305,24 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
     W from one kept draw per element plus everything outside the union
     of the derived points' back-translates.  Verification demands full
     coverage and a uniquely-represented derived point per element, which
-    together force minimality.
+    together force minimality.  Coverage is read off private_points; W
+    misses every back-translate g_i - c_t that is not a kept draw, so
+    g_i is uniquely represented exactly when one of its k back-translates
+    is a kept draw, which is counted without reading an n-bit mask.
+
+    Every family of sums (the differences of C, the derived points, the
+    points the draws reach, the pile-up points and the back-translates)
+    is one batched Group.sums call, not a group.add per pair.  The e3
+    test looks at the points (g + off) + c_t for g a derived point, off
+    a good offset and c_t in C; by associativity these are g + (off +
+    c_t), so it adds g to the set good_offsets + C summed once, and the
+    order it tries them in does not change whether any is blocked.
+    _elements, when given, is a function returning c.elements(), from a
+    caller that shares the list between stages.
     """
     group = c.group
     n = group.order
-    ec = c.elements()
+    ec = c.elements() if _elements is None else _elements()
     k = len(ec)
     if k == 0:
         raise ValueError("empty C")
@@ -319,7 +337,8 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
                                 {}, w, {"fast_path": "singleton"})
 
     cset = set(ec)
-    r_d = Counter(group.sub(cj, ci) for ci in ec for cj in ec)
+    neg_c = [group.neg(e) for e in ec]
+    r_d = Counter(group.sums(neg_c, ec))  # c_j - c_i over every pair
     diffs = sorted(r_d)
     good_offsets = []
     for delta, r in sorted(r_d.items()):
@@ -330,54 +349,46 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
                     break
             else:
                 raise RuntimeError("partial overlap with no missing point")
+    offsets = list(set(group.sums(good_offsets, ec)))  # good_offsets + C
     full = group.full_mask
 
     last: Optional[RandomBuildTrace] = None
     for attempt in range(max_retries):
         rng = SplitMix64(derive_seed(seed, attempt))
         samples = [[rng.below(n) for _ in range(s)] for _ in range(k)]
-        derived = [[group.add(samples[i][p], ec[i]) for p in range(s)]
-                   for i in range(k)]
-        flat = [(i, p) for i in range(k) for p in range(s)]
-        value_rows: dict[int, set[int]] = {}
-        for i, p in flat:
-            value_rows.setdefault(derived[i][p], set()).add(i)
+        derived = [group.sums(row, [e]) for row, e in zip(samples, ec)]
+        # the draws and their derived points, row by row
+        drawn = [x for row in samples for x in row]
+        points = [g for row in derived for g in row]
+        # owner[g]: the row i of every draw with derived point g, or -1
+        # when draws of two rows share it
+        owner: dict[int, int] = {}
+        for i, row in enumerate(derived):
+            for g in row:
+                owner[g] = i if owner.get(g, i) == i else -1
 
         # e1: some derived point g_ip lies in x_jq + C for a draw (j, q)
         # other than (i, p).  A draw reaches each point of x_jq + C once,
         # and (i, p) always reaches g_ip = x_ip + c_i, so e1 holds exactly
         # when some g_ip is reached by two draws.
-        reach = Counter(group.add(samples[j][q], ct) for j, q in flat for ct in ec)
-        e1 = any(reach[derived[i][p]] > 1 for i, p in flat)
+        reach = Counter(group.sums(drawn, ec))
+        e1 = any(reach[g] > 1 for g in points)
 
-        pile = Counter(group.add(derived[i][p], delta)
-                       for i, p in flat for delta in diffs)
+        pile = Counter(group.sums(points, diffs))
         pile_max = max(pile.values())
         e2 = pile_max >= s
 
-        e3 = False
+        # e3: row i has no draw p whose points g_ip + good_offsets + C
+        # all avoid the derived points of the other rows
         keep: dict[int, int] = {}
-        for i in range(k):
-            found = None
-            for p in range(s):
-                gv = derived[i][p]
-                blocked = False
-                for off in good_offsets:
-                    u = group.add(gv, off)
-                    for ct in ec:
-                        rows = value_rows.get(group.add(u, ct))
-                        if rows and (rows - {i}):
-                            blocked = True
-                            break
-                    if blocked:
-                        break
-                if not blocked:
-                    found = p
-                    break
+        for i, row in enumerate(derived):
+            found = next((p for p, g in enumerate(row)
+                          if all(owner.get(u, i) == i for u in group.sums([g], offsets))),
+                         None)
             if found is None:
-                e3 = True
                 break
             keep[i] = found
+        e3 = len(keep) < k
 
         debug = {"z_count": len(good_offsets), "pile_max": pile_max}
         last = RandomBuildTrace(c, s, seed, attempt + 1, samples, derived,
@@ -390,12 +401,13 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
         # points.
         chosen_g = [derived[i][keep[i]] for i in range(k)]
         kept = {samples[i][keep[i]] for i in range(k)}
-        blocked = {group.sub(gv, ct) for gv in chosen_g for ct in ec}
-        wmask = full & ~mask_of(n, blocked - kept)
-        pts = private_points(group, wmask, ec)
-        if pts.covered != full:
+        back = group.sums(chosen_g, neg_c)  # g_i - c_t, k per kept point
+        wmask = full ^ mask_of(n, set(back) - kept)
+        if private_points(group, wmask, ec).covered != full:
             continue
-        if not all((pts.private >> gv) & 1 for gv in chosen_g):
+        # g_i is private when exactly one t has g_i - c_t in W, and each
+        # g_i - c_t is in W only if it is a kept draw: k^2 set lookups
+        if any(sum(y in kept for y in back[i * k:(i + 1) * k]) != 1 for i in range(k)):
             continue
         return RandomBuildTrace(c, s, seed, attempt + 1, samples, derived,
                                 False, False, False, keep,

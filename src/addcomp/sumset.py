@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .groups import Group
@@ -37,6 +37,7 @@ __all__ = [
 
 
 BITS_CHUNK = 4096
+_LOW_CHUNK = (1 << BITS_CHUNK) - 1
 MASK_OR_POINTS = 8
 
 
@@ -148,13 +149,37 @@ def private_points(group: "Group", w: int, elements) -> PrivatePoints:
     of order up to 8192, where the exact searches run, takes the
     translate path, and the dense witnesses of the randomized builder
     (|Z| <= k^2) take the complement path from order 10^6 up.
+
+    The path is chosen while Z is listed: the walk over Z's points
+    (_holes_within) stops at the first one past the rule's bound, so W
+    is never counted, and a W that misses many points pays a short walk
+    before its translates.
     """
     elements = list(elements)
     k = len(elements)
-    n = group.order
-    if k >= 2 and 8192 * (n - w.bit_count() + 1) * k < (k - 1) * n:
-        return _private_points_by_complement(group, w, elements)
+    if k >= 2:
+        # the largest |Z| with 8192 * (|Z| + 1) * k < (k - 1) * n
+        holes = _holes_within(group, w, ((k - 1) * group.order - 1) // (8192 * k) - 1)
+        if holes is not None:
+            return _private_points_by_complement(group, holes, elements)
     return _private_points_by_translates(group, w, elements)
+
+
+def _holes_within(group: "Group", w: int, most: int) -> Optional[list]:
+    """The points W misses, ascending, or None when there are more than most.
+
+    They are walked as bits_of(G xor W), and the walk stops at the first
+    point past most.  The lowest BITS_CHUNK bits are counted first, so a
+    W that misses many points there is told apart without the walk's
+    pass over the bytes of the whole mask.
+    """
+    if most < 0:
+        return None
+    z = group.full_mask ^ w
+    if (z & _LOW_CHUNK).bit_count() > most:
+        return None
+    holes = list(islice(bits_of(z), most + 1))
+    return holes if len(holes) <= most else None
 
 
 def _private_points_by_translates(group: "Group", w: int, elements: list) -> PrivatePoints:
@@ -171,15 +196,14 @@ def _private_points_by_translates(group: "Group", w: int, elements: list) -> Pri
     return PrivatePoints(once, private, least)
 
 
-def _private_points_by_complement(group: "Group", w: int, elements: list) -> PrivatePoints:
+def _private_points_by_complement(group: "Group", holes: list, elements: list) -> PrivatePoints:
+    """private_points from the list of the points W misses."""
     n = group.order
     k = len(elements)
     full = group.full_mask
-    holes = list(bits_of(full & ~w))
-    add = group.add
-    count = Counter(add(z, e) for z in holes for e in elements)
+    count = Counter(group.sums(holes, elements))
     uncovered = [x for x, m in count.items() if m == k]
-    covered = full & ~mask_of(n, uncovered) if uncovered else full
+    covered = full ^ mask_of(n, uncovered)
     if k == 1:  # every covered point is covered once
         return PrivatePoints(covered, covered,
                              [(covered & -covered).bit_length() - 1 if covered else None])

@@ -74,6 +74,20 @@ def test_check_answers_every_field_from_one_private_point_pass(capsys, monkeypat
     assert len(masks) == 10 and set(masks) == {int(env["inputs"]["w"], 16)}
 
 
+def test_random_build_witness_builds_no_block_mask(capsys, monkeypatch):
+    # A random-build answer makes no translate, so its 4096x4096 group
+    # never builds the block masks that translates and coset boxes use.
+    built = []
+    real = Group.block_reps
+    monkeypatch.setattr(Group, "block_reps",
+                        property(lambda g: built.append(g) or real.fget(g)))
+    code, env, err = run(capsys, "witness", "--group", "4096x4096", "--c",
+                         "{(0,0),(17,3001),(905,12),(2048,4095),(3333,777)}")
+    assert code == 0 and err == ""
+    assert env["result"]["certificate"]["method"] == "random-build"
+    assert built == []
+
+
 def test_witness_yes(capsys):
     code, env, _ = run(capsys, "witness", "--group", "6", "--c", "{0,1,2}")
     assert code == 0

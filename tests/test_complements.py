@@ -284,6 +284,29 @@ def test_random_build_witness_checked_through_its_holes(monkeypatch):
     assert masks == []
 
 
+def test_random_build_lists_c_once_before_its_recheck(monkeypatch):
+    # detect_ap and the builder share one list of the README 2^24 set, so
+    # exists_witness walks C's mask once before verified_yes, whose
+    # recheck reads C afresh.
+    g = Group([1 << 24])
+    c = _gs(g, [0, 8839392, 9786826])
+    events = []
+    real_bits, real_verify = sumset_module.bits_of, DecisionCertificate.verify
+
+    def walked(mask):
+        if mask == c.mask:
+            events.append("walk")
+        return real_bits(mask)
+
+    for module in (sumset_module, builders, complements, supplements):
+        monkeypatch.setattr(module, "bits_of", walked)
+    monkeypatch.setattr(DecisionCertificate, "verify",
+                        lambda cert: events.append("verify") or real_verify(cert))
+    cert = exists_witness(c)
+    assert cert.method == "random-build"
+    assert events == ["walk", "verify", "walk"]
+
+
 def test_small_groups_check_witnesses_by_translates(monkeypatch):
     # At tmin sizes the kernel keeps the translate path: 2k translates of
     # W per check, even for W = G, which misses no point at all.

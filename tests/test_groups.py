@@ -145,12 +145,30 @@ def test_smith_order_on_larger_products():
 
 
 @pytest.mark.parametrize("factors", ([2, 4], [2, 2, 4], [3, 5, 7], [8, 8], [4, 25],
-                                     [2, 40000], [1000, 1000]))
+                                     [2, 40000], [1000, 1000], [4096, 4096]))
 def test_block_reps_match_division(factors):
     g = Group(factors)
     full = (1 << g.order) - 1
     assert g.block_reps == tuple(full // ((1 << (d * s)) - 1)
                                  for d, s in zip(g.factors, g.strides))
+
+
+@pytest.mark.parametrize("factors", ([], [12], [1 << 24], [2, 6], [2, 2, 4], [3, 5, 7],
+                                     [4096, 4096]))
+def test_sums_match_add_pair_by_pair(factors):
+    # Group.sums is the x-major list of x + y, the same as one add per pair.
+    g = Group(factors)
+    n = g.order
+    rnd = random.Random(n)
+    points = list(range(n)) if n <= 105 else [0, n - 1] + rnd.sample(range(n), 40)
+    for xs, ys in ((points, points[:7]), (points[:3], points), ([], points), (points, []),
+                   ([], []), ([n - 1], [n - 1])):
+        assert g.sums(xs, ys) == [g.add(x, y) for x in xs for y in ys]
+    for bad in ([n], [-1]):
+        with pytest.raises(ValueError):
+            g.sums(bad, [0])
+        with pytest.raises(ValueError):
+            g.sums([0], bad)
 
 
 def test_element_order():

@@ -391,7 +391,9 @@ def test_private_points_match_coverage_counts(monkeypatch):
     picked = set()
     for w, c in _kernel_cases():
         g, ec = w.group, c.elements()
-        answers = [path(g, w.mask, ec) for path in paths.values()]
+        holes = list(bits_of(g.full_mask & ~w.mask))
+        answers = [paths["_private_points_by_translates"](g, w.mask, ec),
+                   paths["_private_points_by_complement"](g, holes, ec)]
         assert answers[0] == answers[1]
         assert tuple(answers[0]) == _answer_from_counts(w, c)
         ran.clear()
@@ -401,6 +403,49 @@ def test_private_points_match_coverage_counts(monkeypatch):
             assert (is_minimal_complement_for(w, c)
                     == oracle_is_minimal_complement_for(w, c))
     assert picked == set(paths)
+
+
+def _parent_rule(n, k, holes):
+    """The path rule as first written: by W's popcount, not by a walk."""
+    return k >= 2 and 8192 * (len(holes) + 1) * k < (k - 1) * n
+
+
+@pytest.mark.parametrize("factors", ([40001], [9, 7, 401], [128, 256]))
+def test_private_points_path_at_the_bound(monkeypatch, factors):
+    # The walk over the points W misses stops past the rule's bound, so
+    # |Z| at the bound and one past it must take the paths the rule names.
+    # Orders 40001 and 25263 leave pad bits in the top byte, which must
+    # not count as holes; the holes sit low, at the top and at random.
+    paths = {name: getattr(sumset_module, name) for name in
+             ("_private_points_by_translates", "_private_points_by_complement")}
+    ran = []
+    for name, path in paths.items():
+        monkeypatch.setattr(sumset_module, name,
+                            lambda *a, name=name, path=path: ran.append(name) or path(*a))
+    g = Group(factors)
+    n = g.order
+    rnd = random.Random(n)
+    seen = set()
+    for k in (1, 2, 3, 8):
+        c = GroupSet.from_elements(g, rnd.sample(range(n), k))
+        ec = c.elements()
+        most = 0  # the largest |Z| the rule sends to the complement path, if any
+        while _parent_rule(n, k, range(most + 1)):
+            most += 1
+        for size in sorted({0, most, most + 1}):
+            for holes in (range(size), range(n - size, n), rnd.sample(range(n), size)):
+                w = _with_holes(g, holes)
+                ran.clear()
+                got = private_points(g, w.mask, ec)
+                rule = _parent_rule(n, k, holes)
+                assert ran == [("_private_points_by_complement" if rule
+                                else "_private_points_by_translates")]
+                seen.add(rule)
+                want = _answer_from_counts(w, c)
+                assert tuple(got) == want
+                assert tuple(paths["_private_points_by_translates"](g, w.mask, ec)) == want
+                assert tuple(paths["_private_points_by_complement"](g, sorted(holes), ec)) == want
+    assert seen == {True, False}
 
 
 def test_private_points_follow_one_more_hole():
