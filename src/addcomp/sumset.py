@@ -33,6 +33,8 @@ __all__ = [
     "translate",
     "negated",
     "coverage",
+    "add_to_planes",
+    "lowest_extreme",
 ]
 
 
@@ -440,25 +442,17 @@ def coverage(w: GroupSet, c: GroupSet) -> CoverageProfile:
     """Representation counts of every group element as w + c.
 
     Each translate of the larger mask by an element of the smaller one is
-    added into the bit planes of the counts by a ripple carry: plane i
-    takes carry ^ plane and passes on carry & plane, and the add stops as
-    soon as the carry is 0.  That is k = min(|W|, |C|) translates, each
-    with O(n/64) word operations per plane its carry reaches; no count
-    exceeds k, so there are at most k.bit_length() planes.
+    added into the bit planes of the counts by add_to_planes.  That is
+    k = min(|W|, |C|) translates, each with O(n/64) word operations per
+    plane its carry reaches; no count exceeds k, so there are at most
+    k.bit_length() planes.
     """
     _same_group(w, c)
     group = w.group
     small, large = (w, c) if len(w) <= len(c) else (c, w)
     planes: list[int] = []
     for e in small:
-        carry = translate_mask(group, large.mask, e)
-        for i, plane in enumerate(planes):
-            planes[i] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        else:
-            planes.append(carry)
+        add_to_planes(planes, translate_mask(group, large.mask, e))
     # A plane with more set bits than clear ones is read through its clear
     # bits: its weight goes into every count, and comes out where it is 0.
     n = group.order
@@ -472,3 +466,36 @@ def coverage(w: GroupSet, c: GroupSet) -> CoverageProfile:
             for x in bits_of(plane):
                 counts[x] += 1 << i
     return CoverageProfile(group, tuple(planes), tuple(counts))
+
+
+def add_to_planes(planes: list, mask: int) -> None:
+    """Add 1 to the count of every point of mask, in place.
+
+    The counts are kept as bit planes (bit x of planes[i] is bit i of the
+    count of x) and the add is a ripple carry: plane i takes carry ^ plane
+    and passes on carry & plane, and the add stops as soon as the carry is
+    0.  A carry left past the top plane starts a new one.
+    """
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ mask
+        mask &= plane
+        if not mask:
+            return
+    if mask:
+        planes.append(mask)
+
+
+def lowest_extreme(planes: list, within: int, largest: bool) -> int:
+    """The lowest point of the non-empty mask within whose count is extreme.
+
+    largest picks the greatest count among the points of within, else the
+    least.  The planes are read from the top: a plane that splits the
+    points still in the running keeps those with the wanted bit, and one
+    that does not split them leaves them all, so what is left are the
+    points of extreme count, and the lowest of them is returned.
+    """
+    for plane in reversed(planes):
+        keep = within & plane if largest else within & ~plane
+        if keep:
+            within = keep
+    return (within & -within).bit_length() - 1

@@ -146,6 +146,20 @@ def test_criterion_6_supplement_laws_and_verdicts():
                     assert cert.verify()
 
 
+def test_criterion_6_supplement_verdicts_on_product_groups():
+    with scored(6, "supplement verdicts match the naive scan on 2x2, 2x4, 2x2x2, 3x3"):
+        for factors in ([2, 2], [2, 4], [2, 2, 2], [3, 3]):
+            g = Group(factors)
+            for cmask in range(1, 1 << g.order):
+                c = GroupSet(g, cmask)
+                cert = maximal_supplement_witness(c)
+                found = oracle_maximal_supplement(c)
+                assert cert.verdict in (YES, NO)
+                assert (cert.verdict == YES) == (found is not None), (factors, cmask)
+                if cert.verdict == YES:
+                    assert cert.verify()
+
+
 _LIFT_SHAPES = [(2,), (3,), (4,), (5,), (6,), (8,), (9,), (12,),
                 (2, 2), (2, 4), (3, 3), (2, 6)]
 

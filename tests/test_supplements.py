@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from addcomp.decision import NO, UNKNOWN, YES, SearchBudget
 from addcomp.groups import Group
 from addcomp.oracle import oracle_diffset_table, oracle_solid
-from addcomp.sumset import GroupSet, difference_set
-from addcomp.supplements import (diffset_representation, is_maximal_supplement_for,
+from addcomp.sumset import (GroupSet, bits_of, difference_set, negated_mask, sumset,
+                            translate_mask)
+from addcomp.supplements import (_pivot, _pivot_side, diffset_representation,
+                                 independent_search, is_maximal_supplement_for,
                                  is_solid, is_supplement,
                                  maximal_supplement_witness)
 
@@ -230,3 +234,111 @@ def test_found_realizers_are_maximal_supplements():
                 assert is_maximal_supplement_for(cert.witness, c)
             elif cert.method == "exhaustive":
                 assert is_solid(c).solid
+
+
+def _reference_search(group, allowed, goal, max_candidates):
+    """Reference for independent_search: a goal callable on R - R, the bound
+    from difference_set(R | P) and Tomita's pivot scored one point of P | X
+    at a time, with no masks carried but R, -R and R - R."""
+    def compatible(x):
+        return translate_mask(group, allowed, x) & ~(1 << x)
+
+    neg = group.neg
+    stack = [(1, 1, 1, allowed & ~1, 0)]  # R, -R, R - R, P, X
+    candidates = 0
+    while stack:
+        if candidates == max_candidates:
+            return None, candidates, False
+        r, neg_r, diff, p, x = stack.pop()
+        candidates += 1
+        if goal(diff):
+            return r, candidates, True
+        if not p:
+            continue
+        if not goal(difference_set(GroupSet(group, r | p)).mask & allowed):
+            continue
+        pivot = max((compatible(u) & p for u in bits_of(p | x)), key=int.bit_count)
+        children = []
+        for v in bits_of(p & ~pivot):
+            nv = neg(v)
+            near = compatible(v)
+            children.append((r | 1 << v, neg_r | 1 << nv,
+                             diff | translate_mask(group, r, nv) | translate_mask(group, neg_r, v),
+                             p & near, x & near))
+            p &= ~(1 << v)
+            x |= 1 << v
+        stack.extend(reversed(children))
+    return None, candidates, True
+
+
+_SEARCH_GROUPS = [[8], [2, 4], [2, 2, 2, 2], [12], [3, 5], [16], [4, 4], [2, 2, 6],
+                  [27], [32], [2, 16], [5, 7], [48], [64], [8, 8], [4, 4, 4]]
+
+
+def _search_instances(group, rnd):
+    """(allowed, base, target, goal) for random supplement and diffset searches."""
+    n = group.order
+    full = group.full_mask
+    for k in (2, 2, 3, 3, 4, 5, n // 6, n // 4):
+        c = GroupSet.from_elements(group, rnd.sample(range(n), max(k, 2)))
+        allowed = (full & ~difference_set(c).mask) | 1
+        yield allowed, c.mask, full, lambda d, c=c: sumset(c, GroupSet(group, d)).mask == full
+    for density in (0.2, 0.35, 0.5, 0.5, 0.65, 0.8):
+        half = GroupSet.from_elements(group, (e for e in range(n) if rnd.random() < density / 2))
+        v = half.mask | negated_mask(group, half.mask) | 1
+        yield v, 1, v, lambda d, v=v: d & v == v
+
+
+@pytest.mark.parametrize("factors", _SEARCH_GROUPS, ids=str)
+def test_search_matches_reference_node_for_node(factors):
+    # same (R, nodes, complete) as the reference on both callers' instances
+    g = Group(factors)
+    rnd = random.Random(str(factors))
+    for allowed, base, target, goal in _search_instances(g, rnd):
+        for cap in (1, 5, 50, SearchBudget().max_candidates):
+            got = independent_search(g, allowed, base, target, cap)
+            assert got == _reference_search(g, allowed, goal, cap), (factors, allowed, base, cap)
+
+
+@pytest.mark.parametrize("factors", [[7], [10], [2, 5], [2, 2, 2, 2], [3, 9], [64], [8, 8]], ids=str)
+def test_more_than_half_the_group_has_every_difference(factors):
+    # the search's bound: 2|S| > n forces S - S = G
+    g = Group(factors)
+    n = g.order
+    rnd = random.Random(n)
+    for _ in range(50):
+        s = GroupSet.from_elements(g, rnd.sample(range(n), rnd.randint(n // 2 + 1, n)))
+        assert difference_set(s).mask == g.full_mask
+
+
+@pytest.mark.parametrize("factors", [[10], [2, 4], [2, 2, 2, 2], [64]], ids=str)
+def test_half_the_group_can_miss_differences(factors):
+    # an index-2 subgroup has 2|S| = n and S - S = S, so the bound needs 2|S| > n
+    g = Group(factors)
+    s = GroupSet.from_elements(g, [e for e in g.elements() if e % 2 == 0])
+    assert 2 * len(s) == g.order
+    assert difference_set(s) == s != GroupSet.full(g)
+
+
+@pytest.mark.parametrize("factors", [[9], [2, 6], [2, 2, 2, 2], [20], [4, 5], [64], [8, 8]],
+                         ids=str)
+def test_pivot_is_the_lowest_argmax(factors):
+    # the bit-plane pivot against counting each u of P | X by its own translate
+    g = Group(factors)
+    n = g.order
+    rnd = random.Random(n * 7)
+    sides = set()
+    for _ in range(80):
+        half = rnd.getrandbits(n) & (rnd.getrandbits(n) if rnd.random() < 0.5 else g.full_mask)
+        allowed = half | negated_mask(g, half) | 1
+        p = rnd.getrandbits(n) & ~1
+        if not p:
+            continue
+        x = rnd.getrandbits(n) & ~p
+        side, largest = _pivot_side(g, allowed)
+        sides.add(largest)
+        counts = {u: (translate_mask(g, allowed, u) & ~(1 << u) & p).bit_count()
+                  for u in bits_of(p | x)}
+        best = max(counts.values())
+        assert _pivot(g, side, largest, p, x) == min(u for u, m in counts.items() if m == best)
+    assert sides == {True, False}
