@@ -260,8 +260,8 @@ class RandomBuildTrace:
     C), e2 a pile-up (some point reachable from at least s derived
     points through C - C), e3 a blocked row (some i where every draw is
     entangled with another row through a partial-overlap point).  chosen
-    maps each i to the draw kept for the witness; result is the verified
-    witness or None after retries ran out.
+    maps each i to the draw kept for the witness; result is the first
+    witness private_points accepted, or None after retries ran out.
     """
 
     c: GroupSet
@@ -302,13 +302,13 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
 
     Draws s candidate translates per element of C, rejects the whole
     attempt when any of the three failure events fires, then assembles
-    W from one kept draw per element plus everything outside the union
-    of the derived points' back-translates.  Verification demands full
-    coverage and a uniquely-represented derived point per element, which
-    together force minimality.  Coverage is read off private_points; W
-    misses every back-translate g_i - c_t that is not a kept draw, so
-    g_i is uniquely represented exactly when one of its k back-translates
-    is a kept draw, which is counted without reading an n-bit mask.
+    W from one kept draw x_i per element plus everything outside the
+    union of the back-translates g_i - C, g_i = x_i + c_i.  One
+    private_points call accepts W: W + C = G and a private point for
+    every c_i, which is minimality.  With e1 false the second half holds,
+    as g_i is private to c_i: g_i - c_i = x_i is in W, and for t != i,
+    g_i - c_t is in W only as a kept draw x_j; then (x_i, c_i) and
+    (x_j, c_t) both reach g_i, two pairs since j = i gives c_t = c_i: e1.
 
     Every family of sums (the differences of C, the derived points, the
     points the draws reach, the pile-up points and the back-translates)
@@ -403,11 +403,8 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
         kept = {samples[i][keep[i]] for i in range(k)}
         back = group.sums(chosen_g, neg_c)  # g_i - c_t, k per kept point
         wmask = full ^ mask_of(n, set(back) - kept)
-        if private_points(group, wmask, ec).covered != full:
-            continue
-        # g_i is private when exactly one t has g_i - c_t in W, and each
-        # g_i - c_t is in W only if it is a kept draw: k^2 set lookups
-        if any(sum(y in kept for y in back[i * k:(i + 1) * k]) != 1 for i in range(k)):
+        pts = private_points(group, wmask, ec)
+        if pts.covered != full or None in pts.least:
             continue
         return RandomBuildTrace(c, s, seed, attempt + 1, samples, derived,
                                 False, False, False, keep,

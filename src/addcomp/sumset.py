@@ -116,16 +116,14 @@ def progression_sum(group: "Group", mask: int, step: int, length: int) -> int:
 
 
 class PrivatePoints(NamedTuple):
-    """What W + elements covers, and which points it covers once.
+    """What W + elements covers, and each element's least private point.
 
-    covered and private are masks: the points some w + e reaches, and the
-    points exactly one pair (w, e) reaches.  least[i] is the least private
-    point of elements[i], that is the least point of W + elements[i] no
-    other element reaches, or None when it has none.
+    covered is the mask of the points some w + e reaches.  least[i] is the
+    least private point of elements[i], that is the least point of
+    W + elements[i] no other element reaches, or None when it has none.
     """
 
     covered: int
-    private: int
     least: list
 
 
@@ -195,31 +193,24 @@ def _private_points_by_translates(group: "Group", w: int, elements: list) -> Pri
     for e in elements:
         hit = translate_mask(group, w, e) & private
         least.append((hit & -hit).bit_length() - 1 if hit else None)
-    return PrivatePoints(once, private, least)
+    return PrivatePoints(once, least)
 
 
 def _private_points_by_complement(group: "Group", holes: list, elements: list) -> PrivatePoints:
-    """private_points from the list of the points W misses."""
-    n = group.order
+    """private_points from the list of the points W misses, for k >= 2 elements."""
     k = len(elements)
-    full = group.full_mask
     count = Counter(group.sums(holes, elements))
     uncovered = [x for x, m in count.items() if m == k]
-    covered = full ^ mask_of(n, uncovered)
-    if k == 1:  # every covered point is covered once
-        return PrivatePoints(covered, covered,
-                             [(covered & -covered).bit_length() - 1 if covered else None])
+    covered = group.full_mask ^ mask_of(group.order, uncovered)
     hole_set = set(holes)
     sub = group.sub
     least: list = [None] * k
-    private = []
     for x, m in count.items():
         if m == k - 1:
-            private.append(x)
             i = next(i for i, e in enumerate(elements) if sub(x, e) not in hole_set)
             if least[i] is None or x < least[i]:
                 least[i] = x
-    return PrivatePoints(covered, mask_of(n, private), least)
+    return PrivatePoints(covered, least)
 
 
 def mask_of(n: int, points) -> int:

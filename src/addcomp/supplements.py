@@ -126,11 +126,16 @@ def independent_search(group: Group, allowed: int, base: int, target: int,
     four translates per child.  It returns the first R whose cover holds
     target.
 
+    The caller must have base + allowed ⊇ target.  A g outside C + ((G
+    minus (C - C)) | {0}) is outside C with g - C inside C - C, the point
+    is_solid looks for, so the supplement search (solid C, target G)
+    meets it; the diffset search has {0} + v = v.
+
     Bound.  Every W below the node lies inside S = R | P, so a node is cut
     when base + ((S - S) & allowed) misses a point of target.  When
     2|S| > n, S - S = G: for any g, S and g + S have more than n/2 points
     each, so they meet, at s = g + s', and g = s - s'.  Then the test is
-    base + allowed ⊇ target, made once per call.  At 2|S| = n it can fail
+    base + allowed ⊇ target, which holds.  At 2|S| = n it can fail
     (an index-2 subgroup S has S - S = S), so the inequality is strict.
     Otherwise S - S is the union of the S - y, y in S, OR-ed until it is
     G, and summed with base over the smaller set.  The union does not
@@ -159,7 +164,6 @@ def independent_search(group: Group, allowed: int, base: int, target: int,
     def spans(reach: int) -> bool:
         return sumset(GroupSet(group, base), GroupSet(group, reach & allowed)).mask & target == target
 
-    spans_target = spans(full)
     # a child is kept as (v, its parent's R, base + R, base - R, cover, and
     # P and X as they stood at v's turn) and built when it is popped, so
     # the children left behind by a yes cost no translate; the root is v = 0
@@ -192,7 +196,7 @@ def independent_search(group: Group, allowed: int, base: int, target: int,
                 reach |= translate_mask(group, s, neg(y))
                 if reach == full:
                     break
-        if not (spans_target if reach == full else spans(reach)):
+        if reach != full and not spans(reach):
             continue
         u = _pivot(group, side, largest, p, x)
         pivot = translate_mask(group, allowed, u) & ~(1 << u)

@@ -19,7 +19,7 @@ from addcomp.groups import Group, Subgroup, quotient_map, subgroup_generated
 from addcomp.literals import parse_group, parse_set
 from addcomp.oracle import naive_difference_set
 from addcomp.rng import SplitMix64, derive_seed
-from addcomp.sumset import GroupSet
+from addcomp.sumset import GroupSet, PrivatePoints
 
 
 def _gs(g, elems):
@@ -481,6 +481,31 @@ def test_random_witness_unchanged_at_readme_scale(spec, literal, s, seed, digest
               trace.retries_used, sorted(trace.chosen.items()), trace.debug,
               trace.result.hex_mask())
     assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+
+
+def test_random_witness_retries_when_an_element_has_no_private_point(monkeypatch):
+    # An attempt is accepted only when private_points finds both full cover
+    # and a private point for every element: reporting None for c_0 on the
+    # first check must send the build on to a later attempt.
+    c = _random_c(10 ** 6, 6, 1)
+    plain = random_witness(c, 21, seed=1)
+    real = builders.private_points
+    calls = []
+
+    def first_refused(group, w, elements):
+        pts = real(group, w, elements)
+        calls.append(pts)
+        if len(calls) == 1:
+            assert pts.covered == group.full_mask and None not in pts.least
+            return PrivatePoints(pts.covered, [None] + pts.least[1:])
+        return pts
+
+    monkeypatch.setattr(builders, "private_points", first_refused)
+    trace = random_witness(c, 21, seed=1)
+    assert len(calls) == 2
+    assert trace.retries_used > plain.retries_used
+    assert trace.result is not None and trace.result != plain.result
+    assert is_minimal_complement_for(trace.result, c)
 
 
 def test_random_witness_singleton_fast_path():

@@ -341,13 +341,13 @@ def test_repr_shows_ten_elements_of_a_large_set():
 
 
 def _answer_from_counts(w, c):
-    """(covered, private, least) of W + C, read off coverage() counts."""
+    """(covered, least) of W + C, read off coverage() counts."""
     g = w.group
     prof = coverage(w, c)
     private = list(bits_of(prof.unique_mask()))
     least = [next((x for x in private if g.sub(x, e) in w), None)
              for e in c.elements()]
-    return prof.covered_mask(), prof.unique_mask(), least
+    return prof.covered_mask(), least
 
 
 def _with_holes(g, holes):
@@ -381,7 +381,9 @@ def _kernel_cases():
 
 def test_private_points_match_coverage_counts(monkeypatch):
     # Both paths of the kernel against each other, against coverage()
-    # counts and, up to order 1024, against the oracle's minimality.
+    # counts and, up to order 1024, against the oracle's minimality.  The
+    # kernel sends only k >= 2 to the complement path, so only those are
+    # put to it directly.
     paths = {name: getattr(sumset_module, name) for name in
              ("_private_points_by_translates", "_private_points_by_complement")}
     ran = []
@@ -392,12 +394,12 @@ def test_private_points_match_coverage_counts(monkeypatch):
     for w, c in _kernel_cases():
         g, ec = w.group, c.elements()
         holes = list(bits_of(g.full_mask & ~w.mask))
-        answers = [paths["_private_points_by_translates"](g, w.mask, ec),
-                   paths["_private_points_by_complement"](g, holes, ec)]
-        assert answers[0] == answers[1]
-        assert tuple(answers[0]) == _answer_from_counts(w, c)
+        want = paths["_private_points_by_translates"](g, w.mask, ec)
+        if len(ec) >= 2:
+            assert paths["_private_points_by_complement"](g, holes, ec) == want
+        assert tuple(want) == _answer_from_counts(w, c)
         ran.clear()
-        assert private_points(g, w.mask, ec) == answers[0]
+        assert private_points(g, w.mask, ec) == want
         picked.add(ran[0])
         if g.order <= 1024:
             assert (is_minimal_complement_for(w, c)
@@ -444,14 +446,17 @@ def test_private_points_path_at_the_bound(monkeypatch, factors):
                 want = _answer_from_counts(w, c)
                 assert tuple(got) == want
                 assert tuple(paths["_private_points_by_translates"](g, w.mask, ec)) == want
-                assert tuple(paths["_private_points_by_complement"](g, sorted(holes), ec)) == want
+                if k >= 2:
+                    assert tuple(paths["_private_points_by_complement"](
+                        g, sorted(holes), ec)) == want
     assert seen == {True, False}
 
 
 def test_private_points_follow_one_more_hole():
     # Mutation check: taking y out of W takes one representation from each
-    # point of y + C, so the answer must move exactly when one of them was
-    # covered once (it becomes uncovered) or twice (it becomes private).
+    # point of y + C.  The cover must move exactly when one of them was
+    # covered once (it becomes uncovered), and the least private points
+    # can move only when one was covered once or twice (it becomes private).
     translates = sumset_module._private_points_by_translates
     rnd = random.Random(9)
     moved = []
@@ -471,6 +476,8 @@ def test_private_points_follow_one_more_hole():
                 fewer = w.without_element(y).mask
                 after = private_points(g, fewer, ec)
                 assert after == translates(g, fewer, ec)
-                assert (after != before) == (min(counts) <= 2)
+                assert (after.covered != before.covered) == (min(counts) == 1)
+                if min(counts) > 2:
+                    assert after == before
                 moved.append(after != before)
     assert any(moved) and not all(moved)

@@ -87,6 +87,19 @@ def test_is_solid_same_with_passed_difference_set(factors):
         assert is_solid(c, difference_set(c).mask) == is_solid(c)
 
 
+@pytest.mark.parametrize("factors", [[8], [2, 4], [2, 2, 2], [9], [3, 3], [10], [12], [2, 6]],
+                         ids=str)
+def test_solid_exactly_when_allowed_differences_reach_the_group(factors):
+    # independent_search needs base + allowed to hold the target; for the
+    # supplement search that is C + ((G minus (C - C)) | {0}) = G, which
+    # holds exactly for the solid C that maximal_supplement_witness passes
+    g = Group(factors)
+    for cmask in range(1, 1 << g.order):
+        c = GroupSet(g, cmask)
+        allowed = GroupSet(g, (g.full_mask & ~difference_set(c).mask) | 1)
+        assert is_solid(c).solid == (sumset(c, allowed) == GroupSet.full(g))
+
+
 def test_is_solid_matches_oracle():
     for n in (4, 5, 6, 7):
         g = Group([n])
@@ -276,11 +289,16 @@ _SEARCH_GROUPS = [[8], [2, 4], [2, 2, 2, 2], [12], [3, 5], [16], [4, 4], [2, 2, 
 
 
 def _search_instances(group, rnd):
-    """(allowed, base, target, goal) for random supplement and diffset searches."""
+    """(allowed, base, target, goal) for random supplement and diffset searches.
+
+    Like maximal_supplement_witness, the supplement searches skip a C that
+    is not solid, since independent_search needs base + allowed ⊇ target."""
     n = group.order
     full = group.full_mask
     for k in (2, 2, 3, 3, 4, 5, n // 6, n // 4):
         c = GroupSet.from_elements(group, rnd.sample(range(n), max(k, 2)))
+        if not is_solid(c).solid:
+            continue
         allowed = (full & ~difference_set(c).mask) | 1
         yield allowed, c.mask, full, lambda d, c=c: sumset(c, GroupSet(group, d)).mask == full
     for density in (0.2, 0.35, 0.5, 0.5, 0.65, 0.8):
