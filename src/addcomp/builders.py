@@ -12,8 +12,9 @@ Three families live here:
   all-small-sets threshold.
 
 Yes certificates are re-verified by DecisionCertificate.verified_yes,
-like every yes in the package; the randomized builder checks its sample
-before accepting it, and each lift rechecks the set it returns.
+like every yes in the package; the randomized builder accepts an
+attempt when no failure event fires, which its docstring proves makes a
+witness, and each lift rechecks the set it returns.
 """
 
 from __future__ import annotations
@@ -260,8 +261,11 @@ class RandomBuildTrace:
     C), e2 a pile-up (some point reachable from at least s derived
     points through C - C), e3 a blocked row (some i where every draw is
     entangled with another row through a partial-overlap point).  chosen
-    maps each i to the draw kept for the witness; result is the first
-    witness private_points accepted, or None after retries ran out.
+    maps each i to the draw kept for the witness; result is the W of the
+    first attempt where no failure event fires, or None after retries
+    ran out.  Such a W is always a witness: random_witness's docstring
+    proves that e1 false gives every element a private point and that
+    e1, e2 and e3 false give full cover.
     """
 
     c: GroupSet
@@ -298,17 +302,38 @@ RANDOM_RETRIES = 10  # attempts of random_witness, in the library and the CLI
 def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
                    seed: int = 0, *, _elements: Optional[Callable[[], list]] = None
                    ) -> RandomBuildTrace:
-    """Randomized witness for large groups, verified before acceptance.
+    """Randomized witness for large groups, accepted when no failure event fires.
 
     Draws s candidate translates per element of C, rejects the whole
     attempt when any of the three failure events fires, then assembles
     W from one kept draw x_i per element plus everything outside the
-    union of the back-translates g_i - C, g_i = x_i + c_i.  One
-    private_points call accepts W: W + C = G and a private point for
-    every c_i, which is minimality.  With e1 false the second half holds,
-    as g_i is private to c_i: g_i - c_i = x_i is in W, and for t != i,
-    g_i - c_t is in W only as a kept draw x_j; then (x_i, c_i) and
-    (x_j, c_t) both reach g_i, two pairs since j = i gives c_t = c_i: e1.
+    union of the back-translates g_i - C, g_i = x_i + c_i.  The first
+    attempt where e1, e2 and e3 are all false is returned as it stands:
+    its W is a witness, as below, and exists_witness and the
+    random-build command recheck it through
+    DecisionCertificate.verified_yes.  Let B be the back-translates
+    g_i - c_t minus the kept draws, so that W = G minus B.
+
+    Private points follow from e1 false: g_i is private to c_i.
+    g_i - c_i = x_i is in W, and for t != i, g_i - c_t is in W only as a
+    kept draw x_j; then (x_i, c_i) and (x_j, c_t) both reach g_i, two
+    pairs since j = i gives c_t = c_i: e1.
+
+    Coverage follows from e1, e2 and e3 false.  Suppose x is uncovered.
+    Then every x - c lies in B: x - c = g_i(c) - c_t(c).
+      * The kept g_i are distinct derived points (e1 false), each with
+        x - g_i in C - C, so e2 false leaves fewer than s rows among the
+        i(c), and some row i* serves more than k/s of the c.
+      * All of those share delta = x - g_i* = c - c_t(c), so r(delta) =
+        |C meet (C + delta)| has r(delta)*s > k.
+      * If r(delta) = k, delta is a period of C and x - C = g_i* - C
+        holds the kept draw x_i* of W: x is covered after all.
+      * Else delta has the good offset off = delta - c' with c' - delta
+        outside C, and x - c' = g_i* + off is in B.  It equals g_j - c_u
+        only for j != i* (j = i* puts c' - delta = c_u in C), which puts
+        the derived point g_j of another row in g_i* + off + C; the kept
+        draw of row i* was chosen to avoid that, and e3 false says every
+        row has such a draw.
 
     Every family of sums (the differences of C, the derived points, the
     points the draws reach, the pile-up points and the back-translates)
@@ -350,7 +375,6 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
             else:
                 raise RuntimeError("partial overlap with no missing point")
     offsets = list(set(group.sums(good_offsets, ec)))  # good_offsets + C
-    full = group.full_mask
 
     last: Optional[RandomBuildTrace] = None
     for attempt in range(max_retries):
@@ -402,10 +426,7 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
         chosen_g = [derived[i][keep[i]] for i in range(k)]
         kept = {samples[i][keep[i]] for i in range(k)}
         back = group.sums(chosen_g, neg_c)  # g_i - c_t, k per kept point
-        wmask = full ^ mask_of(n, set(back) - kept)
-        pts = private_points(group, wmask, ec)
-        if pts.covered != full or None in pts.least:
-            continue
+        wmask = group.full_mask ^ mask_of(n, set(back) - kept)
         return RandomBuildTrace(c, s, seed, attempt + 1, samples, derived,
                                 False, False, False, keep,
                                 GroupSet(group, wmask), debug)

@@ -22,7 +22,7 @@ from .builders import (RANDOM_RETRIES, APDescriptor, ap_decide_and_build,
                        lift_integer_window, pair_witness_check, random_witness,
                        trace_fields)
 from .complements import compute_tmin, exists_witness, tmin_of_order
-from .decision import UNKNOWN, DecisionCertificate, SearchBudget
+from .decision import MINIMAL_COMPLEMENT, UNKNOWN, DecisionCertificate, SearchBudget
 from .experiments import (report_to_csv, report_to_dict, report_to_json,
                           scan_threshold)
 from .literals import _integer, parse_element, parse_group, parse_set
@@ -171,6 +171,8 @@ def _cmd_random_build(args):
     group = parse_group(args.group)
     c = parse_set(group, args.c)
     trace = random_witness(c, args.s, max_retries=args.retries, seed=args.seed)
+    if trace.result is not None:
+        DecisionCertificate.verified_yes(MINIMAL_COMPLEMENT, "random-build", trace.result, c)
     code = 0 if trace.result is not None else 2
     return group, {"c": c, "s": args.s}, {"trace": trace_fields(trace)}, args.seed, code
 

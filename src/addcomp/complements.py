@@ -374,8 +374,19 @@ class GapEntry:
 
 
 def subgroup_gap_family(group: Group) -> list[GapEntry]:
+    """One GapEntry per subgroup H whose order bars some size, in the
+    order (|H|, mask of H).
+
+    Every subgroup of a cyclic group is cyclic, so there cyclic_subgroups
+    lists them all, at any order.  Any other group needs all_subgroups,
+    which refuses orders above 64 with ValueError: the cyclic subgroups
+    alone would miss rows, such as the index-2 subgroups of 2^7.
+    """
     n = group.order
-    subs = all_subgroups(group) if n <= 64 else cyclic_subgroups(group)
+    if len(group.invariant_factors()) <= 1:
+        subs = cyclic_subgroups(group)
+    else:
+        subs = all_subgroups(group)
     out = []
     for h in subs:
         m = h.order

@@ -532,8 +532,8 @@ def cyclic_subgroups(group: Group) -> list[Subgroup]:
 def all_subgroups(group: Group) -> list[Subgroup]:
     """Every subgroup, by closing the cyclic ones under joins.
 
-    Exhaustive only for modest orders; callers working above order 64 should
-    fall back to cyclic_subgroups.
+    Exhaustive only for modest orders.  Above order 64 only a cyclic
+    group's subgroups can be listed, by cyclic_subgroups.
     """
     if group.order > 64:
         raise ValueError(

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from addcomp import builders
+from addcomp import builders, cli, complements
 from addcomp.builders import (IntegerLift, ap_decide_and_build,
                               check_feasibility, detect_ap,
                               lift_integer_window, lift_via_quotient,
@@ -17,9 +17,9 @@ from addcomp.complements import is_minimal_complement_for
 from addcomp.decision import NO, YES
 from addcomp.groups import Group, Subgroup, quotient_map, subgroup_generated
 from addcomp.literals import parse_group, parse_set
-from addcomp.oracle import naive_difference_set
+from addcomp.oracle import naive_difference_set, oracle_is_minimal_complement_for
 from addcomp.rng import SplitMix64, derive_seed
-from addcomp.sumset import GroupSet, PrivatePoints
+from addcomp.sumset import GroupSet
 
 
 def _gs(g, elems):
@@ -412,15 +412,20 @@ def test_random_witness_exhausts_on_crowded_set():
     assert trace.e1 or trace.e2 or trace.e3
 
 
-def _seeded_random_builds():
-    """One-attempt random builds in small groups, where every failure event
-    fires on some draws, and in groups of order 400, where some succeed."""
+# (factors, least |C|, largest |C|, least s, largest s) per group
+_SEEDED_CASES = (([40], 3, 5, 1, 3), ([4, 10], 3, 5, 1, 3),
+                 ([400], 3, 5, 3, 8), ([10, 40], 3, 5, 3, 8))
+
+
+def _seeded_random_builds(cases=_SEEDED_CASES, per_group=30):
+    """One-attempt random builds, per_group of them in each case's group.
+    With the default cases every failure event fires on some draws in the
+    small groups, and some builds succeed in the groups of order 400."""
     rnd = random.Random(40)
-    for factors, s_lo, s_hi in (([40], 1, 3), ([4, 10], 1, 3),
-                                ([400], 3, 8), ([10, 40], 3, 8)):
+    for factors, k_lo, k_hi, s_lo, s_hi in cases:
         g = Group(factors)
-        for _ in range(30):
-            elems = rnd.sample(range(g.order), rnd.randint(3, 5))
+        for _ in range(per_group):
+            elems = rnd.sample(range(g.order), rnd.randint(k_lo, k_hi))
             c = GroupSet.from_elements(g, elems)
             yield random_witness(c, rnd.randint(s_lo, s_hi), max_retries=1,
                                  seed=rnd.randrange(1 << 16))
@@ -483,29 +488,57 @@ def test_random_witness_unchanged_at_readme_scale(spec, literal, s, seed, digest
     assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 
 
-def test_random_witness_retries_when_an_element_has_no_private_point(monkeypatch):
-    # An attempt is accepted only when private_points finds both full cover
-    # and a private point for every element: reporting None for c_0 on the
-    # first check must send the build on to a later attempt.
-    c = _random_c(10 ** 6, 6, 1)
-    plain = random_witness(c, 21, seed=1)
-    real = builders.private_points
+# Cyclic and product groups of order 40-400 where builds with e1, or e2,
+# forced false reach non-witnesses: s = 1 or 2 in the smallest groups
+# (e2 fires on every attempt at s = 1), two to six points in the others.
+_WITNESS_CASES = (([40], 2, 5, 1, 2), ([2, 2, 10], 2, 4, 1, 3), ([40], 2, 3, 1, 3),
+                  ([100], 3, 6, 2, 4), ([200], 2, 4, 2, 4), ([20, 20], 2, 3, 2, 3))
+
+
+def test_attempt_without_failure_event_is_a_witness():
+    # random_witness accepts the first attempt where e1, e2 and e3 are all
+    # false, with no check of W: its docstring proves such a W is a
+    # witness, and the naive oracle must agree on every one.
+    built = failed = 0
+    for trace in _seeded_random_builds(_WITNESS_CASES, per_group=500):
+        events = trace.e1 or trace.e2 or trace.e3
+        assert (trace.result is not None) == (not events)
+        if events:
+            failed += 1
+            continue
+        built += 1
+        assert len(trace.chosen) == len(trace.c)
+        assert oracle_is_minimal_complement_for(trace.result, trace.c)
+    assert built >= 300 and failed >= 300
+
+
+def test_random_build_yes_is_checked_once(monkeypatch, capsys):
+    # The builder itself checks nothing; the one check of a random-build
+    # yes is verified_yes's, in exists_witness and in the CLI command.
     calls = []
+    real = builders.private_points
 
-    def first_refused(group, w, elements):
-        pts = real(group, w, elements)
-        calls.append(pts)
-        if len(calls) == 1:
-            assert pts.covered == group.full_mask and None not in pts.least
-            return PrivatePoints(pts.covered, [None] + pts.least[1:])
-        return pts
+    def counted(group, w, elements):
+        calls.append(w)
+        return real(group, w, elements)
 
-    monkeypatch.setattr(builders, "private_points", first_refused)
+    for module in (builders, complements, cli):  # every module importing it
+        monkeypatch.setattr(module, "private_points", counted)
+    c = _random_c(10 ** 6, 6, 1)
     trace = random_witness(c, 21, seed=1)
-    assert len(calls) == 2
-    assert trace.retries_used > plain.retries_used
-    assert trace.result is not None and trace.result != plain.result
-    assert is_minimal_complement_for(trace.result, c)
+    assert trace.result is not None and calls == []
+    cert = complements.exists_witness(c)
+    assert cert.method == "random-build"
+    assert calls == [cert.witness.mask]
+    calls.clear()
+    assert cli.main(["witness", "--group", "1000x1000",
+                     "--c", "{(0,0),(351,380),(373,492),(918,995)}"]) == 0
+    assert '"random-build"' in capsys.readouterr().out and len(calls) == 1
+    calls.clear()
+    assert cli.main(["random-build", "--group", "1000000", "--c",
+                     "{0,11,5225,90125,443211,800017}", "--s", "21", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_random_witness_singleton_fast_path():

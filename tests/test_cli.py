@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -198,6 +199,23 @@ def test_random_build_success(capsys):
     trace = env["result"]["trace"]
     assert trace["result"] is not None
     assert env["seed"] == 3
+
+
+def test_random_build_rechecks_its_witness(capsys, monkeypatch):
+    # random_witness checks nothing itself, so the command rechecks the
+    # witness before printing it: one that is not a witness is an internal
+    # error, with no envelope and no traceback.
+    real = cli.random_witness
+
+    def not_a_witness(c, s, **keywords):
+        trace = real(c, s, **keywords)
+        return dataclasses.replace(trace, result=GroupSet.singleton(c.group, 0))
+
+    monkeypatch.setattr(cli, "random_witness", not_a_witness)
+    code, env, err = run(capsys, "random-build", "--group", "10000",
+                         "--c", "{0, 417, 2905, 7311}", "--s", "12", "--seed", "3")
+    assert code == 1 and env is None
+    assert err.startswith("internal error:") and "Traceback" not in err
 
 
 def test_random_build_failure_exit_2(capsys):

@@ -430,6 +430,19 @@ def test_gap_family_is_the_closed_form():
                 row for row in expect if row[1] <= row[2]], g
 
 
+def test_gap_family_lists_every_subgroup_or_refuses():
+    # Above order 64 only a cyclic group's subgroups can be listed; a family
+    # of cyclic subgroups alone would drop rows of a non-cyclic group, such
+    # as every row of 2^7 and (24, 21-23) of Z2 x Z18 in 2x36.
+    for factors in ([2] * 7, [2, 36]):
+        with pytest.raises(ValueError):
+            subgroup_gap_family(Group(factors))
+    for factors in ([100], [4, 25]):
+        fam = subgroup_gap_family(Group(factors))
+        assert [(e.subgroup.order, e.low, e.high) for e in fam] == [
+            (20, 19, 19), (25, 23, 24), (50, 41, 49), (100, 67, 99)]
+
+
 def test_gap_family_blocks_k_plus_one_subgroups():
     # orders where a subgroup of order k+1 bars size-k subsets
     for k, n in ((5, 12), (7, 24), (9, 40)):
