@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import Callable, Optional
+from typing import Optional
 
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
@@ -84,8 +84,7 @@ class APDescriptor:
     length: int
 
 
-def detect_ap(c: GroupSet, *, _k: Optional[int] = None,
-              _elements: Optional[Callable[[], list]] = None) -> Optional[APDescriptor]:
+def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
     """Find a progression presentation of c, or None.
 
     Candidate steps are differences with the least element (both signs):
@@ -113,12 +112,9 @@ def detect_ap(c: GroupSet, *, _k: Optional[int] = None,
     cycle of d and Z = G minus c is the rest of that cycle, a walk of
     n - k points, with |Z + Z| <= 2|Z| - 1; a coset of more than n/2
     points would be G.
-
-    _k and _elements, when given, are len(c) and a function returning
-    c.elements(), from a caller that shares them between stages.
     """
     group = c.group
-    k = len(c) if _k is None else _k
+    k = len(c)
     if k == 0 or k > min(AP_DETECT_SIZE_LIMIT, group.exponent()):
         return None
     n = group.order
@@ -126,7 +122,7 @@ def detect_ap(c: GroupSet, *, _k: Optional[int] = None,
         return None
     if k < n < 2 * k and doubling_reaches(group, group.full_mask & ~c.mask, 2 * (n - k)):
         return None
-    ec = c.elements() if _elements is None else _elements()
+    ec = c.elements()
     if k == 1:
         return APDescriptor(c, ec[0], 0, 1)
     cset = set(ec)
@@ -300,8 +296,7 @@ RANDOM_RETRIES = 10  # attempts of random_witness, in the library and the CLI
 
 
 def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
-                   seed: int = 0, *, _elements: Optional[Callable[[], list]] = None
-                   ) -> RandomBuildTrace:
+                   seed: int = 0) -> RandomBuildTrace:
     """Randomized witness for large groups, accepted when no failure event fires.
 
     Draws s candidate translates per element of C, rejects the whole
@@ -342,12 +337,10 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
     a good offset and c_t in C; by associativity these are g + (off +
     c_t), so it adds g to the set good_offsets + C summed once, and the
     order it tries them in does not change whether any is blocked.
-    _elements, when given, is a function returning c.elements(), from a
-    caller that shares the list between stages.
     """
     group = c.group
     n = group.order
-    ec = c.elements() if _elements is None else _elements()
+    ec = c.elements()
     k = len(ec)
     if k == 0:
         raise ValueError("empty C")
@@ -422,14 +415,13 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
 
         # W is G minus the back-translates g_i - C of the kept points,
         # plus the kept draws themselves, so G minus W has at most k^2
-        # points.
+        # points, the hole list W keeps.
         chosen_g = [derived[i][keep[i]] for i in range(k)]
         kept = {samples[i][keep[i]] for i in range(k)}
         back = group.sums(chosen_g, neg_c)  # g_i - c_t, k per kept point
-        wmask = group.full_mask ^ mask_of(n, set(back) - kept)
+        w = GroupSet.from_elements(group, set(back) - kept).complement()
         return RandomBuildTrace(c, s, seed, attempt + 1, samples, derived,
-                                False, False, False, keep,
-                                GroupSet(group, wmask), debug)
+                                False, False, False, keep, w, debug)
     return last
 
 

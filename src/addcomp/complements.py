@@ -18,7 +18,6 @@ through 0.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -30,7 +29,7 @@ from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
-from .sumset import (BITS_CHUNK, GroupSet, _same_group, bits_of, doubling_reaches, negated_mask,
+from .sumset import (GroupSet, _same_group, bits_of, doubling_reaches, negated_mask,
                      private_points, sumset, translate_mask)
 
 PAIR_SCAN_LIMIT = 1 << 16
@@ -42,13 +41,17 @@ def is_complement(w: GroupSet, c: GroupSet) -> bool:
 
 
 def is_minimal_complement_for(w: GroupSet, c: GroupSet) -> bool:
-    """True when W + C = G and dropping any element of C breaks coverage."""
+    """True when W + C = G and dropping any element of C breaks coverage.
+
+    C's points and W's holes are read from the tuples the sets keep,
+    where they keep them (see GroupSet), in place of a pass over a mask.
+    """
     _same_group(w, c)
     group = w.group
     ec = c.elements()
     if not ec:
         return False
-    pts = private_points(group, w.mask, ec)
+    pts = private_points(group, w.mask, ec, holes=w.kept_holes())
     return pts.covered == group.full_mask and None not in pts.least
 
 
@@ -222,11 +225,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
             return DecisionCertificate(problem, NO, "bound-subgroup-gap", c, detail={
                 "size": k, "subgroup_order": m})
 
-    # Listing a mask wider than BITS_CHUNK bits is a pass over its bytes,
-    # so there the stages below share one list, made when the first of
-    # them reads it; verified_yes still reads C afresh.
-    elements = functools.cache(c.elements) if n > BITS_CHUNK else c.elements
-    ap = builders.detect_ap(c, _k=k, _elements=elements)
+    ap = builders.detect_ap(c)
     if ap is not None:
         # C - min C generates <step>: the trap above already gave its "no"
         return builders.ap_decide_and_build(ap)
@@ -248,7 +247,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         if s * s * k ** 3 < n and builders.check_feasibility(n, k, s).feasible:
             # the low 64 bits of C: & reads only those, % divides the n-bit mask
             seed = derive_seed(0x57A97E55, n, k, c.mask & ((1 << 64) - 1))
-            trace = builders.random_witness(c, s, seed=seed, _elements=elements)
+            trace = builders.random_witness(c, s, seed=seed)
             if trace.result is not None:
                 return yes(problem, "random-build", trace.result, c,
                            s=s, retries=trace.retries_used)

@@ -9,7 +9,9 @@ search counts against.  Every yes is built through
 DecisionCertificate.verified_yes, so this is the one place a witness is
 re-verified before it leaves the package.  A minimal-complement witness
 is rechecked through the one private-point kernel, sumset.private_points,
-whose docstring says which of its two paths it takes.
+whose docstring says which of its two paths it takes; C's points and W's
+holes are read from the tuples the sets keep, where they keep them, which
+the GroupSet docstring shows is reading their masks.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .groups import Group
-from .sumset import GroupSet, mask_of
+from .sumset import GroupSet
 
 __all__ = [
     "parse_group",
@@ -97,7 +97,7 @@ def parse_set(group: Group, text: str) -> GroupSet:
             f"set literal {text!r} must be '{{...}}' or a 0x hex mask"
         )
     points = [parse_element(group, piece) for piece in _split_top_level(t[1:-1])]
-    return GroupSet(group, mask_of(group.order, points))
+    return GroupSet.from_elements(group, points)
 
 
 def _split_top_level(text: str) -> list[str]:

@@ -10,9 +10,9 @@ checks, coverage, supplement tests) reduces to these kernels.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from .groups import Group
@@ -127,7 +127,8 @@ class PrivatePoints(NamedTuple):
     least: list
 
 
-def private_points(group: "Group", w: int, elements) -> PrivatePoints:
+def private_points(group: "Group", w: int, elements,
+                   holes: Optional[Sequence[int]] = None) -> PrivatePoints:
     """Cover and private points of W + elements, by the cheaper of two paths.
 
     The translate path ORs the k translates W + e into once/twice masks,
@@ -153,13 +154,19 @@ def private_points(group: "Group", w: int, elements) -> PrivatePoints:
     The path is chosen while Z is listed: the walk over Z's points
     (_holes_within) stops at the first one past the rule's bound, so W
     is never counted, and a W that misses many points pays a short walk
-    before its translates.
+    before its translates.  holes, when given, is Z ascending, such as
+    the hole list a GroupSet keeps (GroupSet.kept_holes); then Z is read
+    from it and not walked.
     """
     elements = list(elements)
     k = len(elements)
     if k >= 2:
         # the largest |Z| with 8192 * (|Z| + 1) * k < (k - 1) * n
-        holes = _holes_within(group, w, ((k - 1) * group.order - 1) // (8192 * k) - 1)
+        most = ((k - 1) * group.order - 1) // (8192 * k) - 1
+        if holes is None:
+            holes = _holes_within(group, w, most)
+        elif len(holes) > most:
+            holes = None
         if holes is not None:
             return _private_points_by_complement(group, holes, elements)
     return _private_points_by_translates(group, w, elements)
@@ -242,12 +249,39 @@ def negated_mask(group: "Group", mask: int) -> int:
     return out
 
 
+# A kept tuple costs about 40 bytes a point (an int object and its slot
+# in the tuple), a mask 1/8 byte a bit: a tuple is kept only when it
+# takes no more.
+KEPT_POINT_BITS = 320
+
+
 @dataclass(frozen=True, slots=True)
 class GroupSet:
-    """Immutable subset of a finite abelian group, stored as a bitmask."""
+    """Immutable subset of a finite abelian group, stored as a bitmask.
+
+    A set whose mask is wider than BITS_CHUNK bits may also keep the
+    ascending tuple of its points, or of the points of the group it
+    misses (its holes), so that listing, counting and printing it read
+    the tuple instead of passing over the mask's bytes.  A tuple is kept
+    only where it is at hand when the mask is first listed or made:
+    from_elements keeps the points it built the mask from, full() keeps
+    no holes, complement() swaps points and holes, and the first
+    elements() call on a mask built any other way (a hex literal, say)
+    keeps its listing.  A tuple is kept only when it takes no more memory
+    than the mask (KEPT_POINT_BITS bits of mask a point).
+
+    The mask never changes once made, and each kept tuple lists exactly
+    that mask's points or holes, so reading the tuple is reading the
+    mask.  That is why DecisionCertificate.verified_yes may recheck a
+    witness through C's kept points and W's kept holes: it sees the very
+    points a pass over the masks would.  Equality, hashing and pickling
+    see (group, mask) only, and an unset slot is read as None.
+    """
 
     group: Group
     mask: int
+    _points: Optional[tuple] = field(init=False, compare=False, repr=False)
+    _holes: Optional[tuple] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mask < 0 or self.mask >> self.group.order:
@@ -255,13 +289,26 @@ class GroupSet:
                 f"mask 0x{self.mask:x} does not fit a group of order {self.group.order}"
             )
 
+    def __reduce__(self):
+        return GroupSet, (self.group, self.mask)
+
+    def _keeps(self, count: int) -> bool:
+        """Whether this set keeps a tuple of count points: its mask is
+        wider than BITS_CHUNK bits, and the tuple takes no more memory."""
+        width = self.mask.bit_length()
+        return width > BITS_CHUNK and KEPT_POINT_BITS * count <= width
+
     @classmethod
     def from_elements(cls, group: "Group", elements: Iterable[int]) -> "GroupSet":
         elements = list(elements)
         for e in elements:
             if not 0 <= e < group.order:
                 raise ValueError(f"element index {e} out of range for {group}")
-        return cls(group, mask_of(group.order, elements))
+        s = cls(group, mask_of(group.order, elements))
+        # no set of a group of order <= BITS_CHUNK is wide: skip the call
+        if group.order > BITS_CHUNK and s._keeps(len(elements)):
+            object.__setattr__(s, "_points", tuple(sorted(set(elements))))
+        return s
 
     @classmethod
     def empty(cls, group: "Group") -> "GroupSet":
@@ -269,20 +316,52 @@ class GroupSet:
 
     @classmethod
     def full(cls, group: "Group") -> "GroupSet":
-        return cls(group, group.full_mask)
+        s = cls(group, group.full_mask)
+        if s._keeps(0):
+            object.__setattr__(s, "_holes", ())
+        return s
 
     @classmethod
     def singleton(cls, group: "Group", e: int) -> "GroupSet":
         return cls.from_elements(group, (e,))
 
     def elements(self) -> list[int]:
-        return list(bits_of(self.mask))
+        mask = self.mask
+        if mask.bit_length() > BITS_CHUNK:
+            points = getattr(self, "_points", None)
+            if points is not None:
+                return list(points)
+            listed = list(bits_of(mask))
+            if self._keeps(len(listed)):
+                object.__setattr__(self, "_points", tuple(listed))
+            return listed
+        return list(bits_of(mask))
+
+    def kept_holes(self) -> Optional[tuple]:
+        """The points of the group this set misses, ascending, when it
+        keeps them (see the class docstring); else None."""
+        if self.mask.bit_length() > BITS_CHUNK:
+            return getattr(self, "_holes", None)
+        return None
 
     def hex_mask(self) -> str:
+        if self.mask.bit_length() > BITS_CHUNK:
+            points = getattr(self, "_points", None)
+            if points is not None:
+                return _hex_of_list(points, 0)
+            holes = getattr(self, "_holes", None)
+            if holes is not None:
+                return _hex_of_list(holes, self.group.order)
         return hex(self.mask)
 
     def complement(self) -> "GroupSet":
-        return GroupSet(self.group, self.group.full_mask & ~self.mask)
+        out = GroupSet(self.group, self.group.full_mask ^ self.mask)
+        if self.mask.bit_length() > BITS_CHUNK:
+            for mine, theirs in (("_points", "_holes"), ("_holes", "_points")):
+                kept = getattr(self, mine, None)
+                if kept is not None and out._keeps(len(kept)):
+                    object.__setattr__(out, theirs, kept)
+        return out
 
     def with_element(self, e: int) -> "GroupSet":
         return GroupSet(self.group, self.mask | (1 << e))
@@ -297,10 +376,23 @@ class GroupSet:
         return 0 <= e < self.group.order and (self.mask >> e) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        return bits_of(self.mask)
+        mask = self.mask
+        if mask.bit_length() > BITS_CHUNK:
+            points = getattr(self, "_points", None)
+            if points is not None:
+                return iter(points)
+        return bits_of(mask)
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        mask = self.mask
+        if mask.bit_length() > BITS_CHUNK:
+            points = getattr(self, "_points", None)
+            if points is not None:
+                return len(points)
+            holes = getattr(self, "_holes", None)
+            if holes is not None:
+                return self.group.order - len(holes)
+        return mask.bit_count()
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -320,10 +412,44 @@ class GroupSet:
     def __repr__(self) -> str:
         size = len(self)
         head = 10 if size > 12 else size
-        inner = ", ".join(map(str, islice(bits_of(self.mask), head)))
+        inner = ", ".join(map(str, islice(self, head)))
         if size > 12:
             inner += f", ... ({size} elements)"
         return f"GroupSet({self.group.spec_string()}, {{{inner}}})"
+
+
+def _hex_of_list(points: tuple, n: int) -> str:
+    """hex() of the mask of the ascending points (at least one), or with
+    n > 0 of the mask of the group of order n without them, written
+    from the list.
+
+    Every hex digit holding no listed point is "0" (or "f" without
+    them), so the text is runs of that digit with the digits of the
+    listed points spliced in: O(len(points)) digit arithmetic plus the
+    string's length in bytes, with no conversion of the mask.  Without
+    the points the top digit covers only the n mod 4 bits left over (all
+    4 when n mod 4 = 0), and listed points there can clear it, so its
+    leading zeros are stripped as hex() strips them.
+    """
+    if n:
+        fill, rest, top = "f", 15, (n + 3) >> 2  # top: digits of an n-bit mask
+        digits = {top - 1: (1 << (n - 4 * (top - 1))) - 1}
+    else:
+        fill, rest, top = "0", 0, (points[-1] >> 2) + 1
+        digits = {}
+    for p in points:
+        d = p >> 2
+        digits[d] = digits.get(d, rest) ^ 1 << (p & 3)
+    pieces = ["0x"]
+    above = top
+    for d in sorted(digits, reverse=True):
+        pieces += [fill * (above - d - 1), "0123456789abcdef"[digits[d]]]
+        above = d
+    pieces.append(fill * above)
+    text = "".join(pieces)
+    if text[2] == "0":
+        text = "0x" + (text[2:].lstrip("0") or "0")
+    return text
 
 
 def _same_group(a: GroupSet, b: GroupSet) -> None:

@@ -518,9 +518,9 @@ def test_random_build_yes_is_checked_once(monkeypatch, capsys):
     calls = []
     real = builders.private_points
 
-    def counted(group, w, elements):
+    def counted(group, w, elements, **holes):
         calls.append(w)
-        return real(group, w, elements)
+        return real(group, w, elements, **holes)
 
     for module in (builders, complements, cli):  # every module importing it
         monkeypatch.setattr(module, "private_points", counted)

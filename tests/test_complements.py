@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from addcomp import builders, complements, groups, supplements
+from addcomp import builders, cli, complements, groups, supplements
 from addcomp.builders import APDescriptor, ap_decide_and_build
 from addcomp.complements import (EssentialityReport, compute_tmin, essentiality,
                                  exists_witness, is_complement,
@@ -284,27 +284,36 @@ def test_random_build_witness_checked_through_its_holes(monkeypatch):
     assert masks == []
 
 
-def test_random_build_lists_c_once_before_its_recheck(monkeypatch):
-    # detect_ap and the builder share one list of the README 2^24 set, so
-    # exists_witness walks C's mask once before verified_yes, whose
-    # recheck reads C afresh.
-    g = Group([1 << 24])
-    c = _gs(g, [0, 8839392, 9786826])
-    events = []
+def test_random_build_walks_a_listed_c_never_and_a_hex_c_once(monkeypatch, capsys):
+    # A brace literal or from_elements keeps C's points, and the builder's
+    # W keeps its holes, so neither exists_witness nor verified_yes's
+    # recheck (nor the CLI's print) passes over any mask wider than
+    # BITS_CHUNK bits.  A hex literal keeps nothing: the first listing of
+    # C walks its mask once and keeps the points for every later reader.
+    points = [0, 8839392, 9786826]
+    mask = sum(1 << p for p in points)
+    walks, verified = [], []
     real_bits, real_verify = sumset_module.bits_of, DecisionCertificate.verify
 
-    def walked(mask):
-        if mask == c.mask:
-            events.append("walk")
-        return real_bits(mask)
+    def walked(m):
+        if m.bit_length() > sumset_module.BITS_CHUNK:
+            walks.append(m)
+        return real_bits(m)
 
     for module in (sumset_module, builders, complements, supplements):
         monkeypatch.setattr(module, "bits_of", walked)
     monkeypatch.setattr(DecisionCertificate, "verify",
-                        lambda cert: events.append("verify") or real_verify(cert))
-    cert = exists_witness(c)
-    assert cert.method == "random-build"
-    assert events == ["walk", "verify", "walk"]
+                        lambda cert: verified.append(cert.method) or real_verify(cert))
+    cert = exists_witness(_gs(Group([1 << 24]), reversed(points)))
+    assert cert.method == "random-build" and verified == ["random-build"]
+    assert walks == []
+    for literal, c_walks in (("{0,8839392,9786826}", []), (hex(mask), [mask])) * 2:
+        walks.clear()
+        verified.clear()
+        assert cli.main(["witness", "--group", "16777216", "--c", literal]) == 0
+        assert '"random-build"' in capsys.readouterr().out
+        assert verified == ["random-build"]
+        assert walks == c_walks
 
 
 def test_small_groups_check_witnesses_by_translates(monkeypatch):

@@ -1,12 +1,15 @@
 import importlib
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomp.complements import is_minimal_complement_for
+from addcomp.builders import random_witness
+from addcomp.complements import exists_witness, is_minimal_complement_for
 from addcomp.groups import Group, Homomorphism, subgroup_generated
+from addcomp.literals import format_element, parse_set
 from addcomp.oracle import (naive_coverage, naive_difference_set, naive_sumset,
                             oracle_is_minimal_complement_for)
 from addcomp.sumset import (GroupSet, bits_of, coverage, difference_set,
@@ -449,6 +452,11 @@ def test_private_points_path_at_the_bound(monkeypatch, factors):
                 if k >= 2:
                     assert tuple(paths["_private_points_by_complement"](
                         g, sorted(holes), ec)) == want
+                # a hole list handed in takes the same path, unwalked
+                ran.clear()
+                assert private_points(g, w.mask, ec, holes=sorted(holes)) == got
+                assert ran == [("_private_points_by_complement" if rule
+                                else "_private_points_by_translates")]
     assert seen == {True, False}
 
 
@@ -481,3 +489,124 @@ def test_private_points_follow_one_more_hole():
                     assert after == before
                 moved.append(after != before)
     assert any(moved) and not all(moved)
+
+
+def _kept(s):
+    """The tuples s keeps, (points, holes), None where a slot is unset."""
+    return getattr(s, "_points", None), getattr(s, "_holes", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1024, 6000), st.integers(0, 3), st.data())
+def test_hex_mask_from_kept_lists_is_hex(quads, r, data):
+    # Widths n of every residue mod 4, so the leading digit is partial or
+    # whole; C holds one point past BITS_CHUNK (so it keeps its points and
+    # its complement W its holes), maybe some of the top bits (which W's
+    # leading digits lose, down to stripped zeros) and up to 7 others.
+    chunk = sumset_module.BITS_CHUNK
+    n = 4 * quads + r
+    g = Group([n])
+    high = data.draw(st.integers(min(chunk, n - 1), n - 1))
+    top = data.draw(st.lists(st.integers(max(0, n - 9), n - 1), max_size=4))
+    rest = data.draw(st.lists(st.integers(0, n - 1), max_size=7))
+    points = [high, *top, *rest]
+    c = GroupSet.from_elements(g, points)
+    w = c.complement()
+    wide = n > chunk
+    assert _kept(c) == ((tuple(sorted(set(points))) if wide else None), None)
+    assert _kept(w)[1] == (_kept(c)[0] if w.mask.bit_length() > chunk else None)
+    for s in (c, w, w.complement(), GroupSet.full(g), GroupSet.empty(g)):
+        assert s.hex_mask() == hex(s.mask)
+
+
+def test_hex_mask_of_long_kept_lists():
+    # Lists of the largest length kept, on a cyclic group and a product.
+    rnd = random.Random(5)
+    for factors in ([(1 << 16) + 3], [7, 4099]):
+        g = Group(factors)
+        n = g.order
+        points = rnd.sample(range(n - 1), n // 320 - 1) + [n - 1]
+        c = GroupSet.from_elements(g, points)
+        assert _kept(c)[0] is not None and _kept(c.complement())[1] is not None
+        assert c.hex_mask() == hex(c.mask)
+        assert c.complement().hex_mask() == hex(c.complement().mask)
+        other = next(e for e in range(n) if e not in c)
+        assert _kept(GroupSet.from_elements(g, points + [other])) == (None, None)
+
+
+def _wide_sets():
+    """(how it was made, set) for each way a set wider than BITS_CHUNK is made."""
+    chunk = sumset_module.BITS_CHUNK
+    for g in (Group([5 * chunk + 3]), Group([5, chunk + 1])):
+        n = g.order
+        points = [n - 1, 5, 5, chunk + 1, 0, n - 1, 3 * chunk]
+        made = GroupSet.from_elements(g, points)
+        yield "from_elements", made
+        text = "{" + ", ".join(format_element(g, e) for e in points) + "}"
+        yield "brace", parse_set(g, text)
+        hexed = parse_set(g, hex(made.mask))
+        assert _kept(hexed) == (None, None)
+        hexed.elements()
+        yield "memo", hexed
+        yield "complement", made.complement()
+        yield "complement twice", made.complement().complement()
+        yield "full", GroupSet.full(g)
+    c = GroupSet.from_elements(Group([10 ** 6]), [0, 11, 5225, 90125])
+    yield "random_witness", random_witness(c, 21, seed=1).result
+
+
+def test_kept_lists_list_the_mask():
+    for how, s in _wide_sets():
+        points, holes = _kept(s)
+        assert (points is None) == (how in ("complement", "full", "random_witness")), how
+        assert (holes is None) == (how not in ("complement", "full", "random_witness")), how
+        full = s.group.full_mask
+        if points is not None:
+            assert list(points) == list(bits_of(s.mask)) == s.elements() == list(s), how
+        else:
+            assert list(holes) == list(bits_of(full ^ s.mask)), how
+            assert s.complement().elements() == list(holes), how
+        assert len(s) == s.mask.bit_count(), how
+        assert s.hex_mask() == hex(s.mask), how
+        assert repr(s) == repr(GroupSet(s.group, s.mask)), how
+
+
+def test_kept_lists_unseen_by_equality_hashing_and_pickling():
+    for how, s in _wide_sets():
+        bare = GroupSet(s.group, s.mask)
+        assert _kept(bare) == (None, None) and _kept(s) != (None, None)
+        assert s == bare and hash(s) == hash(bare) and {bare: how}[s] == how
+        copy = pickle.loads(pickle.dumps(s))
+        assert copy == s and _kept(copy) == (None, None)
+
+
+def test_kept_points_cannot_be_changed_through_elements():
+    for how, s in _wide_sets():
+        if _kept(s)[0] is None:
+            continue
+        before = (s.elements(), s.hex_mask(), len(s))
+        listed = s.elements()
+        listed.append(1)
+        listed[0] = 7
+        listed.sort(reverse=True)
+        assert (s.elements(), s.hex_mask(), len(s)) == before
+
+
+def test_no_list_kept_at_order_bits_chunk_or_below():
+    rnd = random.Random(8)
+    for factors in ([sumset_module.BITS_CHUNK], [64, 64], [12], [2, 2, 4]):
+        g = Group(factors)
+        n = g.order
+        points = rnd.sample(range(n), 3) + [n - 1]
+        made = GroupSet.from_elements(g, points)
+        hexed = parse_set(g, hex(made.mask))
+        hexed.elements()
+        sets = [made, made.complement(), made.complement().complement(), hexed,
+                parse_set(g, "{" + ",".join(format_element(g, e) for e in points) + "}"),
+                GroupSet.full(g), GroupSet.singleton(g, n - 1)]
+        trace = random_witness(made, 13, seed=2)
+        cert = exists_witness(made)
+        sets += [x for x in (trace.result, cert.witness) if x is not None]
+        for s in sets:
+            s.elements()
+            assert _kept(s) == (None, None)
