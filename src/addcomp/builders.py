@@ -28,9 +28,9 @@ from typing import Optional
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
 from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
 from .rng import SplitMix64, derive_seed
-from .sumset import (GroupSet, _same_group, bits_of, difference_set, doubling_reaches,
-                     mask_of, private_points, progression_sum, sumset, translate,
-                     translate_mask)
+from .sumset import (BITS_CHUNK, GroupSet, _same_group, bits_of, difference_set,
+                     doubling_reaches, mask_of, private_points, progression_sum, sumset,
+                     translate, translate_mask)
 from . import complements
 
 AP_DETECT_SIZE_LIMIT = 64
@@ -118,7 +118,9 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
     if k == 0 or k > min(AP_DETECT_SIZE_LIMIT, group.exponent()):
         return None
     n = group.order
-    if 2 <= k and 2 * k <= n and doubling_reaches(group, c.mask, 2 * k):
+    # doubling_reaches shows nothing above order BITS_CHUNK: C's mask is
+    # not read there
+    if 2 <= k and 2 * k <= n <= BITS_CHUNK and doubling_reaches(group, c.mask, 2 * k):
         return None
     if k < n < 2 * k and doubling_reaches(group, group.full_mask & ~c.mask, 2 * (n - k)):
         return None
@@ -442,7 +444,7 @@ def lift_via_subgroup(wh: GroupSet, c: GroupSet,
         h = Subgroup(group, span)
     elif span != h.members:
         raise ValueError("wh + c does not fill the given subgroup")
-    if None in private_points(group, wh.mask, c.elements()).least:
+    if None in private_points(wh, c.elements()).least:
         raise ValueError("c is not a minimal complement within the subgroup")
     w = sumset(wh, coset_representatives(h))
     if not complements.is_minimal_complement_for(w, c):

@@ -46,8 +46,10 @@ def _render(envelope: dict) -> list[str]:
     other value json has no form for as its str().
 
     json renders everything else, with a placeholder string where each
-    GroupSet goes.  Each distinct GroupSet is hex-ed once and its hex
-    spliced in verbatim: "0x..." has nothing to escape.  A placeholder
+    GroupSet goes.  Each distinct GroupSet is hex-ed once, as the pieces
+    of GroupSet.hex_pieces, and they are spliced in verbatim: "0x..." has
+    nothing to escape, and a listed set's hex is never joined into one
+    string (its runs of "0" or "f" are one shared string).  A placeholder
     is NUL characters and an index; the NULs are lengthened until their
     JSON form occurs nowhere else in the text, so no other string in the
     envelope can pass for a placeholder.
@@ -69,7 +71,7 @@ def _render(envelope: dict) -> list[str]:
         if len(rest) == uses:
             break
         pad += "\x00"
-    hexes = [gs.hex_mask() for _, gs in sets.values()]
+    hexes = [gs.hex_pieces() for _, gs in sets.values()]
     # json's encoder functions form a reference cycle that keeps
     # default, and so sets, alive until the next garbage collection;
     # emptying sets lets the masks go as soon as the caller drops them.
@@ -77,7 +79,7 @@ def _render(envelope: dict) -> list[str]:
     pieces = [head]
     for piece in rest:
         index, tail = piece.split('"', 1)
-        pieces += ['"', hexes[int(index)], '"', tail]
+        pieces += ['"', *hexes[int(index)], '"', tail]
     pieces.append("\n")
     return pieces
 
@@ -122,8 +124,8 @@ def _cmd_check(args):
     w = parse_set(group, args.w)
     c = parse_set(group, args.c)
     ec = c.elements()
-    pts = private_points(group, w.mask, ec)  # answers all three fields
-    comp = pts.covered == group.full_mask
+    pts = private_points(w, ec)  # answers all three fields
+    comp = not pts.uncovered
     result = {
         "complement": comp,
         "minimal_complement": comp and None not in pts.least,
@@ -169,7 +171,7 @@ def _cmd_pair(args):
 
 def _cmd_random_build(args):
     group = parse_group(args.group)
-    c = parse_set(group, args.c)
+    c = parse_set(group, args.c).listed()  # read by the build and the recheck
     trace = random_witness(c, args.s, max_retries=args.retries, seed=args.seed)
     if trace.result is not None:
         DecisionCertificate.verified_yes(MINIMAL_COMPLEMENT, "random-build", trace.result, c)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Callable, Optional
 
 from . import builders
@@ -44,15 +45,15 @@ def is_minimal_complement_for(w: GroupSet, c: GroupSet) -> bool:
     """True when W + C = G and dropping any element of C breaks coverage.
 
     C's points and W's holes are read from the tuples the sets keep,
-    where they keep them (see GroupSet), in place of a pass over a mask.
+    where they keep them (see GroupSet), in place of a pass over a mask:
+    a listed C and a W listed by its holes are checked without a mask.
     """
     _same_group(w, c)
-    group = w.group
     ec = c.elements()
     if not ec:
         return False
-    pts = private_points(group, w.mask, ec, holes=w.kept_holes())
-    return pts.covered == group.full_mask and None not in pts.least
+    pts = private_points(w, ec)
+    return not pts.uncovered and None not in pts.least
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,12 @@ class EssentialityReport:
 
 def essentiality(w: GroupSet, c: GroupSet) -> EssentialityReport:
     _same_group(w, c)
-    group = w.group
     ec = c.elements()
-    pts = private_points(group, w.mask, ec)
-    if pts.covered != group.full_mask:
+    pts = private_points(w, ec)
+    if pts.uncovered:
         raise ValueError("essentiality is defined for complements only")
     witness = {e: x for e, x in zip(ec, pts.least) if x is not None}
-    return EssentialityReport(w, c, GroupSet.from_elements(group, witness), witness)
+    return EssentialityReport(w, c, GroupSet.from_elements(w.group, witness), witness)
 
 
 def prune_to_minimal(w: GroupSet, c: GroupSet) -> GroupSet:
@@ -89,16 +89,15 @@ def prune_to_minimal(w: GroupSet, c: GroupSet) -> GroupSet:
     The result is a minimal complement for W contained in C.
     """
     _same_group(w, c)
-    group = w.group
     cur = c
     ec = cur.elements()
-    pts = private_points(group, w.mask, ec)
-    if pts.covered != group.full_mask:
+    pts = private_points(w, ec)
+    if pts.uncovered:
         raise ValueError("cannot prune a non-complement")
     while None in pts.least:
         cur = cur.without_element(ec[pts.least.index(None)])
         ec = cur.elements()
-        pts = private_points(group, w.mask, ec)
+        pts = private_points(w, ec)
     return cur
 
 
@@ -210,9 +209,10 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         budget = SearchBudget()
     problem = MINIMAL_COMPLEMENT
     yes = DecisionCertificate.verified_yes
+    c = c.listed()  # a wide mask is walked here once, for every stage below
     k = len(c)
 
-    if c.mask == group.full_mask:
+    if k == n:
         return yes(problem, "trivial", GroupSet(group, 1), c)
     if 3 * k > 2 * n:
         return DecisionCertificate(problem, NO, "bound-size-gap", c, detail={
@@ -245,8 +245,9 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         s = max(1, math.ceil(1.5 * math.log(n)))
         # feasibility needs its first term s^2 k^3 / n below 1 (the others are >= 0)
         if s * s * k ** 3 < n and builders.check_feasibility(n, k, s).feasible:
-            # the low 64 bits of C: & reads only those, % divides the n-bit mask
-            seed = derive_seed(0x57A97E55, n, k, c.mask & ((1 << 64) - 1))
+            # the low 64 bits of C's mask, from its points below 64
+            low = sum(1 << e for e in takewhile(lambda e: e < 64, c))
+            seed = derive_seed(0x57A97E55, n, k, low)
             trace = builders.random_witness(c, s, seed=seed)
             if trace.result is not None:
                 return yes(problem, "random-build", trace.result, c,

@@ -10,15 +10,16 @@ checks, coverage, supplement tests) reduces to these kernels.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .groups import Group
 
 __all__ = [
     "GroupSet",
+    "ListedSet",
     "CoverageProfile",
     "bits_of",
     "translate_mask",
@@ -116,19 +117,19 @@ def progression_sum(group: "Group", mask: int, step: int, length: int) -> int:
 
 
 class PrivatePoints(NamedTuple):
-    """What W + elements covers, and each element's least private point.
+    """What W + elements misses, and each element's least private point.
 
-    covered is the mask of the points some w + e reaches.  least[i] is the
-    least private point of elements[i], that is the least point of
-    W + elements[i] no other element reaches, or None when it has none.
+    uncovered is the mask of the points no w + e reaches, 0 when W +
+    elements is the whole group.  least[i] is the least private point of
+    elements[i], that is the least point of W + elements[i] no other
+    element reaches, or None when it has none.
     """
 
-    covered: int
+    uncovered: int
     least: list
 
 
-def private_points(group: "Group", w: int, elements,
-                   holes: Optional[Sequence[int]] = None) -> PrivatePoints:
+def private_points(w: GroupSet, elements) -> PrivatePoints:
     """Cover and private points of W + elements, by the cheaper of two paths.
 
     The translate path ORs the k translates W + e into once/twice masks,
@@ -136,8 +137,9 @@ def private_points(group: "Group", w: int, elements,
     O(k*n/64) word operations.  The complement path lists Z = G minus W
     and counts, for each x of Z + elements, the e with x - e in Z; every
     other point is covered k times.  A count of k means x is uncovered,
-    k - 1 that x is private to the one e with x - e outside Z: O(n/8)
-    byte operations plus O(|Z|*k^2) group operations, whatever n is.
+    k - 1 that x is private to the one e with x - e outside Z:
+    O(|Z|*k^2) group operations, whatever n is, plus a bytes pass of
+    O(n/8) only when more than MASK_OR_POINTS points are uncovered.
 
     The complement path runs when 8192 * (|Z| + 1) * k < (k - 1) * n.
     Timed path against path (random Z, k = 2, 4, 8, 16, Z_n and n x n
@@ -151,25 +153,27 @@ def private_points(group: "Group", w: int, elements,
     translate path, and the dense witnesses of the randomized builder
     (|Z| <= k^2) take the complement path from order 10^6 up.
 
-    The path is chosen while Z is listed: the walk over Z's points
-    (_holes_within) stops at the first one past the rule's bound, so W
-    is never counted, and a W that misses many points pays a short walk
-    before its translates.  holes, when given, is Z ascending, such as
-    the hole list a GroupSet keeps (GroupSet.kept_holes); then Z is read
-    from it and not walked.
+    The path is chosen while Z is listed.  A W that keeps its holes
+    (GroupSet.kept_holes), such as every randomized-build witness, hands
+    Z in, and the complement path then never reads W's mask.  Any other
+    W is walked (_holes_within), and the walk stops at the first point
+    past the rule's bound, so W is never counted, and a W that misses
+    many points pays a short walk before its translates.
     """
+    group = w.group
     elements = list(elements)
     k = len(elements)
     if k >= 2:
         # the largest |Z| with 8192 * (|Z| + 1) * k < (k - 1) * n
         most = ((k - 1) * group.order - 1) // (8192 * k) - 1
+        holes = w.kept_holes()
         if holes is None:
-            holes = _holes_within(group, w, most)
+            holes = _holes_within(group, w.mask, most)
         elif len(holes) > most:
             holes = None
         if holes is not None:
             return _private_points_by_complement(group, holes, elements)
-    return _private_points_by_translates(group, w, elements)
+    return _private_points_by_translates(group, w.mask, elements)
 
 
 def _holes_within(group: "Group", w: int, most: int) -> Optional[list]:
@@ -200,15 +204,14 @@ def _private_points_by_translates(group: "Group", w: int, elements: list) -> Pri
     for e in elements:
         hit = translate_mask(group, w, e) & private
         least.append((hit & -hit).bit_length() - 1 if hit else None)
-    return PrivatePoints(once, least)
+    return PrivatePoints(group.full_mask ^ once, least)
 
 
 def _private_points_by_complement(group: "Group", holes: list, elements: list) -> PrivatePoints:
     """private_points from the list of the points W misses, for k >= 2 elements."""
     k = len(elements)
     count = Counter(group.sums(holes, elements))
-    uncovered = [x for x, m in count.items() if m == k]
-    covered = group.full_mask ^ mask_of(group.order, uncovered)
+    uncovered = mask_of(group.order, [x for x, m in count.items() if m == k])
     hole_set = set(holes)
     sub = group.sub
     least: list = [None] * k
@@ -217,7 +220,7 @@ def _private_points_by_complement(group: "Group", holes: list, elements: list) -
             i = next(i for i, e in enumerate(elements) if sub(x, e) not in hole_set)
             if least[i] is None or x < least[i]:
                 least[i] = x
-    return PrivatePoints(covered, least)
+    return PrivatePoints(uncovered, least)
 
 
 def mask_of(n: int, points) -> int:
@@ -259,29 +262,28 @@ KEPT_POINT_BITS = 320
 class GroupSet:
     """Immutable subset of a finite abelian group, stored as a bitmask.
 
-    A set whose mask is wider than BITS_CHUNK bits may also keep the
-    ascending tuple of its points, or of the points of the group it
-    misses (its holes), so that listing, counting and printing it read
-    the tuple instead of passing over the mask's bytes.  A tuple is kept
-    only where it is at hand when the mask is first listed or made:
-    from_elements keeps the points it built the mask from, full() keeps
-    no holes, complement() swaps points and holes, and the first
-    elements() call on a mask built any other way (a hex literal, say)
-    keeps its listing.  A tuple is kept only when it takes no more memory
-    than the mask (KEPT_POINT_BITS bits of mask a point).
+    A set whose mask would be wider than BITS_CHUNK bits may instead be
+    a ListedSet, which keeps the ascending tuple of its points, or of
+    the points of the group it misses (its holes), and builds its mask
+    from that tuple on the first read of .mask.  Sets are listed where a
+    tuple is at hand: from_elements (and so every brace literal), full(),
+    complement() and translate() of a listed set, and listed(), which
+    lists a wide mask made any other way (a hex literal, say) by one
+    walk.  A tuple is kept only when it takes no more memory than the
+    mask (KEPT_POINT_BITS bits of mask a point), so no set of a group of
+    order at most BITS_CHUNK is listed.
 
-    The mask never changes once made, and each kept tuple lists exactly
-    that mask's points or holes, so reading the tuple is reading the
-    mask.  That is why DecisionCertificate.verified_yes may recheck a
-    witness through C's kept points and W's kept holes: it sees the very
-    points a pass over the masks would.  Equality, hashing and pickling
-    see (group, mask) only, and an unset slot is read as None.
+    The tuple never changes, and the mask built from it is the set's
+    one mask, so reading the tuple is reading the mask.  That is why
+    DecisionCertificate.verified_yes may recheck a witness through C's
+    kept points and W's kept holes: it sees the very points a pass over
+    the masks would.  Equality, hashing and pickling see (group, mask)
+    only, so a listed set equals, hashes and pickles as the plain set
+    with its mask.
     """
 
     group: Group
     mask: int
-    _points: Optional[tuple] = field(init=False, compare=False, repr=False)
-    _holes: Optional[tuple] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mask < 0 or self.mask >> self.group.order:
@@ -292,76 +294,60 @@ class GroupSet:
     def __reduce__(self):
         return GroupSet, (self.group, self.mask)
 
-    def _keeps(self, count: int) -> bool:
-        """Whether this set keeps a tuple of count points: its mask is
-        wider than BITS_CHUNK bits, and the tuple takes no more memory."""
-        width = self.mask.bit_length()
-        return width > BITS_CHUNK and KEPT_POINT_BITS * count <= width
-
     @classmethod
     def from_elements(cls, group: "Group", elements: Iterable[int]) -> "GroupSet":
         elements = list(elements)
         for e in elements:
             if not 0 <= e < group.order:
                 raise ValueError(f"element index {e} out of range for {group}")
-        s = cls(group, mask_of(group.order, elements))
-        # no set of a group of order <= BITS_CHUNK is wide: skip the call
-        if group.order > BITS_CHUNK and s._keeps(len(elements)):
-            object.__setattr__(s, "_points", tuple(sorted(set(elements))))
-        return s
+        if group.order > BITS_CHUNK and KEPT_POINT_BITS * len(elements) <= group.order:
+            return _from_list(group, tuple(sorted(set(elements))), holes=False)
+        return GroupSet(group, mask_of(group.order, elements))
 
     @classmethod
     def empty(cls, group: "Group") -> "GroupSet":
-        return cls(group, 0)
+        return GroupSet(group, 0)
 
     @classmethod
     def full(cls, group: "Group") -> "GroupSet":
-        s = cls(group, group.full_mask)
-        if s._keeps(0):
-            object.__setattr__(s, "_holes", ())
-        return s
+        if group.order > BITS_CHUNK:
+            return ListedSet(group, (), holes=True, mask=group.full_mask)
+        return GroupSet(group, group.full_mask)
 
     @classmethod
     def singleton(cls, group: "Group", e: int) -> "GroupSet":
         return cls.from_elements(group, (e,))
 
+    def listed(self) -> "GroupSet":
+        """This set as a ListedSet when its mask is wider than BITS_CHUNK
+        bits and has few enough points to keep, else itself.  The mask is
+        walked once, and the walk stops past that many points."""
+        width = self.mask.bit_length()
+        if width <= BITS_CHUNK:
+            return self
+        most = width // KEPT_POINT_BITS
+        points = tuple(islice(bits_of(self.mask), most + 1))
+        if len(points) > most:
+            return self
+        return ListedSet(self.group, points, mask=self.mask)
+
     def elements(self) -> list[int]:
-        mask = self.mask
-        if mask.bit_length() > BITS_CHUNK:
-            points = getattr(self, "_points", None)
-            if points is not None:
-                return list(points)
-            listed = list(bits_of(mask))
-            if self._keeps(len(listed)):
-                object.__setattr__(self, "_points", tuple(listed))
-            return listed
-        return list(bits_of(mask))
+        return list(bits_of(self.mask))
 
     def kept_holes(self) -> Optional[tuple]:
         """The points of the group this set misses, ascending, when it
         keeps them (see the class docstring); else None."""
-        if self.mask.bit_length() > BITS_CHUNK:
-            return getattr(self, "_holes", None)
         return None
 
+    def hex_pieces(self) -> list[str]:
+        """hex(mask) as a list of strings to write one after another."""
+        return [hex(self.mask)]
+
     def hex_mask(self) -> str:
-        if self.mask.bit_length() > BITS_CHUNK:
-            points = getattr(self, "_points", None)
-            if points is not None:
-                return _hex_of_list(points, 0)
-            holes = getattr(self, "_holes", None)
-            if holes is not None:
-                return _hex_of_list(holes, self.group.order)
-        return hex(self.mask)
+        return "".join(self.hex_pieces())
 
     def complement(self) -> "GroupSet":
-        out = GroupSet(self.group, self.group.full_mask ^ self.mask)
-        if self.mask.bit_length() > BITS_CHUNK:
-            for mine, theirs in (("_points", "_holes"), ("_holes", "_points")):
-                kept = getattr(self, mine, None)
-                if kept is not None and out._keeps(len(kept)):
-                    object.__setattr__(out, theirs, kept)
-        return out
+        return GroupSet(self.group, self.group.full_mask ^ self.mask)
 
     def with_element(self, e: int) -> "GroupSet":
         return GroupSet(self.group, self.mask | (1 << e))
@@ -376,23 +362,10 @@ class GroupSet:
         return 0 <= e < self.group.order and (self.mask >> e) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        if mask.bit_length() > BITS_CHUNK:
-            points = getattr(self, "_points", None)
-            if points is not None:
-                return iter(points)
-        return bits_of(mask)
+        return bits_of(self.mask)
 
     def __len__(self) -> int:
-        mask = self.mask
-        if mask.bit_length() > BITS_CHUNK:
-            points = getattr(self, "_points", None)
-            if points is not None:
-                return len(points)
-            holes = getattr(self, "_holes", None)
-            if holes is not None:
-                return self.group.order - len(holes)
-        return mask.bit_count()
+        return self.mask.bit_count()
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -418,38 +391,153 @@ class GroupSet:
         return f"GroupSet({self.group.spec_string()}, {{{inner}}})"
 
 
-def _hex_of_list(points: tuple, n: int) -> str:
-    """hex() of the mask of the ascending points (at least one), or with
-    n > 0 of the mask of the group of order n without them, written
-    from the list.
+_MASK = GroupSet.__dict__["mask"]  # the slot the dataclass made for mask
 
-    Every hex digit holding no listed point is "0" (or "f" without
-    them), so the text is runs of that digit with the digits of the
-    listed points spliced in: O(len(points)) digit arithmetic plus the
-    string's length in bytes, with no conversion of the mask.  Without
-    the points the top digit covers only the n mod 4 bits left over (all
-    4 when n mod 4 = 0), and listed points there can clear it, so its
-    leading zeros are stripped as hex() strips them.
+
+class ListedSet(GroupSet):
+    """A set that keeps the ascending tuple of its points (_points) or of
+    its holes (_holes), and builds its mask on the first read of .mask.
+
+    Counting, printing, complementing and, for a list of points, listing
+    and iterating read the tuple, so a set that is only listed, checked
+    through its holes and printed never builds its n-bit mask.  Any other reader of .mask gets
+    the mask built once and stored in GroupSet's own mask slot.  Made by
+    _from_list, full() and listed() only (see GroupSet).
+    """
+
+    __slots__ = ("_points", "_holes")
+
+    def __init__(self, group: "Group", kept: tuple, holes: bool = False,
+                 mask: Optional[int] = None):
+        object.__setattr__(self, "group", group)
+        _MASK.__set__(self, mask)
+        object.__setattr__(self, "_points", None if holes else kept)
+        object.__setattr__(self, "_holes", kept if holes else None)
+
+    @property
+    def mask(self) -> int:
+        mask = _MASK.__get__(self)
+        if mask is None:
+            n = self.group.order
+            if self._points is not None:
+                mask = mask_of(n, self._points)
+            else:
+                mask = self.group.full_mask ^ mask_of(n, self._holes)
+            _MASK.__set__(self, mask)
+        return mask
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if isinstance(other, GroupSet):
+            return self.group == other.group and self.mask == other.mask
+        return NotImplemented
+
+    __hash__ = GroupSet.__hash__
+
+    def listed(self) -> "GroupSet":
+        return self
+
+    def elements(self) -> list[int]:
+        return list(self)
+
+    def kept_holes(self) -> Optional[tuple]:
+        return self._holes
+
+    def hex_pieces(self) -> list[str]:
+        if self._points is not None:
+            return _hex_pieces(self._points, 0)
+        return _hex_pieces(self._holes, self.group.order)
+
+    def complement(self) -> "GroupSet":
+        if self._points is not None:
+            return _from_list(self.group, self._points, holes=True)
+        return _from_list(self.group, self._holes, holes=False)
+
+    def __iter__(self) -> Iterator[int]:
+        if self._points is not None:
+            return iter(self._points)
+        return bits_of(self.mask)  # all but a few points of the group
+
+    def __len__(self) -> int:
+        if self._points is not None:
+            return len(self._points)
+        return self.group.order - len(self._holes)
+
+    def __bool__(self) -> bool:
+        return True  # a listed mask is wider than BITS_CHUNK bits
+
+
+def _from_list(group: "Group", kept: tuple, holes: bool) -> GroupSet:
+    """The set of the ascending points kept or, with holes, the group
+    without them: a ListedSet when its mask would be wider than
+    BITS_CHUNK bits and the tuple takes no more memory than the mask,
+    else a GroupSet with its mask."""
+    n = group.order
+    if holes:
+        width = n  # less the run of holes at the top
+        for h in reversed(kept):
+            if h != width - 1:
+                break
+            width = h
+    else:
+        width = kept[-1] + 1 if kept else 0
+    if width > BITS_CHUNK and KEPT_POINT_BITS * len(kept) <= width:
+        return ListedSet(group, kept, holes)
+    mask = mask_of(n, kept)
+    return GroupSet(group, group.full_mask ^ mask if holes else mask)
+
+
+_HEX_RUN = 1 << 16  # hex digits in each shared run string
+_RUNS = {fill: fill * _HEX_RUN for fill in "0f"}
+
+
+def _hex_pieces(kept: tuple, n: int) -> list[str]:
+    """hex() of the mask of the ascending points kept (at least one), or
+    with n > 0 of the mask of the group of order n without them, as
+    pieces, written from the list.
+
+    Every hex digit holding no kept point is "0" (or "f" without them),
+    so the text is runs of that digit with the digits of the kept points
+    spliced in.  A run is pieces of one shared string of _HEX_RUN digits
+    and one slice of it, so the pieces take O(len(kept) + n/_HEX_RUN)
+    list entries and no string of the whole text is made.  Without the
+    points the top digit covers only the n mod 4 bits left over (all 4
+    when n mod 4 = 0), and kept points there can clear it, so leading
+    zero digits are dropped as hex() drops them.
     """
     if n:
         fill, rest, top = "f", 15, (n + 3) >> 2  # top: digits of an n-bit mask
         digits = {top - 1: (1 << (n - 4 * (top - 1))) - 1}
     else:
-        fill, rest, top = "0", 0, (points[-1] >> 2) + 1
+        fill, rest, top = "0", 0, (kept[-1] >> 2) + 1
         digits = {}
-    for p in points:
+    for p in kept:
         d = p >> 2
         digits[d] = digits.get(d, rest) ^ 1 << (p & 3)
+    run = _RUNS[fill]
     pieces = ["0x"]
     above = top
     for d in sorted(digits, reverse=True):
-        pieces += [fill * (above - d - 1), "0123456789abcdef"[digits[d]]]
+        _add_run(pieces, run, above - d - 1)
+        if digits[d] or len(pieces) > 1:  # no piece yet: a leading zero
+            pieces.append("0123456789abcdef"[digits[d]])
         above = d
-    pieces.append(fill * above)
-    text = "".join(pieces)
-    if text[2] == "0":
-        text = "0x" + (text[2:].lstrip("0") or "0")
-    return text
+    _add_run(pieces, run, above)
+    if len(pieces) == 1:
+        pieces.append("0")
+    return pieces
+
+
+def _add_run(pieces: list, run: str, length: int) -> None:
+    whole, part = divmod(length, len(run))
+    pieces += [run] * whole
+    if part:
+        pieces.append(run[:part])
 
 
 def _same_group(a: GroupSet, b: GroupSet) -> None:
@@ -515,9 +603,17 @@ def difference_set(a: GroupSet) -> GroupSet:
 
 
 def translate(a: GroupSet, g: int) -> GroupSet:
-    if not 0 <= g < a.group.order:
-        raise ValueError(f"element index {g} out of range for {a.group}")
-    return GroupSet(a.group, translate_mask(a.group, a.mask, g))
+    """a + g; a listed set moves its tuple, not its mask."""
+    group = a.group
+    if not 0 <= g < group.order:
+        raise ValueError(f"element index {g} out of range for {group}")
+    if g == 0:
+        return a
+    if isinstance(a, ListedSet):
+        holes = a._holes is not None
+        kept = a._holes if holes else a._points
+        return _from_list(group, tuple(sorted(group.sums(kept, [g]))), holes)
+    return GroupSet(group, translate_mask(group, a.mask, g))
 
 
 @dataclass(frozen=True, slots=True, eq=False)

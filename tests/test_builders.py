@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import random
@@ -19,7 +20,10 @@ from addcomp.groups import Group, Subgroup, quotient_map, subgroup_generated
 from addcomp.literals import parse_group, parse_set
 from addcomp.oracle import naive_difference_set, oracle_is_minimal_complement_for
 from addcomp.rng import SplitMix64, derive_seed
-from addcomp.sumset import GroupSet
+from addcomp.sumset import GroupSet, ListedSet, translate, translate_mask
+
+# The package re-exports the function sumset, which shadows the module name.
+sumset_module = importlib.import_module("addcomp.sumset")
 
 
 def _gs(g, elems):
@@ -518,9 +522,9 @@ def test_random_build_yes_is_checked_once(monkeypatch, capsys):
     calls = []
     real = builders.private_points
 
-    def counted(group, w, elements, **holes):
+    def counted(w, elements):
         calls.append(w)
-        return real(group, w, elements, **holes)
+        return real(w, elements)
 
     for module in (builders, complements, cli):  # every module importing it
         monkeypatch.setattr(module, "private_points", counted)
@@ -529,7 +533,7 @@ def test_random_build_yes_is_checked_once(monkeypatch, capsys):
     assert trace.result is not None and calls == []
     cert = complements.exists_witness(c)
     assert cert.method == "random-build"
-    assert calls == [cert.witness.mask]
+    assert len(calls) == 1 and calls[0] is cert.witness
     calls.clear()
     assert cli.main(["witness", "--group", "1000x1000",
                      "--c", "{(0,0),(351,380),(373,492),(918,995)}"]) == 0
@@ -646,6 +650,25 @@ def test_lift_integer_window_safe_mode():
     assert lift.method == "construction-ap"
     assert len(lift.witness) == lift.modulus - 4
     assert is_minimal_complement_for(lift.witness, lift.residues)
+
+
+@pytest.mark.parametrize("ints", [[0, 1, 4, 6, 10, 11, 13], [-5, 3, 9, 100000]])
+def test_lift_integer_window_moves_the_witness_holes(monkeypatch, ints):
+    # translate moves a listed W's hole tuple, so the window lift's recheck
+    # reads W's holes: it neither walks nor builds W's mask
+    walks = []
+    real = sumset_module._holes_within
+    monkeypatch.setattr(sumset_module, "_holes_within",
+                        lambda *args: walks.append(args) or real(*args))
+    lift = lift_integer_window(ints, mode="safe")
+    w = lift.witness
+    assert lift.method == "random-build" and walks == []
+    assert isinstance(w, ListedSet) and sumset_module._MASK.__get__(w) is None
+    for shift in (1, 12345, lift.modulus - 1):
+        moved = translate(w, shift)
+        assert isinstance(moved, ListedSet)
+        assert moved == GroupSet(w.group, translate_mask(w.group, w.mask, shift))
+    assert translate(w, 0) is w
 
 
 @pytest.mark.parametrize("ints, modulus", [([0, 3202], 6406), ([3, 9, 100000], 199996)])

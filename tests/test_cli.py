@@ -19,7 +19,7 @@ from addcomp import cli
 from addcomp.cli import main
 from addcomp.complements import is_minimal_complement_for
 from addcomp.groups import Group
-from addcomp.sumset import GroupSet
+from addcomp.sumset import GroupSet, ListedSet
 
 ENVELOPE_KEYS = {"version", "command", "group", "inputs", "result",
                  "timing_ms", "seed"}
@@ -564,19 +564,20 @@ def test_envelope_strings_cannot_pose_as_masks(capsys, monkeypatch):
 
 
 def test_huge_witness_renders_each_mask_once(capsys, monkeypatch):
+    # hex_pieces is the one writer of a set's hex (hex_mask joins it), on
+    # plain and on listed sets alike
     calls = []
-    hex_mask = cli.GroupSet.hex_mask
+    for cls in (GroupSet, ListedSet):
+        def counted(self, write=cls.__dict__["hex_pieces"]):
+            calls.append(self)
+            return write(self)
 
-    def counted(self):
-        calls.append(self.mask)
-        return hex_mask(self)
-
-    monkeypatch.setattr(cli.GroupSet, "hex_mask", counted)
+        monkeypatch.setattr(cls, "hex_pieces", counted)
     code = main(list(HUGE_WITNESS))
     out = capsys.readouterr().out
     assert code == 0
     # C (inputs.c) and W
-    assert len(calls) == 2 and len(set(calls)) == 2
+    assert len(calls) == 2 and calls[0] != calls[1]
     env = json.loads(out)
     c = env["inputs"]["c"]
     assert out.count(f'"{c}"') == 1
@@ -587,6 +588,33 @@ def test_huge_witness_renders_each_mask_once(capsys, monkeypatch):
     text = without_timing(json.dumps(env, indent=2, sort_keys=True) + "\n")
     assert sha256(text) == (
         "17aec5fb534d6d0526b8d63cdb4695d8a049a74a520ebe3d2c45541ec84c0fad")
+
+
+BIG_WITNESS = ("witness", "--group", "4096x4096", "--c",
+               "{(0,0),(17,3001),(905,12),(2048,4095),(3333,777)}")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (HUGE_WITNESS, ENVELOPE_DIGESTS[HUGE_WITNESS]),
+    # recorded when every set built its mask
+    (BIG_WITNESS, "4f476b4d3e8abd83f33e53cc03f63a3419625d4717b10eaba6164737e4c00cc1"),
+])
+def test_random_build_witness_builds_no_mask(capsys, monkeypatch, argv, digest):
+    # C from a brace literal and the builder's W are listed sets: the
+    # stages, verified_yes's recheck and the printer read their tuples,
+    # so the mask slot of neither is ever filled.
+    certs = []
+    real = cli.exists_witness
+    monkeypatch.setattr(cli, "exists_witness",
+                        lambda c, budget: certs.append(real(c, budget)) or certs[-1])
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    (cert,) = certs
+    assert cert.method == "random-build"
+    assert isinstance(cert.base, ListedSet) and isinstance(cert.witness, ListedSet)
+    slot = importlib.import_module("addcomp.sumset")._MASK
+    assert slot.__get__(cert.base) is None and slot.__get__(cert.witness) is None
+    assert sha256(without_timing(out)) == digest
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -288,8 +288,8 @@ def test_random_build_walks_a_listed_c_never_and_a_hex_c_once(monkeypatch, capsy
     # A brace literal or from_elements keeps C's points, and the builder's
     # W keeps its holes, so neither exists_witness nor verified_yes's
     # recheck (nor the CLI's print) passes over any mask wider than
-    # BITS_CHUNK bits.  A hex literal keeps nothing: the first listing of
-    # C walks its mask once and keeps the points for every later reader.
+    # BITS_CHUNK bits.  A hex literal keeps nothing: exists_witness lists
+    # C by one walk of its mask, and every later reader reads that list.
     points = [0, 8839392, 9786826]
     mask = sum(1 << p for p in points)
     walks, verified = [], []

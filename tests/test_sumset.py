@@ -12,7 +12,7 @@ from addcomp.groups import Group, Homomorphism, subgroup_generated
 from addcomp.literals import format_element, parse_set
 from addcomp.oracle import (naive_coverage, naive_difference_set, naive_sumset,
                             oracle_is_minimal_complement_for)
-from addcomp.sumset import (GroupSet, bits_of, coverage, difference_set,
+from addcomp.sumset import (GroupSet, ListedSet, bits_of, coverage, difference_set,
                             negated, private_points, progression_sum, sumset,
                             translate, translate_mask)
 
@@ -344,13 +344,13 @@ def test_repr_shows_ten_elements_of_a_large_set():
 
 
 def _answer_from_counts(w, c):
-    """(covered, least) of W + C, read off coverage() counts."""
+    """(uncovered, least) of W + C, read off coverage() counts."""
     g = w.group
     prof = coverage(w, c)
     private = list(bits_of(prof.unique_mask()))
     least = [next((x for x in private if g.sub(x, e) in w), None)
              for e in c.elements()]
-    return prof.covered_mask(), least
+    return g.full_mask ^ prof.covered_mask(), least
 
 
 def _with_holes(g, holes):
@@ -402,7 +402,7 @@ def test_private_points_match_coverage_counts(monkeypatch):
             assert paths["_private_points_by_complement"](g, holes, ec) == want
         assert tuple(want) == _answer_from_counts(w, c)
         ran.clear()
-        assert private_points(g, w.mask, ec) == want
+        assert private_points(w, ec) == want
         picked.add(ran[0])
         if g.order <= 1024:
             assert (is_minimal_complement_for(w, c)
@@ -441,7 +441,7 @@ def test_private_points_path_at_the_bound(monkeypatch, factors):
             for holes in (range(size), range(n - size, n), rnd.sample(range(n), size)):
                 w = _with_holes(g, holes)
                 ran.clear()
-                got = private_points(g, w.mask, ec)
+                got = private_points(w, ec)
                 rule = _parent_rule(n, k, holes)
                 assert ran == [("_private_points_by_complement" if rule
                                 else "_private_points_by_translates")]
@@ -452,9 +452,12 @@ def test_private_points_path_at_the_bound(monkeypatch, factors):
                 if k >= 2:
                     assert tuple(paths["_private_points_by_complement"](
                         g, sorted(holes), ec)) == want
-                # a hole list handed in takes the same path, unwalked
+                # a W that keeps its holes hands them in: the same path,
+                # and its mask is never read
+                listed = ListedSet(g, tuple(sorted(holes)), holes=True)
                 ran.clear()
-                assert private_points(g, w.mask, ec, holes=sorted(holes)) == got
+                assert private_points(listed, ec) == got
+                assert (sumset_module._MASK.__get__(listed) is None) == rule
                 assert ran == [("_private_points_by_complement" if rule
                                 else "_private_points_by_translates")]
     assert seen == {True, False}
@@ -476,19 +479,73 @@ def test_private_points_follow_one_more_hole():
             ec = c.elements()
             holes = rnd.sample(range(n), rnd.randint(0, min(k * k, n // 2)))
             w = _with_holes(g, holes)
-            before = private_points(g, w.mask, ec)
+            before = private_points(w, ec)
             for y in rnd.sample(range(n), 4):
                 if y in holes:
                     continue
                 counts = [sum(g.sub(g.add(y, e), f) in w for f in ec) for e in ec]
-                fewer = w.without_element(y).mask
-                after = private_points(g, fewer, ec)
-                assert after == translates(g, fewer, ec)
-                assert (after.covered != before.covered) == (min(counts) == 1)
+                fewer = w.without_element(y)
+                after = private_points(fewer, ec)
+                assert after == translates(g, fewer.mask, ec)
+                assert (after.uncovered != before.uncovered) == (min(counts) == 1)
                 if min(counts) > 2:
                     assert after == before
                 moved.append(after != before)
     assert any(moved) and not all(moved)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(900, 2600), st.integers(0, 3), st.booleans(), st.data())
+def test_listed_sets_match_eager_sets(quads, r, product, data):
+    # Listed sets against GroupSets built from their masks, on orders on
+    # both sides of BITS_CHUNK, of every residue mod 4, cyclic and not:
+    # from_elements of unsorted points with repeats (some in the top
+    # digit, which the complement's top digit then misses), complement
+    # once and twice, and translates of both.
+    chunk = sumset_module.BITS_CHUNK
+    g = Group([3, 4 * quads + r] if product else [4 * quads + r])
+    n = g.order
+    points = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=9))
+    points += data.draw(st.lists(st.integers(n - 5, n - 1), max_size=4))
+    points += points[:2]
+    shift = data.draw(st.integers(0, n - 1))
+    made = GroupSet.from_elements(g, points)
+    mask = sum(1 << p for p in set(points))
+    moved = sum(1 << g.add(p, shift) for p in set(points))
+    cases = [(made, mask), (made.complement(), g.full_mask ^ mask),
+             (made.complement().complement(), mask), (translate(made, shift), moved),
+             (translate(made.complement(), shift), g.full_mask ^ moved),
+             (GroupSet.full(g), g.full_mask), (GroupSet.empty(g), 0)]
+    # listed when the tuple, counted with repeats before they are dropped,
+    # takes no more memory than the mask, and the mask is wider than chunk
+    width, bits = max(points) + 1, sumset_module.KEPT_POINT_BITS
+    assert isinstance(made, ListedSet) == (
+        bits * len(points) <= n and width > chunk and bits * len(set(points)) <= width)
+    # read through the tuples first (translate by 0 returns made itself),
+    # then the mask they build
+    for i, (s, want) in enumerate(cases):
+        listed = isinstance(s, ListedSet)
+        assert not listed or n > chunk
+        assert len(s) == want.bit_count() and bool(s) == bool(want)
+        assert s.hex_mask() == hex(want)
+        if listed and s.kept_holes() is None:
+            assert s.elements() == list(s) == [x for x in range(n) if want >> x & 1]
+        if listed:  # full() has its mask at hand, the group's
+            assert sumset_module._MASK.__get__(s) is (g.full_mask if i == 5 else None)
+    for s, want in cases:
+        listed = isinstance(s, ListedSet)
+        assert s.elements() == list(s) == [x for x in range(n) if want >> x & 1]
+        eager = GroupSet(g, want)
+        assert s == eager and eager == s and not (s != eager or eager != s)
+        assert hash(s) == hash(eager) and {eager: 1}[s] == 1 and {s: 1}[eager] == 1
+        assert s.mask == want == sumset_module.mask_of(n, list(eager))
+        copy = pickle.loads(pickle.dumps(s))
+        assert type(copy) is GroupSet and copy == s and copy.mask == want
+        with pytest.raises(AttributeError):
+            s.mask = 0
+        if listed:
+            with pytest.raises(AttributeError):
+                s._points = None
 
 
 def _kept(s):
@@ -546,8 +603,7 @@ def _wide_sets():
         yield "brace", parse_set(g, text)
         hexed = parse_set(g, hex(made.mask))
         assert _kept(hexed) == (None, None)
-        hexed.elements()
-        yield "memo", hexed
+        yield "listed", hexed.listed()
         yield "complement", made.complement()
         yield "complement twice", made.complement().complement()
         yield "full", GroupSet.full(g)
@@ -600,8 +656,7 @@ def test_no_list_kept_at_order_bits_chunk_or_below():
         points = rnd.sample(range(n), 3) + [n - 1]
         made = GroupSet.from_elements(g, points)
         hexed = parse_set(g, hex(made.mask))
-        hexed.elements()
-        sets = [made, made.complement(), made.complement().complement(), hexed,
+        sets = [made, made.complement(), made.complement().complement(), hexed.listed(),
                 parse_set(g, "{" + ",".join(format_element(g, e) for e in points) + "}"),
                 GroupSet.full(g), GroupSet.singleton(g, n - 1)]
         trace = random_witness(made, 13, seed=2)
