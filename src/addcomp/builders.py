@@ -332,13 +332,20 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
         draw of row i* was chosen to avoid that, and e3 false says every
         row has such a draw.
 
-    Every family of sums (the differences of C, the derived points, the
-    points the draws reach, the pile-up points and the back-translates)
-    is one batched Group.sums call, not a group.add per pair.  The e3
-    test looks at the points (g + off) + c_t for g a derived point, off
-    a good offset and c_t in C; by associativity these are g + (off +
-    c_t), so it adds g to the set good_offsets + C summed once, and the
-    order it tries them in does not change whether any is blocked.
+    The k*s draws of an attempt are one SplitMix64.draws call, the
+    values of k*s successive below(n) calls.  Every family of sums (the
+    differences of C, the points the draws reach, among them the derived
+    points, the pile-up points and the back-translates) is one batched
+    Group.sums call, not a group.add per pair.  The e3 test looks at the
+    points (g + off) + c_t for g a derived point, off a good offset and
+    c_t in C; by associativity these are g + (off + c_t), so it adds g
+    to the set good_offsets + C summed once, and the order it tries them
+    in does not change whether any is blocked.  The first draws of all
+    rows are one more Group.sums call, and a later draw of a row is
+    summed only when the one before it is blocked.  A point u blocks row
+    i when owner.get(u, i) != i, which a u outside owner's keys never
+    does, so a draw is blocked exactly when some u of its points in
+    owner's keys, a set intersection made in C, has owner[u] != i.
     """
     group = c.group
     n = group.order
@@ -373,11 +380,12 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
 
     last: Optional[RandomBuildTrace] = None
     for attempt in range(max_retries):
-        rng = SplitMix64(derive_seed(seed, attempt))
-        samples = [[rng.below(n) for _ in range(s)] for _ in range(k)]
-        derived = [group.sums(row, [e]) for row, e in zip(samples, ec)]
-        # the draws and their derived points, row by row
-        drawn = [x for row in samples for x in row]
+        # the k*s draws, row by row, and every x + c_t they reach: the
+        # derived point x + c_i of row i's draws is every k-th of them
+        drawn = SplitMix64(derive_seed(seed, attempt)).draws(n, k * s)
+        reached = group.sums(drawn, ec)
+        samples = [drawn[i * s:(i + 1) * s] for i in range(k)]
+        derived = [reached[i * s * k + i:(i + 1) * s * k:k] for i in range(k)]
         points = [g for row in derived for g in row]
         # owner[g]: the row i of every draw with derived point g, or -1
         # when draws of two rows share it
@@ -390,7 +398,7 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
         # other than (i, p).  A draw reaches each point of x_jq + C once,
         # and (i, p) always reaches g_ip = x_ip + c_i, so e1 holds exactly
         # when some g_ip is reached by two draws.
-        reach = Counter(group.sums(drawn, ec))
+        reach = Counter(reached)
         e1 = any(reach[g] > 1 for g in points)
 
         pile = Counter(group.sums(points, diffs))
@@ -399,14 +407,19 @@ def random_witness(c: GroupSet, s: int, max_retries: int = RANDOM_RETRIES,
 
         # e3: row i has no draw p whose points g_ip + good_offsets + C
         # all avoid the derived points of the other rows
+        m = len(offsets)
+        firsts = group.sums([row[0] for row in derived], offsets)
         keep: dict[int, int] = {}
         for i, row in enumerate(derived):
-            found = next((p for p, g in enumerate(row)
-                          if all(owner.get(u, i) == i for u in group.sums([g], offsets))),
-                         None)
-            if found is None:
+            hits, p = owner.keys() & firsts[i * m:(i + 1) * m], 0
+            while any(owner[u] != i for u in hits):
+                p += 1
+                if p == s:
+                    break
+                hits = owner.keys() & group.sums([row[p]], offsets)
+            if p == s:
                 break
-            keep[i] = found
+            keep[i] = p
         e3 = len(keep) < k
 
         debug = {"z_count": len(good_offsets), "pile_max": pile_max}

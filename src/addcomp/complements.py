@@ -273,13 +273,13 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None
     n = group.order
     fits = _search_fits(n, budget or SearchBudget())
     images: list[list[int]] = []  # built on the first filing
-    neg: list[int] = []
+    neg = group.negator()
     memo: dict[int, str] = {}
 
     def verdict(c: GroupSet) -> str:
         mask = c.mask
         if memo:
-            hit = memo.get(translate_mask(group, mask, neg[(mask & -mask).bit_length() - 1]))
+            hit = memo.get(translate_mask(group, mask, neg((mask & -mask).bit_length() - 1)))
             if hit is not None:
                 return hit
         cert = exists_witness(c, budget)
@@ -287,11 +287,10 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None
             if not images:
                 images.extend([1 << group.scale(e, u) for e in range(n)]
                               for u in unit_multipliers(group))
-                neg.extend(group.neg(x) for x in range(n))
             ec = list(bits_of(mask))
             for m in {sum(image[e] for e in ec) for image in images}:
                 for x in bits_of(m):
-                    memo[translate_mask(group, m, neg[x])] = cert.verdict
+                    memo[translate_mask(group, m, neg(x))] = cert.verdict
         return cert.verdict
 
     return verdict

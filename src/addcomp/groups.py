@@ -14,7 +14,7 @@ import operator
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .sumset import BITS_CHUNK, GroupSet, mask_of, progression_sum, translate_mask
 
@@ -37,9 +37,15 @@ __all__ = [
 class Group:
     """Direct product of cyclic groups Z/d_1 x ... x Z/d_r.
 
-    Equality, hashing and pickling see the factors only, never the
-    block masks (block_reps) or the translate plans a small group keeps
-    (translate_plan), which are built on first use.
+    Equality, hashing and pickling see the factors only, never what a
+    group builds on first use: the block masks (block_reps), and the
+    translate plans and negation table a small group keeps
+    (translate_plan, negator).  The full mask, n set bits, is set at
+    creation up to order BITS_CHUNK, so translate_mask reads a plain
+    slot.  Group(factors) of a larger order is a _WideGroup, which builds
+    it on the first read of full_mask and keeps it in the same slot, so a
+    call that never reads it, such as a randomized build, holds no n-bit
+    int for G.
     """
 
     factors: tuple[int, ...]
@@ -49,6 +55,12 @@ class Group:
     _reps: Optional[tuple[int, ...]] = field(init=False, compare=False)
     _plans: dict = field(init=False, compare=False)
     _steps: dict = field(init=False, compare=False)
+    _negs: Optional[tuple[int, ...]] = field(init=False, compare=False)
+
+    def __new__(cls, factors):
+        if math.prod(map(int, factors)) > BITS_CHUNK:
+            cls = _WideGroup
+        return object.__new__(cls)
 
     def __post_init__(self):
         fs = tuple(int(d) for d in self.factors)
@@ -63,10 +75,11 @@ class Group:
         object.__setattr__(self, "factors", fs)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "strides", tuple(strides))
-        object.__setattr__(self, "full_mask", (1 << order) - 1)
+        _FULL_MASK.__set__(self, (1 << order) - 1 if order <= BITS_CHUNK else None)
         object.__setattr__(self, "_reps", None)
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_steps", {})
+        object.__setattr__(self, "_negs", None)
 
     def __reduce__(self):
         return Group, (self.factors,)
@@ -179,6 +192,21 @@ class Group:
             out += (-(a // s) % d) * s
         return out
 
+    def negator(self) -> Callable[[int], int]:
+        """a -> -a, for a caller that negates many elements.
+
+        Up to order BITS_CHUNK this is the __getitem__ of a tuple of
+        every negative, built on the first call and kept like the
+        translate plans; above that it is neg.
+        """
+        if self.order > BITS_CHUNK:
+            return self.neg
+        negs = self._negs
+        if negs is None:
+            negs = tuple(map(self.neg, range(self.order)))
+            object.__setattr__(self, "_negs", negs)
+        return negs.__getitem__
+
     def sub(self, a: int, b: int) -> int:
         n = self.order
         if not (0 <= a < n and 0 <= b < n):
@@ -206,8 +234,10 @@ class Group:
 
         The batched form of add for a caller that needs many sums: a cyclic
         group takes one comprehension, a product one pass over the pairs
-        per factor, adding in that factor's digit of each sum, so no call
-        is made per pair.
+        per factor, so no call is made per pair.  With m = d_i*s_i, factor
+        i's digit of x, scaled by its stride, is x % m - x % s_i, and that
+        of x + y is the two scaled digits' sum % m; the sum is the total
+        of these over the factors, with no multiply.
         """
         n = self.order
         for v in (xs, ys):
@@ -215,10 +245,12 @@ class Group:
                 raise ValueError(f"element index out of range for {self}")
         if len(self.factors) <= 1:
             return [(x + y) % n for x in xs for y in ys]
-        out = [0] * (len(xs) * len(ys))
+        out = None
         for d, s in zip(self.factors, self.strides):
-            dx, dy = [x // s % d for x in xs], [y // s % d for y in ys]
-            out = list(map(operator.add, out, [(a + b) % d * s for a in dx for b in dy]))
+            m = d * s
+            dx, dy = [x % m - x % s for x in xs], [y % m - y % s for y in ys]
+            part = [(a + b) % m for a in dx for b in dy]
+            out = part if out is None else list(map(operator.add, out, part))
         return out
 
     def element_order(self, a: int) -> int:
@@ -252,6 +284,24 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({self.spec_string()})"
+
+
+_FULL_MASK = Group.__dict__["full_mask"]  # the slot the dataclass made
+
+
+class _WideGroup(Group):
+    """A group of order above BITS_CHUNK, whose full mask is built on the
+    first read of full_mask and then kept in Group's own slot."""
+
+    __slots__ = ()
+
+    @property
+    def full_mask(self) -> int:
+        mask = _FULL_MASK.__get__(self)
+        if mask is None:
+            mask = (1 << self.order) - 1
+            _FULL_MASK.__set__(self, mask)
+        return mask
 
 
 def _prime_factorization(n: int) -> Counter[int]:

@@ -39,15 +39,27 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), by rejection."""
+        return self.draws(n, 1)[0]
+
+    def draws(self, n: int, count: int) -> list[int]:
+        """count uniform integers in [0, n), by rejection: the values of
+        count successive below(n) calls, which leave the stream where
+        this leaves it, from one loop.  n = 1 draws nothing."""
         if n <= 0:
             raise ValueError(f"bound must be positive, got {n}")
         if n == 1:
-            return 0
+            return [0] * count
         limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
+        out = []
+        state = self._state
+        while count:
+            state = (state + _GOLDEN) & _MASK64
+            z = _mix(state)
+            if z < limit:
+                out.append(z % n)
+                count -= 1
+        self._state = state
+        return out
 
     def chance(self, threshold: int) -> bool:
         """True with probability threshold / 2**64."""

@@ -246,9 +246,10 @@ def mask_of(n: int, points) -> int:
 
 def negated_mask(group: "Group", mask: int) -> int:
     """Mask of {-a : a in mask}."""
+    neg = group.negator()
     out = 0
     for e in bits_of(mask):
-        out |= 1 << group.neg(e)
+        out |= 1 << neg(e)
     return out
 
 
@@ -594,9 +595,10 @@ def difference_set(a: GroupSet) -> GroupSet:
     """
     group = a.group
     full = group.full_mask
+    neg = group.negator()
     acc = 0
     for y in bits_of(a.mask):
-        acc |= translate_mask(group, a.mask, group.neg(y))
+        acc |= translate_mask(group, a.mask, neg(y))
         if acc == full:
             break
     return GroupSet(group, acc)

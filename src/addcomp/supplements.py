@@ -157,7 +157,7 @@ def independent_search(group: Group, allowed: int, base: int, target: int,
     that no W qualifies.
     """
     n = group.order
-    neg = group.neg
+    neg = group.negator()
     side, largest = _pivot_side(group, allowed)
     full = group.full_mask
 

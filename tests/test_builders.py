@@ -476,6 +476,16 @@ def test_random_witness_traces_unchanged():
      "bd75a5067878bf714d57ce1d9bb51f3440441752f57f3f4f39a560938dd6ae38"),
     ("16777216", "{0,8839392,9786826}", 25, 11000676276792959893,
      "15a5ae156a60d39159a61bc916f6cfb72cb2203204eef83d46aa499598c1dc5a"),
+    # README-scale products as witness-large draws them, and three factors
+    ("4096x4096", "{(0,0),(17,3001),(2048,77),(3999,4095),(1234,2345)}", 25,
+     1713765972751067885,
+     "0598de9e6f9786832e67a48c557ab983b555ee6dd777dfde8dbc694f1935481e"),
+    ("4096x4096", "{(0,0),(5,9),(100,2000),(2222,1),(3000,3000),(4095,17),(613,3907)}", 25,
+     7633817244686802765,
+     "f238f966a479a5bc9ddfbd33012ad9225d19b5b5a70d72e57962d0af9b050751"),
+    ("10x10x10000", "{(0,0,0),(3,7,2500),(9,1,7777),(5,5,9999),(1,2,4242)}", 21,
+     8733191844829262034,
+     "827b5a1dc073de2bd636e4ec85c9ea2b66813c7db09e1e56d28b5ab44a3f1b84"),
 ])
 def test_random_witness_unchanged_at_readme_scale(spec, literal, s, seed, digest):
     # Digests recorded when W was built from k translates of -C and checked

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import importlib
 import json
@@ -15,7 +16,7 @@ except ImportError:  # not on Windows
     resource = None
 
 import addcomp
-from addcomp import cli
+from addcomp import cli, groups
 from addcomp.cli import main
 from addcomp.complements import is_minimal_complement_for
 from addcomp.groups import Group
@@ -34,10 +35,12 @@ def run(capsys, *argv):
 
 
 def run_process(*argv, **kwargs):
-    """`python -m addcomp argv` in a fresh process, this checkout's addcomp."""
+    """`python -m addcomp argv` in a fresh process, this checkout's addcomp;
+    stdout is captured unless kwargs give it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(addcomp.__file__)))
     env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
-    return subprocess.run([sys.executable, "-m", "addcomp", *argv], capture_output=True,
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "addcomp", *argv], stderr=subprocess.PIPE,
                           env=env, timeout=120, **kwargs)
 
 
@@ -458,17 +461,42 @@ def test_numbers_outside_the_literal_rule_exit_1(argv, spelling):
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
-def test_out_of_memory_is_an_error_line():
-    # the group's full mask alone is 10^11 bits, far past a 1 GB address space
+def test_out_of_memory_is_an_error_line(tmp_path):
+    # The group's full mask alone is 10^11 bits (2*10^11 for the lift-z
+    # modulus), far past a 1 GB address space.  No stage builds it for
+    # {0, 1, 5} or the lift of {0, 1, 10^11}, random builds whose sets
+    # keep their points, so the CLI refuses the group when a command takes
+    # it.  Stdout is a file capped at 1 MB: if the group got through, the
+    # envelope of tens of GB would fail at once with a different error line.
     def cap_memory():
-        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+        for limit, cap in ((resource.RLIMIT_AS, 1 << 30), (resource.RLIMIT_FSIZE, 1 << 20)):
+            resource.setrlimit(limit, (cap, resource.getrlimit(limit)[1]))
 
-    proc = run_process("witness", "--group", "100000000000", "--c", "{0}",
-                       preexec_fn=cap_memory)
+    for argv in (("witness", "--group", "100000000000", "--c", "{0}"),
+                 ("witness", "--group", "100000000000", "--c", "{0,1,5}"),
+                 ("lift-z", "--ints", "0,1,100000000000", "--mode", "safe")):
+        out = tmp_path / "out.json"
+        with open(out, "wb") as fh:
+            proc = run_process(*argv, preexec_fn=cap_memory, stdout=fh)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1 and out.read_bytes() == b"", argv
+        assert err.startswith("error: out of memory") and "Traceback" not in err, argv
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_failed_stdout_write_is_an_error_line(tmp_path):
+    # The 6.6 MB envelope cannot fit a file capped at 1 MB (like a full
+    # disk): one error line, exit 1, no traceback.
+    def cap_file_size():
+        limit = resource.RLIMIT_FSIZE
+        resource.setrlimit(limit, (1 << 20, resource.getrlimit(limit)[1]))
+
+    out = tmp_path / "out.json"
+    with open(out, "wb") as fh:
+        proc = run_process(*HUGE_WITNESS, preexec_fn=cap_file_size, stdout=fh)
     err = proc.stderr.decode()
-    assert proc.returncode == 1 and proc.stdout == b""
-    assert err.startswith("error: out of memory") and "Traceback" not in err
+    assert proc.returncode == 1 and out.stat().st_size == 1 << 20
+    assert err == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
 
 
 HUGE_WITNESS = ("witness", "--group", "16777216", "--c", "{0,8839392,9786826}")
@@ -602,7 +630,8 @@ BIG_WITNESS = ("witness", "--group", "4096x4096", "--c",
 def test_random_build_witness_builds_no_mask(capsys, monkeypatch, argv, digest):
     # C from a brace literal and the builder's W are listed sets: the
     # stages, verified_yes's recheck and the printer read their tuples,
-    # so the mask slot of neither is ever filled.
+    # so the mask slot of neither is ever filled, and nothing reads the
+    # group's full mask, which a group of this order builds on first read.
     certs = []
     real = cli.exists_witness
     monkeypatch.setattr(cli, "exists_witness",
@@ -614,6 +643,7 @@ def test_random_build_witness_builds_no_mask(capsys, monkeypatch, argv, digest):
     assert isinstance(cert.base, ListedSet) and isinstance(cert.witness, ListedSet)
     slot = importlib.import_module("addcomp.sumset")._MASK
     assert slot.__get__(cert.base) is None and slot.__get__(cert.witness) is None
+    assert groups._FULL_MASK.__get__(cert.base.group) is None
     assert sha256(without_timing(out)) == digest
 
 

@@ -44,6 +44,45 @@ def test_translate_plans_unseen_by_equality_hashing_and_pickling():
     assert copy.translate_plan(5) == used.translate_plan(5)
 
 
+@pytest.mark.parametrize("factors", ((4097,), (1 << 24,), (4096, 4096)))
+def test_wide_group_builds_its_full_mask_on_first_read(factors):
+    # Above order 4096 the full mask is built on its first read and kept
+    # in Group's own slot; equality, hashing and pickling see the factors
+    # only, before and after.
+    g, same = Group(factors), Group(list(factors))
+    assert isinstance(g, Group) and groups._FULL_MASK.__get__(g) is None
+    for _ in range(2):
+        assert g == same and hash(g) == hash(same) and {same: 1}[g] == 1
+        assert pickle.dumps(g) == pickle.dumps(same) == pickle.dumps(Group(factors))
+        assert b"_WideGroup" not in pickle.dumps(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and type(copy) is type(g)
+        assert groups._FULL_MASK.__get__(copy) is None
+        assert g.full_mask == (1 << g.order) - 1
+        assert groups._FULL_MASK.__get__(g) is g.full_mask
+    assert repr(g) == f"Group({g.spec_string()})"
+
+
+def test_small_group_keeps_its_full_mask_from_creation():
+    for factors in ([], [2], [4096], [64, 64], [2, 2, 1024]):
+        g = Group(factors)
+        assert type(g) is Group
+        assert groups._FULL_MASK.__get__(g) == g.full_mask == (1 << g.order) - 1
+
+
+@pytest.mark.parametrize("factors", ([], [12], [2, 6], [2, 2, 4], [64, 64], [4097], [3, 2000]))
+def test_negator_is_neg(factors):
+    # A table kept after the first call up to order 4096, neg above it.
+    g = Group(factors)
+    neg = g.negator()
+    assert [neg(a) for a in g.elements()] == [g.neg(a) for a in g.elements()]
+    if g.order <= 4096:
+        assert g._negs == tuple(map(g.neg, g.elements()))
+        assert g.negator().__self__ is g._negs
+    else:
+        assert g._negs is None and neg == g.neg
+
+
 def test_index_coord_roundtrip():
     g = Group([3, 4, 5])
     for e in g.elements():
@@ -154,7 +193,8 @@ def test_block_reps_match_division(factors):
 
 
 @pytest.mark.parametrize("factors", ([], [12], [1 << 24], [2, 6], [2, 2, 4], [3, 5, 7],
-                                     [4096, 4096]))
+                                     [4096, 4096], [2, 50000], [2, 2, 10],
+                                     [10, 10, 10000]))
 def test_sums_match_add_pair_by_pair(factors):
     # Group.sums is the x-major list of x + y, the same as one add per pair.
     g = Group(factors)
