@@ -26,7 +26,9 @@ from itertools import islice
 from typing import Optional
 
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
-from .groups import Group, Homomorphism, Subgroup, coset_representatives, subgroup_generated
+from .groups import Group, Homomorphism, Subgroup, coset_representatives
+# perfbench/tracing.py times subgroup_generated through this module's name.
+from .groups import subgroup_generated  # noqa: F401
 from .rng import SplitMix64, derive_seed
 from .sumset import (BITS_CHUNK, GroupSet, _same_group, bits_of, difference_set,
                      doubling_reaches, mask_of, private_points, progression_sum, sumset,
@@ -111,7 +113,10 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
     ord(d) >= k > n/2, and ord(d) divides n, so ord(d) = n: G is the
     cycle of d and Z = G minus c is the rest of that cycle, a walk of
     n - k points, with |Z + Z| <= 2|Z| - 1; a coset of more than n/2
-    points would be G.
+    points would be G.  The test on c + c is skipped for k = 2, where it
+    never fires: {a, b} has |c + c| <= 3 < 4, and it is always presented,
+    with d = b - a, as the walk a, a + d when 2d != 0, and as the coset
+    a + <d> when 2d = 0.
     """
     group = c.group
     k = len(c)
@@ -120,7 +125,7 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
     n = group.order
     # doubling_reaches shows nothing above order BITS_CHUNK: C's mask is
     # not read there
-    if 2 <= k and 2 * k <= n <= BITS_CHUNK and doubling_reaches(group, c.mask, 2 * k):
+    if 3 <= k and 2 * k <= n <= BITS_CHUNK and doubling_reaches(group, c.mask, 2 * k):
         return None
     if k < n < 2 * k and doubling_reaches(group, group.full_mask & ~c.mask, 2 * (n - k)):
         return None
@@ -167,18 +172,21 @@ def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
     k = m; T + ({0} u {k, ..., max(k, m - k)}*step) when k <= 2m/3
     (sparse, or two-point above m/2); else, t = m - k, T plus T moved by
     t*step, except that its i-th point moves by i*t*step, i <= ceil(k/2t).
+    <step> and T come from Group.cyclic_subgroup, which a group of order
+    at most BITS_CHUNK keeps, so deciding many progressions in one group
+    closes each <step> once.
     """
     c = ap.set
     group = c.group
     n = group.order
     k = ap.length
     d = ap.step
-    h = subgroup_generated(GroupSet.singleton(group, d))
+    h, reps = group.cyclic_subgroup(d)
     m = h.order
     detail = {"start": ap.start, "step": d, "subgroup_order": m}
 
     if k == m:
-        wfinal = translate(coset_representatives(h), group.neg(ap.start))
+        wfinal = translate(GroupSet(group, reps), group.neg(ap.start))
         return DecisionCertificate.verified_yes(
             MINIMAL_COMPLEMENT, "construction-subgroup", wfinal, c, **detail,
             case="full-coset")
@@ -187,7 +195,6 @@ def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
         return DecisionCertificate(MINIMAL_COMPLEMENT, NO, "bound-subgroup-gap", c,
                                    detail={**detail, "size": k})
 
-    reps = coset_representatives(h).mask
     if 3 * k <= 2 * m:
         detail["case"] = "sparse" if 2 * k <= m else "two-point"
         far = translate_mask(group, reps, group.scale(d, k))

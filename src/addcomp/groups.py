@@ -39,8 +39,12 @@ class Group:
 
     Equality, hashing and pickling see the factors only, never what a
     group builds on first use: the block masks (block_reps), and the
-    translate plans and negation table a small group keeps
-    (translate_plan, negator).  The full mask, n set bits, is set at
+    translate plans, negation table and cyclic-subgroup table a small
+    group keeps (translate_plan, negator, cyclic_subgroup).  The
+    cyclic-subgroup table has at most one entry per element, and one
+    members mask and one representatives mask per distinct cyclic
+    subgroup; ap_decide_and_build and cyclic_subgroups read it.  The
+    full mask, n set bits, is set at
     creation up to order BITS_CHUNK, so translate_mask reads a plain
     slot.  Group(factors) of a larger order is a _WideGroup, which builds
     it on the first read of full_mask and keeps it in the same slot, so a
@@ -56,6 +60,7 @@ class Group:
     _plans: dict = field(init=False, compare=False)
     _steps: dict = field(init=False, compare=False)
     _negs: Optional[tuple[int, ...]] = field(init=False, compare=False)
+    _cyclic: Optional[list] = field(init=False, compare=False)
 
     def __new__(cls, factors):
         if math.prod(map(int, factors)) > BITS_CHUNK:
@@ -80,6 +85,7 @@ class Group:
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_steps", {})
         object.__setattr__(self, "_negs", None)
+        object.__setattr__(self, "_cyclic", None)
 
     def __reduce__(self):
         return Group, (self.factors,)
@@ -206,6 +212,26 @@ class Group:
             negs = tuple(map(self.neg, range(self.order)))
             object.__setattr__(self, "_negs", negs)
         return negs.__getitem__
+
+    def cyclic_subgroup(self, g: int) -> tuple["Subgroup", int]:
+        """<g> and the mask of its least coset representatives
+        (coset_representatives), for a caller that decides many
+        progressions.
+
+        Up to order BITS_CHUNK the pair is kept in a table of one slot per
+        element, made on the first call: closing <g> files the pair under
+        every generator of <g>, so elements that generate the same
+        subgroup share one pair.  Above that order nothing is kept.
+        """
+        if not 0 <= g < self.order:
+            raise ValueError(f"element index {g} out of range for {self}")
+        table = self._cyclic
+        if table is None:
+            if self.order > BITS_CHUNK:
+                return _close_cyclic(self, g, None)
+            table = [None] * self.order
+            object.__setattr__(self, "_cyclic", table)
+        return table[g] or _close_cyclic(self, g, table)
 
     def sub(self, a: int, b: int) -> int:
         n = self.order
@@ -373,6 +399,22 @@ def subgroup_generated(s: GroupSet) -> Subgroup:
         if not (mask >> g) & 1:
             mask = progression_sum(group, mask, g, group.element_order(g))
     return Subgroup(group, GroupSet(group, mask), verified=True)
+
+
+def _close_cyclic(group: Group, g: int, table: Optional[list]) -> tuple[Subgroup, int]:
+    """(<g>, its coset representatives' mask), filed in table, when given,
+    under every generator of <g>: with m = |<g>|, the j*g with j prime to
+    m, which are the members of order m.
+    """
+    h = subgroup_generated(GroupSet.singleton(group, g))
+    entry = (h, coset_representatives(h).mask)
+    if table is not None:
+        m, x = h.order, 0
+        for j in range(1, m + 1):
+            x = group.add(x, g)
+            if math.gcd(j, m) == 1:
+                table[x] = entry
+    return entry
 
 
 def _lowest_members(h: Subgroup) -> list[Optional[int]]:
@@ -565,18 +607,20 @@ def quotient_map(group: Group, h: Subgroup) -> tuple[Group, Homomorphism]:
 
 
 def cyclic_subgroups(group: Group) -> list[Subgroup]:
-    """The distinct subgroups generated by single elements.
+    """The distinct subgroups generated by single elements, in the order
+    (|H|, mask of H).
 
-    <g> = <h> exactly when g is in <h> and ord(g) = |<h>|, so there is one
-    closure per cyclic subgroup, not one per element.
+    Each is closed once, by _close_cyclic, which files it under all its
+    generators: up to order BITS_CHUNK in the group's kept table
+    (Group.cyclic_subgroup), above it in a table of this call's own.
     """
-    found: dict[int, list[Subgroup]] = {}
-    for g in group.elements():
-        same = found.setdefault(group.element_order(g), [])
-        if not any(g in sub for sub in same):
-            same.append(subgroup_generated(GroupSet.singleton(group, g)))
-    return sorted((sub for subs in found.values() for sub in subs),
-                  key=lambda s: (s.order, s.members.mask))
+    if group.order <= BITS_CHUNK:
+        entries = map(group.cyclic_subgroup, group.elements())
+    else:
+        table: list = [None] * group.order
+        entries = (table[g] or _close_cyclic(group, g, table) for g in group.elements())
+    found = {h.members.mask: h for h, _ in entries}
+    return sorted(found.values(), key=lambda s: (s.order, s.members.mask))
 
 
 def all_subgroups(group: Group) -> list[Subgroup]:

@@ -152,6 +152,22 @@ def test_detect_ap_same_without_the_doubling_filter(monkeypatch):
     assert any(shown)
 
 
+def test_detect_ap_counts_no_sumset_for_two_points(monkeypatch):
+    # {a, b} is a walk or a coset of step b - a, and |C + C| <= 3 < 4, so
+    # the C + C test is skipped (n = 3, where |Z| = 1, is left out).
+    calls = []
+    monkeypatch.setattr(builders, "doubling_reaches", lambda *args: calls.append(args))
+    for factors in AP_GROUPS + ([2, 2, 2, 2], [8, 8], [4, 25]):
+        g = Group(factors)
+        if g.order == 3:
+            continue
+        for a in range(g.order):
+            for b in range(a + 1, g.order):
+                ap = detect_ap(GroupSet.from_elements(g, [a, b]))
+                assert ap.length == 2 and ap.step in (g.sub(b, a), g.sub(a, b)), (g, a, b)
+    assert calls == []
+
+
 @pytest.mark.parametrize("factors", ([4, 25], [8, 8], [2, 2, 10], [2, 2, 2, 2, 2]))
 def test_detect_ap_on_run_plus_whole_cosets(factors):
     # A run along d plus whole cosets of <d>: d has one start, but the

@@ -33,15 +33,19 @@ def test_product_arithmetic():
 
 
 def test_translate_plans_unseen_by_equality_hashing_and_pickling():
+    # The cyclic-subgroup table is kept the same way.
     used, fresh = Group([2, 8]), Group([2, 8])
     for t in range(used.order):
         translate_mask(used, 0b1011, t)
+        used.cyclic_subgroup(t)
     assert used._plans and not fresh._plans
+    assert used._cyclic and fresh._cyclic is None
     assert used == fresh and hash(used) == hash(fresh)
     assert pickle.dumps(used) == pickle.dumps(fresh)
     copy = pickle.loads(pickle.dumps(used))
-    assert copy == used and not copy._plans
+    assert copy == used and not copy._plans and copy._cyclic is None
     assert copy.translate_plan(5) == used.translate_plan(5)
+    assert copy.cyclic_subgroup(5) == used.cyclic_subgroup(5)
 
 
 @pytest.mark.parametrize("factors", ((4097,), (1 << 24,), (4096, 4096)))
@@ -325,6 +329,66 @@ def test_coset_representatives_of_a_row_are_a_column():
     h = subgroup_generated(GroupSet.singleton(g, g.index_of((1, 0))))
     column = GroupSet(g, mask_of(g.order, range(0, g.order, 4096)))
     assert coset_representatives(h) == column
+
+
+def _groups_up_to(order):
+    extra = [Group(f) for f in ((2, 6), (6, 2), (4, 2), (2, 12), (4, 8), (2, 2, 2, 2))]
+    return [g for n in range(1, order + 1) for g in abelian_groups_of_order(n)] + [
+        g for g in extra if g.order <= order]
+
+
+def test_cyclic_subgroup_table_matches_closure_and_box():
+    # Every element of every group of order <= 32: the kept pair is <g> and
+    # its coset box, and elements generating the same subgroup share one
+    # entry object.
+    for g in _groups_up_to(32):
+        entries = [g.cyclic_subgroup(x) for x in g.elements()]
+        assert len(g._cyclic) == g.order and None not in g._cyclic
+        for x, (h, reps) in zip(g.elements(), entries):
+            closed = subgroup_generated(GroupSet.singleton(g, x))
+            assert h == closed and h.order == closed.order, (g, x)
+            assert reps == coset_representatives(closed).mask, (g, x)
+            assert g.cyclic_subgroup(x) is entries[x]
+        for x, y in itertools.combinations(g.elements(), 2):
+            assert (entries[x] is entries[y]) == (entries[x][0] == entries[y][0]), (g, x, y)
+    with pytest.raises(ValueError):
+        Group([6]).cyclic_subgroup(6)
+    with pytest.raises(ValueError):
+        Group([6]).cyclic_subgroup(-1)
+
+
+@pytest.mark.parametrize("factors", ((5000,), (2, 2500)))
+def test_no_cyclic_table_above_4096(factors):
+    from addcomp.builders import ap_decide_and_build, detect_ap
+    g = Group(factors)
+    step = g.index_of([1] * len(factors))
+    c = GroupSet.from_elements(g, [0, step, g.scale(step, 2)])
+    cert = ap_decide_and_build(detect_ap(c))
+    assert cert.method == "construction-ap"
+    assert cert.detail["subgroup_order"] == g.element_order(step)
+    h, reps = g.cyclic_subgroup(step)
+    assert h == subgroup_generated(GroupSet.singleton(g, step))
+    assert reps == coset_representatives(h).mask
+    assert g._cyclic is None
+
+
+def test_cyclic_subgroups_match_naive():
+    # The distinct <g>, each listed as its multiples, sorted by (order, mask).
+    def naive(g):
+        found = set()
+        for x in g.elements():
+            found.add(mask_of(g.order, {g.scale(x, j) for j in range(g.order)}))
+        return sorted(found, key=lambda m: (m.bit_count(), m))
+
+    for g in _groups_up_to(64):
+        subs = cyclic_subgroups(g)
+        assert [h.members.mask for h in subs] == naive(g), g
+        assert all(h.order == h.members.mask.bit_count() for h in subs)
+    # above order 4096, with nothing kept: Z_n has one subgroup <n/m> per m | n
+    wide = Group([4100])
+    assert [h.members.mask for h in cyclic_subgroups(wide)] == [
+        mask_of(4100, range(0, 4100, 4100 // m)) for m in range(1, 4101) if 4100 % m == 0]
+    assert wide._cyclic is None
 
 
 def test_cyclic_subgroups_close_once_per_subgroup(monkeypatch):
