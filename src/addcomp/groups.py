@@ -46,10 +46,11 @@ class Group:
     subgroup; ap_decide_and_build and cyclic_subgroups read it.  The
     full mask, n set bits, is set at
     creation up to order BITS_CHUNK, so translate_mask reads a plain
-    slot.  Group(factors) of a larger order is a _WideGroup, which builds
-    it on the first read of full_mask and keeps it in the same slot, so a
-    call that never reads it, such as a randomized build, holds no n-bit
-    int for G.
+    slot.  Above that order __post_init__, once it knows the order,
+    makes the group a _WideGroup (same slots, same equality, hashing and
+    pickling), which builds the full mask on the first read of full_mask
+    and keeps it in the same slot, so a call that never reads it, such
+    as a randomized build, holds no n-bit int for G.
     """
 
     factors: tuple[int, ...]
@@ -61,11 +62,6 @@ class Group:
     _steps: dict = field(init=False, compare=False)
     _negs: Optional[tuple[int, ...]] = field(init=False, compare=False)
     _cyclic: Optional[list] = field(init=False, compare=False)
-
-    def __new__(cls, factors):
-        if math.prod(map(int, factors)) > BITS_CHUNK:
-            cls = _WideGroup
-        return object.__new__(cls)
 
     def __post_init__(self):
         fs = tuple(int(d) for d in self.factors)
@@ -81,6 +77,8 @@ class Group:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "strides", tuple(strides))
         _FULL_MASK.__set__(self, (1 << order) - 1 if order <= BITS_CHUNK else None)
+        if order > BITS_CHUNK:
+            object.__setattr__(self, "__class__", _WideGroup)
         object.__setattr__(self, "_reps", None)
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_steps", {})

@@ -156,9 +156,9 @@ def private_points(w: GroupSet, elements) -> PrivatePoints:
     The path is chosen while Z is listed.  A W that keeps its holes
     (GroupSet.kept_holes), such as every randomized-build witness, hands
     Z in, and the complement path then never reads W's mask.  Any other
-    W is walked (_holes_within), and the walk stops at the first point
-    past the rule's bound, so W is never counted, and a W that misses
-    many points pays a short walk before its translates.
+    W is walked as G xor W (_points_within), and the walk stops at the
+    first point past the rule's bound, so W is never counted, and a W
+    that misses many points pays a short walk before its translates.
     """
     group = w.group
     elements = list(elements)
@@ -167,30 +167,25 @@ def private_points(w: GroupSet, elements) -> PrivatePoints:
         # the largest |Z| with 8192 * (|Z| + 1) * k < (k - 1) * n
         most = ((k - 1) * group.order - 1) // (8192 * k) - 1
         holes = w.kept_holes()
-        if holes is None:
-            holes = _holes_within(group, w.mask, most)
-        elif len(holes) > most:
-            holes = None
-        if holes is not None:
+        if holes is None and most >= 0:
+            holes = _points_within(group.full_mask ^ w.mask, most)
+        if holes is not None and len(holes) <= most:
             return _private_points_by_complement(group, holes, elements)
     return _private_points_by_translates(group, w.mask, elements)
 
 
-def _holes_within(group: "Group", w: int, most: int) -> Optional[list]:
-    """The points W misses, ascending, or None when there are more than most.
+def _points_within(mask: int, most: int) -> Optional[tuple]:
+    """The points of mask, ascending, or None when there are more than most.
 
-    They are walked as bits_of(G xor W), and the walk stops at the first
-    point past most.  The lowest BITS_CHUNK bits are counted first, so a
-    W that misses many points there is told apart without the walk's
-    pass over the bytes of the whole mask.
+    The walk is bits_of(mask), and it stops at the first point past
+    most.  The lowest BITS_CHUNK bits are counted first, so a mask with
+    many points there is told apart without the walk's pass over the
+    bytes of the whole mask.
     """
-    if most < 0:
+    if (mask & _LOW_CHUNK).bit_count() > most:
         return None
-    z = group.full_mask ^ w
-    if (z & _LOW_CHUNK).bit_count() > most:
-        return None
-    holes = list(islice(bits_of(z), most + 1))
-    return holes if len(holes) <= most else None
+    points = tuple(islice(bits_of(mask), most + 1))
+    return points if len(points) <= most else None
 
 
 def _private_points_by_translates(group: "Group", w: int, elements: list) -> PrivatePoints:
@@ -263,16 +258,14 @@ KEPT_POINT_BITS = 320
 class GroupSet:
     """Immutable subset of a finite abelian group, stored as a bitmask.
 
-    A set whose mask would be wider than BITS_CHUNK bits may instead be
-    a ListedSet, which keeps the ascending tuple of its points, or of
-    the points of the group it misses (its holes), and builds its mask
-    from that tuple on the first read of .mask.  Sets are listed where a
-    tuple is at hand: from_elements (and so every brace literal), full(),
-    complement() and translate() of a listed set, and listed(), which
-    lists a wide mask made any other way (a hex literal, say) by one
-    walk.  A tuple is kept only when it takes no more memory than the
-    mask (KEPT_POINT_BITS bits of mask a point), so no set of a group of
-    order at most BITS_CHUNK is listed.
+    A set may instead be a ListedSet, which keeps the ascending tuple of
+    its points, or of the points of the group it misses (its holes), and
+    builds its mask from that tuple on the first read of .mask.  One
+    rule, in _from_list, lists a set: its mask is wider than BITS_CHUNK
+    bits and KEPT_POINT_BITS * len(tuple) is at most that width, so the
+    tuple takes no more memory than the mask.  Every constructor that
+    has a tuple at hand goes through it, and listed() lists a wide mask
+    made any other way (a hex literal, say) by one bounded walk.
 
     The tuple never changes, and the mask built from it is the set's
     one mask, so reading the tuple is reading the mask.  That is why
@@ -297,13 +290,11 @@ class GroupSet:
 
     @classmethod
     def from_elements(cls, group: "Group", elements: Iterable[int]) -> "GroupSet":
-        elements = list(elements)
-        for e in elements:
-            if not 0 <= e < group.order:
-                raise ValueError(f"element index {e} out of range for {group}")
-        if group.order > BITS_CHUNK and KEPT_POINT_BITS * len(elements) <= group.order:
-            return _from_list(group, tuple(sorted(set(elements))), holes=False)
-        return GroupSet(group, mask_of(group.order, elements))
+        points = tuple(sorted(set(elements)))
+        if points and (points[0] < 0 or points[-1] >= group.order):
+            bad = points[0] if points[0] < 0 else points[-1]
+            raise ValueError(f"element index {bad} out of range for {group}")
+        return _from_list(group, points, holes=False)
 
     @classmethod
     def empty(cls, group: "Group") -> "GroupSet":
@@ -311,26 +302,24 @@ class GroupSet:
 
     @classmethod
     def full(cls, group: "Group") -> "GroupSet":
-        if group.order > BITS_CHUNK:
-            return ListedSet(group, (), holes=True, mask=group.full_mask)
-        return GroupSet(group, group.full_mask)
+        return _from_list(group, (), holes=True)
 
     @classmethod
     def singleton(cls, group: "Group", e: int) -> "GroupSet":
         return cls.from_elements(group, (e,))
 
     def listed(self) -> "GroupSet":
-        """This set as a ListedSet when its mask is wider than BITS_CHUNK
-        bits and has few enough points to keep, else itself.  The mask is
-        walked once, and the walk stops past that many points."""
+        """This set as _from_list makes it from its points, when the mask
+        is wider than BITS_CHUNK bits, else itself.  The mask is walked
+        once (_points_within), and the walk stops past the most points a
+        listed set of this width keeps; a set with more is itself."""
         width = self.mask.bit_length()
         if width <= BITS_CHUNK:
             return self
-        most = width // KEPT_POINT_BITS
-        points = tuple(islice(bits_of(self.mask), most + 1))
-        if len(points) > most:
+        points = _points_within(self.mask, width // KEPT_POINT_BITS)
+        if points is None:
             return self
-        return ListedSet(self.group, points, mask=self.mask)
+        return _from_list(self.group, points, holes=False)
 
     def elements(self) -> list[int]:
         return list(bits_of(self.mask))
@@ -401,17 +390,16 @@ class ListedSet(GroupSet):
 
     Counting, printing, complementing and, for a list of points, listing
     and iterating read the tuple, so a set that is only listed, checked
-    through its holes and printed never builds its n-bit mask.  Any other reader of .mask gets
-    the mask built once and stored in GroupSet's own mask slot.  Made by
-    _from_list, full() and listed() only (see GroupSet).
+    through its holes and printed never builds its n-bit mask.  Any
+    other reader of .mask gets the mask built once and stored in
+    GroupSet's own mask slot.  Made by _from_list only (see GroupSet).
     """
 
     __slots__ = ("_points", "_holes")
 
-    def __init__(self, group: "Group", kept: tuple, holes: bool = False,
-                 mask: Optional[int] = None):
+    def __init__(self, group: "Group", kept: tuple, holes: bool = False):
         object.__setattr__(self, "group", group)
-        _MASK.__set__(self, mask)
+        _MASK.__set__(self, None)
         object.__setattr__(self, "_points", None if holes else kept)
         object.__setattr__(self, "_holes", kept if holes else None)
 
@@ -475,9 +463,13 @@ class ListedSet(GroupSet):
 
 def _from_list(group: "Group", kept: tuple, holes: bool) -> GroupSet:
     """The set of the ascending points kept or, with holes, the group
-    without them: a ListedSet when its mask would be wider than
-    BITS_CHUNK bits and the tuple takes no more memory than the mask,
-    else a GroupSet with its mask."""
+    without them.
+
+    This is the one place that lists a set: it is a ListedSet when its
+    mask is wider than BITS_CHUNK bits and KEPT_POINT_BITS * len(kept)
+    is at most that width, so the tuple takes no more memory than the
+    mask, else a GroupSet with its mask.
+    """
     n = group.order
     if holes:
         width = n  # less the run of holes at the top

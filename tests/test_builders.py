@@ -683,8 +683,8 @@ def test_lift_integer_window_moves_the_witness_holes(monkeypatch, ints):
     # translate moves a listed W's hole tuple, so the window lift's recheck
     # reads W's holes: it neither walks nor builds W's mask
     walks = []
-    real = sumset_module._holes_within
-    monkeypatch.setattr(sumset_module, "_holes_within",
+    real = sumset_module._points_within
+    monkeypatch.setattr(sumset_module, "_points_within",
                         lambda *args: walks.append(args) or real(*args))
     lift = lift_integer_window(ints, mode="safe")
     w = lift.witness

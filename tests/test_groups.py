@@ -55,6 +55,7 @@ def test_wide_group_builds_its_full_mask_on_first_read(factors):
     # only, before and after.
     g, same = Group(factors), Group(list(factors))
     assert isinstance(g, Group) and groups._FULL_MASK.__get__(g) is None
+    assert len(GroupSet.full(g)) == g.order and groups._FULL_MASK.__get__(g) is None
     for _ in range(2):
         assert g == same and hash(g) == hash(same) and {same: 1}[g] == 1
         assert pickle.dumps(g) == pickle.dumps(same) == pickle.dumps(Group(factors))
@@ -65,6 +66,18 @@ def test_wide_group_builds_its_full_mask_on_first_read(factors):
         assert g.full_mask == (1 << g.order) - 1
         assert groups._FULL_MASK.__get__(g) is g.full_mask
     assert repr(g) == f"Group({g.spec_string()})"
+
+
+@pytest.mark.parametrize("factors", ((2, 3), (4096,), (64, 64), (4097,), (3, 2000),
+                                     (4096, 4096)))
+def test_group_of_an_iterable_is_the_group_of_its_tuple(factors):
+    # The factors are read once, after the order is known, so a generator
+    # or an iterator makes the same group as a tuple on both sides of 4096.
+    want = Group(tuple(factors))
+    assert type(want) is (groups._WideGroup if want.order > 4096 else Group)
+    for made in (Group(d for d in factors), Group(iter(list(factors))), Group(list(factors))):
+        assert made == want and hash(made) == hash(want)
+        assert (made.factors, made.order, type(made)) == (want.factors, want.order, type(want))
 
 
 def test_small_group_keeps_its_full_mask_from_creation():

@@ -13,7 +13,7 @@ from addcomp.literals import format_element, parse_set
 from addcomp.oracle import (naive_coverage, naive_difference_set, naive_sumset,
                             oracle_is_minimal_complement_for)
 from addcomp.sumset import (GroupSet, ListedSet, bits_of, coverage, difference_set,
-                            negated, private_points, progression_sum, sumset,
+                            mask_of, negated, private_points, progression_sum, sumset,
                             translate, translate_mask)
 
 # The package re-exports the function sumset, which shadows the module name.
@@ -516,22 +516,21 @@ def test_listed_sets_match_eager_sets(quads, r, product, data):
              (made.complement().complement(), mask), (translate(made, shift), moved),
              (translate(made.complement(), shift), g.full_mask ^ moved),
              (GroupSet.full(g), g.full_mask), (GroupSet.empty(g), 0)]
-    # listed when the tuple, counted with repeats before they are dropped,
-    # takes no more memory than the mask, and the mask is wider than chunk
+    # listed when the mask is wider than chunk and the tuple, without
+    # repeats, takes no more memory than the mask
     width, bits = max(points) + 1, sumset_module.KEPT_POINT_BITS
-    assert isinstance(made, ListedSet) == (
-        bits * len(points) <= n and width > chunk and bits * len(set(points)) <= width)
+    assert isinstance(made, ListedSet) == (width > chunk and bits * len(set(points)) <= width)
     # read through the tuples first (translate by 0 returns made itself),
     # then the mask they build
-    for i, (s, want) in enumerate(cases):
+    for s, want in cases:
         listed = isinstance(s, ListedSet)
         assert not listed or n > chunk
         assert len(s) == want.bit_count() and bool(s) == bool(want)
         assert s.hex_mask() == hex(want)
         if listed and s.kept_holes() is None:
             assert s.elements() == list(s) == [x for x in range(n) if want >> x & 1]
-        if listed:  # full() has its mask at hand, the group's
-            assert sumset_module._MASK.__get__(s) is (g.full_mask if i == 5 else None)
+        if listed:  # full() builds no mask either
+            assert sumset_module._MASK.__get__(s) is None
     for s, want in cases:
         listed = isinstance(s, ListedSet)
         assert s.elements() == list(s) == [x for x in range(n) if want >> x & 1]
@@ -646,6 +645,89 @@ def test_kept_points_cannot_be_changed_through_elements():
         listed[0] = 7
         listed.sort(reverse=True)
         assert (s.elements(), s.hex_mask(), len(s)) == before
+
+
+def _by_rule(g, kept, holes):
+    """The listing rule, read off a plain int: the mask of the points kept,
+    or of the group without them, is wider than BITS_CHUNK bits, and
+    KEPT_POINT_BITS * len(kept) is at most its width."""
+    mask = sum(1 << x for x in kept)
+    if holes:
+        mask ^= (1 << g.order) - 1
+    width = mask.bit_length()
+    return (width > sumset_module.BITS_CHUNK
+            and sumset_module.KEPT_POINT_BITS * len(kept) <= width)
+
+
+def test_every_constructor_lists_by_one_rule():
+    # from_elements, listed(), full(), and complement() and translate() of
+    # what they make: a set is listed exactly when the rule holds for the
+    # tuple at hand, and a set with no tuple (a plain set's complement or
+    # translate) is never listed.  Widths sit on both sides of BITS_CHUNK,
+    # and sizes on both sides of width // KEPT_POINT_BITS.
+    chunk, bits = sumset_module.BITS_CHUNK, sumset_module.KEPT_POINT_BITS
+    rnd = random.Random(31)
+    seen = set()
+    for g in (Group([5 * chunk + 3]), Group([5, chunk + 1]), Group([chunk]), Group([12])):
+        n = g.order
+        shift = n // 3 + 1
+        made = [(GroupSet.full(g), (), True)]
+        for width in sorted({min(n, w) for w in (1, chunk, chunk + 1, 3 * chunk, n)}):
+            for size in sorted({1, 2, width // bits, width // bits + 1}):
+                size = min(max(size, 1), width)
+                points = sorted(rnd.sample(range(width - 1), size - 1) + [width - 1])
+                made.append((GroupSet.from_elements(g, points + points[:2]), points, False))
+                made.append((GroupSet(g, mask_of(n, points)).listed(), points, False))
+        for s, kept, holes in made:
+            derived = [(s, kept, holes, True), (s.complement(), kept, not holes, False),
+                       (translate(s, shift), sorted(g.add(x, shift) for x in kept), holes,
+                        False)]
+            for t, t_kept, t_holes, made_here in derived:
+                listed = isinstance(t, ListedSet)
+                from_tuple = made_here or isinstance(s, ListedSet)
+                assert listed == (from_tuple and _by_rule(g, t_kept, t_holes))
+                if listed:
+                    assert _kept(t) == ((None, tuple(t_kept)) if t_holes
+                                        else (tuple(t_kept), None))
+                seen.add((listed, from_tuple))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_bounded_walk_stops_past_most(monkeypatch):
+    # The walk yields at most most + 1 points, and a mask whose lowest
+    # BITS_CHUNK bits alone hold more than most points is refused before
+    # the wide walk starts.
+    chunk = sumset_module.BITS_CHUNK
+    real_bits, real_wide = sumset_module.bits_of, sumset_module._wide_bits_of
+    yields, wide = [], []
+
+    def counted(mask):
+        for x in real_bits(mask):
+            yields.append(x)
+            yield x
+
+    monkeypatch.setattr(sumset_module, "bits_of", counted)
+    monkeypatch.setattr(sumset_module, "_wide_bits_of",
+                        lambda mask: wide.append(mask) or real_wide(mask))
+    rnd = random.Random(4)
+    points = sorted(rnd.sample(range(chunk), 10) + rnd.sample(range(chunk, 8 * chunk), 90))
+    mask = mask_of(8 * chunk, points)
+    for most in (0, 9, 10, 50, 99, 100, 250):
+        yields.clear()
+        wide.clear()
+        got = sumset_module._points_within(mask, most)
+        if most < 10:
+            assert got is None and yields == [] and wide == []
+        elif most < 100:
+            assert got is None and yields == points[:most + 1] and wide == [mask]
+        else:
+            assert got == tuple(points) and yields == points and wide == [mask]
+    # listed() refuses the same mask by its low chunk: 8 * chunk bits keep at
+    # most 8 * chunk // 320 = 102 points, and 103 low ones are too many
+    crowded = GroupSet(Group([8 * chunk]), mask | mask_of(8 * chunk, range(103)))
+    yields.clear()
+    wide.clear()
+    assert crowded.listed() is crowded and yields == [] and wide == []
 
 
 def test_no_list_kept_at_order_bits_chunk_or_below():
