@@ -26,7 +26,8 @@ from typing import Callable, Optional
 from . import builders
 from .decision import MINIMAL_COMPLEMENT, NO, UNKNOWN, DecisionCertificate, SearchBudget
 from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
-                     cyclic_subgroups, generated_order, unit_multipliers)
+                     automorphism_generators, cyclic_subgroups, generated_order,
+                     unit_multipliers)
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
@@ -124,11 +125,11 @@ def scan_for_witness(group: Group, c: GroupSet,
     """
     if not c:
         raise ValueError("empty C has no witness")
-    ec = c.elements()
     full = group.full_mask
     plus = [translate_mask(group, c.mask, x) for x in range(group.order)]  # x + C
     neg_c = negated_mask(group, c.mask)
     minus = [translate_mask(group, neg_c, p) for p in range(group.order)]  # p - C
+    neg = group.negator()
     stack = [(1, full & ~1, c.mask, 0)]  # W, allowed, once, twice
     candidates = 0
     while stack:
@@ -138,10 +139,14 @@ def scan_for_witness(group: Group, c: GroupSet,
         candidates += 1
         private = once & ~twice
         uncovered = full & ~once
-        if not all(plus[x] & private for x in bits_of(w)):
-            continue
-        if not all(translate_mask(group, w, e) & private
-                   or translate_mask(group, allowed, e) & uncovered for e in ec):
+        owned = 0  # the c with a private point: ((x + C) & private) - x over x in W
+        for x in bits_of(w):  # W holds 0, so mine is set
+            mine = plus[x] & private
+            if not mine:
+                break
+            owned |= translate_mask(group, mine, neg(x))
+        if not mine or not all(translate_mask(group, allowed, e) & uncovered
+                               for e in bits_of(c.mask ^ owned)):
             continue
         if not uncovered:
             return GroupSet(group, w), candidates, True
@@ -256,23 +261,38 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         "candidates_needed_log2": n - 1})
 
 
-def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None
+def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None,
+                   automorphisms: Optional[Callable[[Group], list[tuple[int, ...]]]] = None
                    ) -> Callable[[GroupSet], str]:
     """exists_witness's verdict, decided once per orbit, for one call's use.
 
-    The verdict does not change under C -> u*C + t, u a unit multiplier:
-    if C is a minimal complement of W, then u*C + t is one of u*W.  The
-    returned function looks C up as C - min(C) and, after exists_witness
-    decided it, files the verdict under every through-0 member u*C - x
-    (x in u*C) of its orbit.  Answers are filed wherever the search fits
-    the budget (_search_fits): there every stage's answer is exact and
-    none is unknown, so a hit repeats what exists_witness would return
-    for that very set.  Past that gate an orbit-mate may end unknown
-    where C did not, so nothing is filed and nothing is looked up.
+    The verdict does not change under C -> phi(C) + t, phi an automorphism
+    of G: if C is a minimal complement of W, then phi(C) + t is one of
+    phi(W), since phi carries W + C onto G and a point private to c onto
+    one private to phi(c).  The returned function looks C up as C - min(C)
+    and, after exists_witness decided it, files the verdict under every
+    through-0 member of its orbit, built in three steps: C is closed by a
+    breadth-first search over the tables automorphisms(group) returns
+    (none when it is None), each member's images under the unit
+    multipliers x -> u*x are taken, and every through-0 translate of those
+    is filed.  A unit multiplier commutes with every automorphism (units
+    are central in Aut(G)), so the second step gives the orbit under the
+    group the tables and the units generate together.  compute_tmin passes
+    automorphism_generators, since its walk meets every member of an
+    orbit; scan_threshold passes none and keeps the unit multipliers, since
+    a scan of a few random draws meets few orbit-mates and closing whole
+    Aut(G) orbits would cost more than it saves.
+
+    Answers are filed wherever the search fits the budget (_search_fits):
+    there every stage's answer is exact and none is unknown, so a hit
+    repeats what exists_witness would return for that very set.  Past that
+    gate an orbit-mate may end unknown where C did not, so nothing is
+    filed, nothing is looked up and no table is built.
     """
     n = group.order
     fits = _search_fits(n, budget or SearchBudget())
-    images: list[list[int]] = []  # built on the first filing
+    images: list[list[int]] = []  # x -> 1 << u*x per unit u, built on the first filing
+    moves: list[list[int]] = []  # x -> 1 << phi(x) per table, built with images
     neg = group.negator()
     memo: dict[int, str] = {}
 
@@ -287,10 +307,21 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None
             if not images:
                 images.extend([1 << group.scale(e, u) for e in range(n)]
                               for u in unit_multipliers(group))
-            ec = list(bits_of(mask))
-            for m in {sum(image[e] for e in ec) for image in images}:
-                for x in bits_of(m):
-                    memo[translate_mask(group, m, neg(x))] = cert.verdict
+                if automorphisms is not None:
+                    moves.extend([1 << x for x in table] for table in automorphisms(group))
+            closed, frontier, scaled = {mask}, [mask], set()
+            while frontier:  # breadth-first over the tables, then each unit's image
+                ec = list(bits_of(frontier.pop()))
+                for move in moves:
+                    m = sum(move[e] for e in ec)
+                    if m not in closed:
+                        closed.add(m)
+                        frontier.append(m)
+                scaled.update(sum(image[e] for e in ec) for image in images)
+            for m in scaled:
+                if m not in memo:  # else filed with the member it is a translate of
+                    for x in bits_of(m):
+                        memo[translate_mask(group, m, neg(x))] = cert.verdict
         return cert.verdict
 
     return verdict
@@ -316,17 +347,22 @@ class TminReport:
 def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminReport:
     """T(G) by walking every C through 0, by size, then lexicographically.
 
-    Where the search fits the budget, each orbit under translation x unit
-    multipliers is decided at most once per call (orbit_verdicts), by
-    whichever stage answers it; past that gate every C is decided on its
-    own.  The walk order, first_failing, unknown_at and subsets_checked,
-    which counts every subset walked, are as if each were decided on its
-    own.
+    C and phi(C) + t, phi in Aut(G), have the same verdict: phi carries a
+    W that C is minimal for to one that phi(C) + t is minimal for.  So
+    where the search fits the budget, each orbit under C -> phi(C) + t is
+    decided at most once per call (orbit_verdicts, with
+    automorphism_generators), by whichever stage answers it; past that
+    gate every C is decided on its own.  A full walk meets every member of
+    an orbit, so closing the whole orbit pays off here; a sampled scan
+    (experiments.scan_threshold) meets few, and files under translations
+    and unit multipliers only, which are central in Aut(G).  The walk
+    order, first_failing, unknown_at and subsets_checked, which counts
+    every subset walked, are as if each were decided on its own.
     """
     import itertools
 
     n = group.order
-    verdict_of = orbit_verdicts(group, budget)
+    verdict_of = orbit_verdicts(group, budget, automorphism_generators)
     bits = [1 << e for e in range(n)]
     checked = 0
     for size in range(1, n + 1):

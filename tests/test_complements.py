@@ -19,7 +19,7 @@ from addcomp.decision import (MINIMAL_COMPLEMENT, NO, UNKNOWN, YES, DecisionCert
 from addcomp.groups import Group, abelian_groups_of_order, unit_multipliers
 from addcomp.literals import parse_group, parse_set
 from addcomp.oracle import oracle_exists_witness
-from addcomp.sumset import GroupSet, sumset, translate
+from addcomp.sumset import GroupSet, bits_of, sumset, translate
 
 # The package re-exports the function sumset, which shadows the module name.
 sumset_module = importlib.import_module("addcomp.sumset")
@@ -217,13 +217,19 @@ def _fields(rep):
     return rep.value, rep.exact, rep.first_failing, rep.unknown_at, rep.subsets_checked
 
 
-@pytest.mark.parametrize("factors", [(12,), (2, 6), (14,), (2, 2, 4)])
+# The benchmark's tmin groups, then groups whose automorphisms are more
+# than their unit multipliers, which the walk's orbits use.
+ORBIT_GROUPS = [(12,), (2, 6), (14,), (2, 2, 4), (4, 4), (2, 8), (2, 2, 2, 2), (3, 3),
+                (2, 2, 2)]
+
+
+@pytest.mark.parametrize("factors", ORBIT_GROUPS)
 def test_compute_tmin_matches_orbit_free_walk(factors):
     g = Group(factors)
     assert _fields(compute_tmin(g)) == _reference_tmin(g)
 
 
-@pytest.mark.parametrize("factors", [(12,), (2, 6), (14,), (2, 2, 4)])
+@pytest.mark.parametrize("factors", ORBIT_GROUPS)
 def test_compute_tmin_asks_for_a_subsequence_of_the_orbit_free_walk(factors, monkeypatch):
     # the memo only skips certificates: each one compute_tmin asks for is
     # the one the orbit-free walk gets for that set, in the same order
@@ -355,6 +361,48 @@ def test_compute_tmin_searches_once_per_orbit(monkeypatch):
     assert len(searched) == 2 * first
 
 
+def _automorphisms(g):
+    """Every automorphism of g as an index table, by brute force: each
+    choice of images y_i of orders dividing d_i gives the additive map
+    x -> sum of x_i*y_i, kept when it is a bijection."""
+    choices = [[y for y in g.elements() if g.scale(y, d) == 0] for d in g.factors]
+    out = []
+    for ys in itertools.product(*choices):
+        table = []
+        for e in g.elements():
+            x = 0
+            for a, y in zip(g.coords_of(e), ys):
+                x = g.add(x, g.scale(y, a))
+            table.append(x)
+        if len(set(table)) == g.order:
+            out.append(table)
+    return out
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 4), (4, 4)])
+def test_compute_tmin_decides_once_per_automorphism_orbit(factors, monkeypatch):
+    # the orbits of C -> phi(C) + t, phi any automorphism: each set the
+    # walk meets lies in the orbit of exactly one set it decided
+    g = Group(factors)
+    auts = _automorphisms(g)
+    asked = []
+    real = complements.exists_witness
+    monkeypatch.setattr(complements, "exists_witness",
+                        lambda c, budget=None: asked.append(c.mask) or real(c, budget))
+    rep = compute_tmin(g)
+    orbit_of = {}
+    for i, mask in enumerate(asked):
+        for phi in auts:
+            image = _gs(g, [phi[e] for e in bits_of(mask)])
+            for t in range(g.order):
+                assert orbit_of.setdefault(translate(image, t).mask, i) == i
+    walked = itertools.islice(itertools.chain.from_iterable(
+        itertools.combinations(range(1, g.order), k - 1) for k in range(1, g.order + 1)),
+        rep.subsets_checked)
+    assert {orbit_of[_gs(g, (0,) + rest).mask] for rest in walked} == set(range(len(asked)))
+    assert len(auts) > len(unit_multipliers(g))
+
+
 def test_orbit_verdicts_files_every_answer_where_the_search_fits(monkeypatch):
     # Z10 is inside the search gate, so whichever stage decided c, its
     # orbit-mate is answered from the memo; an unknown is never filed
@@ -387,8 +435,12 @@ def test_orbit_verdicts_files_nothing_past_the_search_gate(monkeypatch):
         raise AssertionError("orbit maps built")
 
     monkeypatch.setattr(complements, "unit_multipliers", unused)
+    monkeypatch.setattr(complements, "automorphism_generators", unused)
     rep = scan_threshold(Group([101]), p_values=(0.05, 0.3, 0.7, 0.9), trials=5)
     assert sum(row.yes + row.no for row in rep.rows) > 0
+    # 2x4 is past a cap of 64 candidates: compute_tmin builds no tables either
+    rep = compute_tmin(Group([2, 4]), SearchBudget(64))
+    assert rep.subsets_checked > 0
 
 
 def test_compute_tmin_small():

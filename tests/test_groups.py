@@ -8,9 +8,9 @@ import pytest
 
 from addcomp import groups
 from addcomp.groups import (Group, Homomorphism, Subgroup, abelian_groups_of_order,
-                            all_subgroups, coset_representatives, cyclic_subgroups,
-                            generated_order, quotient_map, subgroup_generated,
-                            unit_multipliers)
+                            all_subgroups, automorphism_generators, coset_representatives,
+                            cyclic_subgroups, generated_order, quotient_map,
+                            subgroup_generated, unit_multipliers)
 from addcomp.sumset import GroupSet, mask_of, translate_mask
 
 
@@ -531,3 +531,63 @@ def test_unit_multipliers():
     g = Group([12])
     units = unit_multipliers(g)
     assert units == [1, 5, 7, 11]
+
+
+# Every abelian group of order at most 20, in the factor form
+# abelian_groups_of_order gives, and a few forms with a non-prime-power factor.
+AUT_GROUPS = [g.factors for n in range(1, 21) for g in abelian_groups_of_order(n)] + [
+    (2, 6), (2, 8), (4, 4), (2, 10), (3, 6)]
+
+
+def _aut_order(g):
+    """|Aut(G)| by brute force: the injective homomorphisms, chosen one
+    factor generator's image at a time.  Images y_1, ..., y_i of orders
+    dividing d_1, ..., d_i give an injective map iff their span has
+    d_1 * ... * d_i points."""
+    def count(i, span):
+        if i == len(g.factors):
+            return 1
+        d = g.factors[i]
+        total = 0
+        for y in g.elements():
+            if g.scale(y, d) == 0:
+                grown = {g.add(h, g.scale(y, k)) for h in span for k in range(d)}
+                if len(grown) == len(span) * d:
+                    total += count(i + 1, grown)
+        return total
+    return count(0, {0})
+
+
+@pytest.mark.parametrize("factors", AUT_GROUPS, ids=lambda f: "x".join(map(str, f)) or "1")
+def test_automorphism_generators_are_automorphisms(factors):
+    g = Group(factors)
+    scalars = {tuple(g.scale(e, u) for e in g.elements()) for u in unit_multipliers(g)}
+    for phi in automorphism_generators(g):
+        assert sorted(phi) == list(g.elements())
+        assert all(phi[g.add(a, b)] == g.add(phi[a], phi[b])
+                   for a in g.elements() for b in g.elements())
+        assert tuple(phi) not in scalars
+
+
+@pytest.mark.parametrize("factors", AUT_GROUPS, ids=lambda f: "x".join(map(str, f)) or "1")
+def test_automorphism_generators_and_units_generate_aut(factors):
+    g = Group(factors)
+    moves = automorphism_generators(g) + [
+        tuple(g.scale(e, u) for e in g.elements()) for u in unit_multipliers(g)]
+    expected = _aut_order(g)
+    closed = {tuple(g.elements())}
+    frontier = list(closed)
+    while frontier:
+        phi = frontier.pop()
+        for move in moves:
+            psi = tuple(move[x] for x in phi)
+            if psi not in closed:
+                closed.add(psi)
+                frontier.append(psi)
+        assert len(closed) <= expected  # a map that is no automorphism may make many more
+    assert len(closed) == expected
+
+
+@pytest.mark.parametrize("factors", [(12,), (3, 4), (2, 7), (4, 5), (2, 3, 5)])
+def test_cyclic_groups_get_no_automorphism_generators(factors):
+    assert automorphism_generators(Group(factors)) == []

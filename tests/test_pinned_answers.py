@@ -28,12 +28,15 @@ SUPP_FRACTIONS = (0.2, 0.3, 0.4, 0.5)
 TMIN_GROUPS = ((12,), (2, 6), (14,), (2, 2, 4))
 # Recorded when orbit_verdicts began filing every answer where the search
 # fits, so the walk asks for fewer certificates; that they are a subsequence
-# of the orbit-free walk's is checked in test_complements.py.
+# of the orbit-free walk's is checked in test_complements.py.  The two
+# product groups were recorded again when compute_tmin's orbits grew from
+# the unit multipliers to all of Aut(G): (2, 6) asks for 23 certificates in
+# place of 54, (2, 2, 4) for 21 in place of 125.
 TMIN_DIGESTS = {
     (12,): "0b227b77358124fa0e3877391938b8cbf5c9e50c2ccc0d594ef0285a71ad6e96",
-    (2, 6): "35938426614e5877e0822e96982899de58d86722dcabc0026672935376bbfcf0",
+    (2, 6): "50e7f67c62387ebce6ac61bf965ea678c0ba8a30fcd6ddf7415648f446d2dcf2",
     (14,): "c7114cdeef33c1737e9a945d0886033a33563c26f2c96b3a4f7b4c49a138234e",
-    (2, 2, 4): "dc4f51ff7f9ca3d832ace71912b7bc52c04a4b925d7c5019d6e7edbba9f0d5de",
+    (2, 2, 4): "a71e64b705f67ce6008037cf4daa03caabe62a12639cc297d5c48884cc02aed3",
 }
 
 
