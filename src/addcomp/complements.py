@@ -27,7 +27,7 @@ from . import builders
 from .decision import MINIMAL_COMPLEMENT, NO, UNKNOWN, DecisionCertificate, SearchBudget
 from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
                      automorphism_generators, cyclic_subgroups, generated_order,
-                     unit_multipliers)
+                     unit_generators)
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
@@ -262,8 +262,7 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
 
 
 def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None,
-                   automorphisms: Optional[Callable[[Group], list[tuple[int, ...]]]] = None
-                   ) -> Callable[[GroupSet], str]:
+                   whole_aut: bool = False) -> Callable[[GroupSet], str]:
     """exists_witness's verdict, decided once per orbit, for one call's use.
 
     The verdict does not change under C -> phi(C) + t, phi an automorphism
@@ -271,17 +270,16 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None,
     phi(W), since phi carries W + C onto G and a point private to c onto
     one private to phi(c).  The returned function looks C up as C - min(C)
     and, after exists_witness decided it, files the verdict under every
-    through-0 member of its orbit, built in three steps: C is closed by a
-    breadth-first search over the tables automorphisms(group) returns
-    (none when it is None), each member's images under the unit
-    multipliers x -> u*x are taken, and every through-0 translate of those
-    is filed.  A unit multiplier commutes with every automorphism (units
-    are central in Aut(G)), so the second step gives the orbit under the
-    group the tables and the units generate together.  compute_tmin passes
-    automorphism_generators, since its walk meets every member of an
-    orbit; scan_threshold passes none and keeps the unit multipliers, since
-    a scan of a few random draws meets few orbit-mates and closing whole
-    Aut(G) orbits would cost more than it saves.
+    through-0 member of its orbit: C is closed by a depth-first search
+    over a list of automorphism tables, and every through-0 translate of
+    each member is filed.  With whole_aut the tables are
+    automorphism_generators(group) and the orbit is the one under
+    translations and all of Aut(G); compute_tmin asks for it, since its
+    walk meets every member of an orbit.  Without it they are the unit
+    multipliers x -> u*x, u in unit_generators(exponent), which are
+    central in Aut(G); scan_threshold keeps these, since a scan of a few
+    random draws meets few orbit-mates and closing whole Aut(G) orbits
+    costs it more than it saves.
 
     Answers are filed wherever the search fits the budget (_search_fits):
     there every stage's answer is exact and none is unknown, so a hit
@@ -291,12 +289,12 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None,
     """
     n = group.order
     fits = _search_fits(n, budget or SearchBudget())
-    images: list[list[int]] = []  # x -> 1 << u*x per unit u, built on the first filing
-    moves: list[list[int]] = []  # x -> 1 << phi(x) per table, built with images
+    moves: Optional[list[list[int]]] = None  # x -> 1 << phi(x) per table, built on the first filing
     neg = group.negator()
     memo: dict[int, str] = {}
 
     def verdict(c: GroupSet) -> str:
+        nonlocal moves
         mask = c.mask
         if memo:
             hit = memo.get(translate_mask(group, mask, neg((mask & -mask).bit_length() - 1)))
@@ -304,23 +302,22 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None,
                 return hit
         cert = exists_witness(c, budget)
         if fits and cert.verdict != UNKNOWN:
-            if not images:
-                images.extend([1 << group.scale(e, u) for e in range(n)]
-                              for u in unit_multipliers(group))
-                if automorphisms is not None:
-                    moves.extend([1 << x for x in table] for table in automorphisms(group))
-            closed, frontier, scaled = {mask}, [mask], set()
-            while frontier:  # breadth-first over the tables, then each unit's image
-                ec = list(bits_of(frontier.pop()))
+            if moves is None:
+                tables = automorphism_generators(group) if whole_aut else [
+                    [group.scale(e, u) for e in range(n)]
+                    for u in unit_generators(group.exponent())]
+                moves = [[1 << x for x in table] for table in tables]
+            closed, frontier = {mask}, [mask]
+            while frontier:  # depth-first closure over the tables
+                m = frontier.pop()
+                ec = list(bits_of(m))
                 for move in moves:
-                    m = sum(move[e] for e in ec)
-                    if m not in closed:
-                        closed.add(m)
-                        frontier.append(m)
-                scaled.update(sum(image[e] for e in ec) for image in images)
-            for m in scaled:
+                    image = sum(map(move.__getitem__, ec))
+                    if image not in closed:
+                        closed.add(image)
+                        frontier.append(image)
                 if m not in memo:  # else filed with the member it is a translate of
-                    for x in bits_of(m):
+                    for x in ec:
                         memo[translate_mask(group, m, neg(x))] = cert.verdict
         return cert.verdict
 
@@ -350,19 +347,19 @@ def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminRep
     C and phi(C) + t, phi in Aut(G), have the same verdict: phi carries a
     W that C is minimal for to one that phi(C) + t is minimal for.  So
     where the search fits the budget, each orbit under C -> phi(C) + t is
-    decided at most once per call (orbit_verdicts, with
-    automorphism_generators), by whichever stage answers it; past that
-    gate every C is decided on its own.  A full walk meets every member of
-    an orbit, so closing the whole orbit pays off here; a sampled scan
-    (experiments.scan_threshold) meets few, and files under translations
-    and unit multipliers only, which are central in Aut(G).  The walk
-    order, first_failing, unknown_at and subsets_checked, which counts
-    every subset walked, are as if each were decided on its own.
+    decided at most once per call (orbit_verdicts with whole_aut), by
+    whichever stage answers it; past that gate every C is decided on its
+    own.  A full walk meets every member of an orbit, so closing the whole
+    orbit pays off here; a sampled scan (experiments.scan_threshold) meets
+    few, and files under translations and unit multipliers only, which
+    are central in Aut(G).  The walk order, first_failing, unknown_at and
+    subsets_checked, which counts every subset walked, are as if each
+    were decided on its own.
     """
     import itertools
 
     n = group.order
-    verdict_of = orbit_verdicts(group, budget, automorphism_generators)
+    verdict_of = orbit_verdicts(group, budget, whole_aut=True)
     bits = [1 << e for e in range(n)]
     checked = 0
     for size in range(1, n + 1):

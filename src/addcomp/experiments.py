@@ -50,8 +50,11 @@ class ScanReport:
 
 
 def _draw(group: Group, rng: SplitMix64, threshold: int) -> GroupSet:
-    """Keeps each element e, in order, when the next chance(threshold) holds."""
-    return GroupSet(group, rng.chances(threshold, group.order))
+    mask = 0
+    for e in range(group.order):
+        if rng.chance(threshold):
+            mask |= 1 << e
+    return GroupSet(group, mask)
 
 
 def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
@@ -61,10 +64,10 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
 
     Where the search fits the budget, each orbit under translation x
     unit multipliers is decided at most once per call
-    (complements.orbit_verdicts, with no automorphism tables: a few
-    draws per density meet few orbit-mates), so a draw whose orbit-mate
-    was decided earlier is counted without a second decision; the counts
-    are those of deciding every draw on its own.
+    (complements.orbit_verdicts without whole_aut: a few draws per
+    density meet few orbit-mates), so a draw whose orbit-mate was decided
+    earlier is counted without a second decision; the counts are those
+    of deciding every draw on its own.
     """
     if trials < 1:
         raise ValueError("need at least one trial per density")

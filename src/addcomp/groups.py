@@ -29,6 +29,7 @@ __all__ = [
     "all_subgroups",
     "cyclic_subgroups",
     "unit_multipliers",
+    "unit_generators",
     "automorphism_generators",
     "abelian_groups_of_order",
 ]
@@ -654,20 +655,37 @@ def unit_multipliers(group: Group) -> list[int]:
     return [u for u in range(1, exp + 1) if math.gcd(u, exp) == 1]
 
 
+def unit_generators(m: int) -> list[int]:
+    """Units mod m that generate (Z/m)^x, each outside the group the
+    earlier ones generate, so a closure over them visits a unit orbit
+    with few products per member: [3, 5] for 16, [] for 1 and 2."""
+    gens, reached = [], {1 % m}
+    for u in range(2, m):
+        if math.gcd(u, m) == 1 and u not in reached:
+            gens.append(u)
+            grown, power = set(reached), u
+            while power not in reached:  # <H, u> is the union of the cosets H*u^k
+                grown.update(r * power % m for r in reached)
+                power = power * u % m
+            reached = grown
+    return gens
+
+
 def automorphism_generators(group: Group) -> list[tuple[int, ...]]:
     """Elementary automorphisms of Z/d_1 x ... x Z/d_r, in the factor form
-    given, as index tables e -> phi(e).
+    given, as index tables e -> phi(e), which together generate Aut(G).
 
-    Two kinds: the per-factor unit scalings x_i -> u*x_i, u prime to d_i,
-    and the transvections x -> x + x_i*k*e_j, i != j, with k =
-    d_j/gcd(d_i, d_j) the least k > 0 that makes d_i*k a multiple of d_j,
-    so that x_i -> k*x_i is well defined from Z/d_i to Z/d_j; each is
-    additive and x -> x - x_i*k*e_j undoes it.  The identity and every map
-    equal to a unit multiplier (unit_multipliers) are left out, so a cyclic
-    group, in any factor form, gets none.  With the unit multipliers they
-    generate Aut(G) (Hillar and Rhea, "Automorphisms of finite abelian
-    groups", Amer. Math. Monthly 2007); the tests check this by brute force
-    on every group of order at most 20.
+    Two kinds: the per-factor unit scalings x_i -> u*x_i, u in
+    unit_generators(d_i), and the transvections x -> x + x_i*k*e_j,
+    i != j, with k = d_j/gcd(d_i, d_j) the least k > 0 that makes d_i*k a
+    multiple of d_j, so that x_i -> k*x_i is well defined from Z/d_i to
+    Z/d_j; each is additive and x -> x - x_i*k*e_j undoes it.  A
+    transvection that is the identity (k*x_i always 0 mod d_j, as in 3x4)
+    is left out, so a cyclic group in any factor form gets only scalings,
+    which generate its unit multipliers.  That the two kinds generate
+    Aut(G) is Hillar and Rhea, "Automorphisms of finite abelian groups",
+    Amer. Math. Monthly 2007; the tests check it by brute force on every
+    group of order at most 20.
     """
     fs = group.factors
     coords = [group.coords_of(e) for e in group.elements()]
@@ -681,13 +699,11 @@ def automorphism_generators(group: Group) -> list[tuple[int, ...]]:
             out.append(group.index_of(y))
         return tuple(out)
 
-    scalars = {tuple(group.scale(e, u) for e in group.elements())
-               for u in unit_multipliers(group)}
-    maps = [table(i, i, u) for i, d in enumerate(fs)
-            for u in range(2, d) if math.gcd(u, d) == 1]
+    maps = [table(i, i, u) for i, d in enumerate(fs) for u in unit_generators(d)]
     maps += [table(i, j, fs[j] // math.gcd(d, fs[j]))
              for i, d in enumerate(fs) for j in range(len(fs)) if i != j]
-    return [t for t in dict.fromkeys(maps) if t not in scalars]
+    identity = tuple(group.elements())
+    return [t for t in maps if t != identity]
 
 
 def _partitions(n: int) -> Iterable[tuple[int, ...]]:

@@ -65,19 +65,6 @@ class SplitMix64:
         """True with probability threshold / 2**64."""
         return self.next_u64() < threshold
 
-    def chances(self, threshold: int, count: int) -> int:
-        """The mask whose bit i is the (i+1)-th of count successive
-        chance(threshold) results, which leave the stream where this
-        leaves it, from one loop."""
-        mask = 0
-        state = self._state
-        for i in range(count):
-            state = (state + _GOLDEN) & _MASK64
-            if _mix(state) < threshold:
-                mask |= 1 << i
-        self._state = state
-        return mask
-
 
 def derive_seed(master: int, *parts: int) -> int:
     """Mix a master seed with integer labels into an independent child seed.

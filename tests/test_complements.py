@@ -431,10 +431,10 @@ def test_orbit_verdicts_files_nothing_past_the_search_gate(monkeypatch):
     # and the orbit maps, built on the first filing, are never built
     from addcomp.experiments import scan_threshold
 
-    def unused(group):
+    def unused(*args):
         raise AssertionError("orbit maps built")
 
-    monkeypatch.setattr(complements, "unit_multipliers", unused)
+    monkeypatch.setattr(complements, "unit_generators", unused)
     monkeypatch.setattr(complements, "automorphism_generators", unused)
     rep = scan_threshold(Group([101]), p_values=(0.05, 0.3, 0.7, 0.9), trials=5)
     assert sum(row.yes + row.no for row in rep.rows) > 0

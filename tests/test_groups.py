@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import pickle
 import random
 from collections import Counter
@@ -10,7 +11,7 @@ from addcomp import groups
 from addcomp.groups import (Group, Homomorphism, Subgroup, abelian_groups_of_order,
                             all_subgroups, automorphism_generators, coset_representatives,
                             cyclic_subgroups, generated_order, quotient_map,
-                            subgroup_generated, unit_multipliers)
+                            subgroup_generated, unit_generators, unit_multipliers)
 from addcomp.sumset import GroupSet, mask_of, translate_mask
 
 
@@ -561,19 +562,21 @@ def _aut_order(g):
 @pytest.mark.parametrize("factors", AUT_GROUPS, ids=lambda f: "x".join(map(str, f)) or "1")
 def test_automorphism_generators_are_automorphisms(factors):
     g = Group(factors)
-    scalars = {tuple(g.scale(e, u) for e in g.elements()) for u in unit_multipliers(g)}
     for phi in automorphism_generators(g):
-        assert sorted(phi) == list(g.elements())
+        assert sorted(phi) == list(g.elements()) != list(phi)
         assert all(phi[g.add(a, b)] == g.add(phi[a], phi[b])
                    for a in g.elements() for b in g.elements())
-        assert tuple(phi) not in scalars
 
 
-@pytest.mark.parametrize("factors", AUT_GROUPS, ids=lambda f: "x".join(map(str, f)) or "1")
-def test_automorphism_generators_and_units_generate_aut(factors):
+# Cyclic groups in factor forms abelian_groups_of_order does not give.
+CYCLIC_FORMS = [(12,), (14,), (20,), (2, 3, 5), (3, 10)]
+
+
+@pytest.mark.parametrize("factors", AUT_GROUPS + CYCLIC_FORMS,
+                         ids=lambda f: "x".join(map(str, f)) or "1")
+def test_automorphism_generators_generate_aut(factors):
     g = Group(factors)
-    moves = automorphism_generators(g) + [
-        tuple(g.scale(e, u) for e in g.elements()) for u in unit_multipliers(g)]
+    moves = automorphism_generators(g)
     expected = _aut_order(g)
     closed = {tuple(g.elements())}
     frontier = list(closed)
@@ -586,8 +589,26 @@ def test_automorphism_generators_and_units_generate_aut(factors):
                 frontier.append(psi)
         assert len(closed) <= expected  # a map that is no automorphism may make many more
     assert len(closed) == expected
+    if len(g.invariant_factors()) <= 1:
+        # a cyclic group's automorphisms are its unit multipliers
+        assert closed == {tuple(g.scale(e, u) for e in g.elements())
+                          for u in unit_multipliers(g)}
 
 
-@pytest.mark.parametrize("factors", [(12,), (3, 4), (2, 7), (4, 5), (2, 3, 5)])
-def test_cyclic_groups_get_no_automorphism_generators(factors):
-    assert automorphism_generators(Group(factors)) == []
+def _unit_closure(m, gens):
+    reached, frontier = {1 % m}, [1 % m]
+    while frontier:
+        r = frontier.pop()
+        for u in gens:
+            if r * u % m not in reached:
+                reached.add(r * u % m)
+                frontier.append(r * u % m)
+    return reached
+
+
+def test_unit_generators_generate_the_units():
+    for m in range(1, 101):
+        gens = unit_generators(m)
+        assert _unit_closure(m, gens) == {u for u in range(m) if math.gcd(u, m) == 1}
+        # each is outside the group the earlier ones generate
+        assert all(u not in _unit_closure(m, gens[:i]) for i, u in enumerate(gens))

@@ -82,12 +82,3 @@ def test_draws_reject_a_bad_bound():
             SplitMix64(1).draws(n, 3)
         with pytest.raises(ValueError):
             SplitMix64(1).below(n)
-
-
-@pytest.mark.parametrize("threshold", [0, 1, 1 << 62, 3 << 62, 1 << 64])
-def test_chances_are_successive_chances(threshold):
-    for count in (0, 1, 16, 200):
-        bulk, single = SplitMix64(threshold + count), SplitMix64(threshold + count)
-        mask = bulk.chances(threshold, count)
-        assert mask == sum(1 << i for i in range(count) if single.chance(threshold))
-        assert bulk.next_u64() == single.next_u64()
