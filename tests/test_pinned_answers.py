@@ -13,7 +13,8 @@ import random
 import pytest
 
 from addcomp import complements
-from addcomp.groups import Group
+from addcomp.experiments import report_to_json, scan_threshold
+from addcomp.groups import Group, abelian_groups_of_order
 from addcomp.sumset import GroupSet
 from addcomp.supplements import maximal_supplement_witness
 
@@ -38,6 +39,13 @@ TMIN_DIGESTS = {
     (14,): "c7114cdeef33c1737e9a945d0886033a33563c26f2c96b3a4f7b4c49a138234e",
     (2, 2, 4): "a71e64b705f67ce6008037cf4daa03caabe62a12639cc297d5c48884cc02aed3",
 }
+# The search caps: none, the first node only, and two that cut a search
+# part way through.
+SEARCH_CAPS = (None, 1, 5, 37)
+# Recorded before the search loop was rewritten node for node, so they pin
+# its witnesses and node counts, and the scans' reports, to the old loop's.
+SEARCH_DIGEST = "98f1a4c84d91b96f230a7a86bb9cb6a8a6f137938439d03841d57c98bfb3f5b2"
+SCAN_DIGEST = "2006bdf1f12629e53759f2e3d0f45d2530586e2e7c35cb530a209c40c269798f"
 
 
 def _random_set(rng, group, k):
@@ -97,3 +105,36 @@ def test_tmin_answers_are_pinned(factors, monkeypatch):
     failing = None if rep.first_failing is None else rep.first_failing.mask
     rows.append(repr((rep.value, rep.exact, failing, rep.subsets_checked)))
     assert _digest(rows) == TMIN_DIGESTS[factors]
+
+
+def _search_rows(g, masks):
+    for mask in masks:
+        c = GroupSet(g, mask)
+        for cap in SEARCH_CAPS:
+            w, candidates, complete = complements.scan_for_witness(g, c, cap)
+            yield repr((g.factors, mask, cap, None if w is None else w.mask,
+                        candidates, complete))
+
+
+def test_search_answers_are_pinned():
+    # (witness, candidates, complete) on every non-empty subset of every
+    # group of order at most 10, then on 300 seeded sets through 0 of
+    # random size per group of order 11-18
+    rows = []
+    for n in range(1, 11):
+        for g in abelian_groups_of_order(n):
+            rows.extend(_search_rows(g, range(1, 1 << n)))
+    rng = random.Random("pinned:search")
+    for n in range(11, 19):
+        for g in abelian_groups_of_order(n):
+            masks = [sum(1 << e for e in [0] + rng.sample(range(1, n), rng.randint(0, n - 1)))
+                     for _ in range(300)]
+            rows.extend(_search_rows(g, masks))
+    assert len(rows) == 29088
+    assert _digest(rows) == SEARCH_DIGEST
+
+
+def test_scan_reports_are_pinned():
+    rows = [report_to_json(scan_threshold(Group(list(factors)), trials=200, seed=seed))
+            for factors in ((16,), (2, 8), (12,)) for seed in range(3)]
+    assert _digest(rows) == SCAN_DIGEST
