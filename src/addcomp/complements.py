@@ -27,7 +27,7 @@ from . import builders
 from .decision import MINIMAL_COMPLEMENT, NO, UNKNOWN, DecisionCertificate, SearchBudget
 from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
                      automorphism_generators, cyclic_subgroups, generated_order,
-                     unit_generators)
+                     unit_multipliers)
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
@@ -126,6 +126,7 @@ def scan_for_witness(group: Group, c: GroupSet,
     if not c:
         raise ValueError("empty C has no witness")
     full = group.full_mask
+    ec = list(bits_of(c.mask))
     plus = [translate_mask(group, c.mask, x) for x in range(group.order)]  # x + C
     neg_c = negated_mask(group, c.mask)
     minus = [translate_mask(group, neg_c, p) for p in range(group.order)]  # p - C
@@ -140,23 +141,27 @@ def scan_for_witness(group: Group, c: GroupSet,
         private = once & ~twice
         uncovered = full & ~once
         owned = 0  # the c with a private point: ((x + C) & private) - x over x in W
-        for x in bits_of(w):  # W holds 0, so mine is set
+        for x in bits_of(w):
             mine = plus[x] & private
             if not mine:
-                break
+                break  # this w has no private point left
             owned |= translate_mask(group, mine, neg(x))
-        if not mine or not all(translate_mask(group, allowed, e) & uncovered
-                               for e in bits_of(c.mask ^ owned)):
-            continue
-        if not uncovered:
-            return GroupSet(group, w), candidates, True
-        branch = min((minus[p] & allowed for p in bits_of(uncovered)), key=int.bit_count)
-        children = []
-        for x in sorted(bits_of(branch), key=lambda x: -(plus[x] & uncovered).bit_count()):
-            allowed &= ~(1 << x)
-            t = plus[x]
-            children.append((w | 1 << x, allowed, once | t, twice | once & t))
-        stack.extend(reversed(children))
+        else:
+            for e in ec:
+                if not owned >> e & 1 and not translate_mask(group, allowed, e) & uncovered:
+                    break  # this c has no private point and cannot get one
+            else:
+                if not uncovered:
+                    return GroupSet(group, w), candidates, True
+                branch = min([minus[p] & allowed for p in bits_of(uncovered)],
+                             key=int.bit_count)
+                children = []
+                for x in sorted(bits_of(branch), key=lambda x: -(plus[x] & uncovered).bit_count()):
+                    allowed &= ~(1 << x)
+                    t = plus[x]
+                    children.append((w | 1 << x, allowed, once | t, twice | once & t))
+                children.reverse()
+                stack += children
     return None, candidates, True
 
 
@@ -261,25 +266,21 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         "candidates_needed_log2": n - 1})
 
 
-def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None,
-                   whole_aut: bool = False) -> Callable[[GroupSet], str]:
-    """exists_witness's verdict, decided once per orbit, for one call's use.
+def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None) -> Callable[[GroupSet], str]:
+    """exists_witness's verdict, decided once per Aut(G) orbit, for one call's use.
 
     The verdict does not change under C -> phi(C) + t, phi an automorphism
     of G: if C is a minimal complement of W, then phi(C) + t is one of
     phi(W), since phi carries W + C onto G and a point private to c onto
     one private to phi(c).  The returned function looks C up as C - min(C)
     and, after exists_witness decided it, files the verdict under every
-    through-0 member of its orbit: C is closed by a depth-first search
-    over a list of automorphism tables, and every through-0 translate of
-    each member is filed.  With whole_aut the tables are
-    automorphism_generators(group) and the orbit is the one under
-    translations and all of Aut(G); compute_tmin asks for it, since its
-    walk meets every member of an orbit.  Without it they are the unit
-    multipliers x -> u*x, u in unit_generators(exponent), which are
-    central in Aut(G); scan_threshold keeps these, since a scan of a few
-    random draws meets few orbit-mates and closing whole Aut(G) orbits
-    costs it more than it saves.
+    through-0 member of its orbit under translations and all of Aut(G):
+    C is closed by a depth-first search over the tables of
+    automorphism_generators(group), and every through-0 translate of each
+    member is filed.  compute_tmin decides through it, since its walk
+    meets every member of an orbit, so filing whole orbits pays there; a
+    scan of a few random draws meets few, and unit_orbit_verdicts looks
+    its unit orbit-mates up on a miss in place of filing them.
 
     Answers are filed wherever the search fits the budget (_search_fits):
     there every stage's answer is exact and none is unknown, so a hit
@@ -287,8 +288,7 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None,
     gate an orbit-mate may end unknown where C did not, so nothing is
     filed, nothing is looked up and no table is built.
     """
-    n = group.order
-    fits = _search_fits(n, budget or SearchBudget())
+    fits = _search_fits(group.order, budget or SearchBudget())
     moves: Optional[list[list[int]]] = None  # x -> 1 << phi(x) per table, built on the first filing
     neg = group.negator()
     memo: dict[int, str] = {}
@@ -303,10 +303,7 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None,
         cert = exists_witness(c, budget)
         if fits and cert.verdict != UNKNOWN:
             if moves is None:
-                tables = automorphism_generators(group) if whole_aut else [
-                    [group.scale(e, u) for e in range(n)]
-                    for u in unit_generators(group.exponent())]
-                moves = [[1 << x for x in table] for table in tables]
+                moves = [[1 << x for x in table] for table in automorphism_generators(group)]
             closed, frontier = {mask}, [mask]
             while frontier:  # depth-first closure over the tables
                 m = frontier.pop()
@@ -319,6 +316,59 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None,
                 if m not in memo:  # else filed with the member it is a translate of
                     for x in ec:
                         memo[translate_mask(group, m, neg(x))] = cert.verdict
+        return cert.verdict
+
+    return verdict
+
+
+def unit_orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None) -> Callable[[GroupSet], str]:
+    """exists_witness's verdict, decided once per unit orbit, for one call's use.
+
+    The verdict does not change under C -> u*C + t, u prime to the
+    exponent, since x -> u*x is an automorphism (see orbit_verdicts).  A
+    decided C is filed only under its through-0 translates; a set q is
+    looked up as q0 = q - min(q) and, when that misses, as u*q0 for every
+    unit u != 1 (groups.unit_multipliers), a through-0 translate of u*q,
+    so no translate is made per unit.  q = u*d + t for a filed d exactly
+    when some u^-1 * q is a translate of d, so a set is answered from the
+    memo exactly when an orbit-mate was decided, as if each orbit were
+    filed whole, and a scan of a few random draws, which meets few
+    orbit-mates, files nothing it does not meet.  A set found through a
+    unit multiple is filed under q0 as well, since a scan draws small
+    sets again and again.
+
+    Answers are filed where the search fits the budget, as in
+    orbit_verdicts; past that gate the memo stays empty, so nothing is
+    looked up and the unit tables, built on the first miss that finds the
+    memo non-empty, are never built.
+    """
+    fits = _search_fits(group.order, budget or SearchBudget())
+    moves: Optional[list[list[int]]] = None  # x -> 1 << u*x per unit u != 1
+    neg = group.negator()
+    memo: dict[int, str] = {}
+
+    def verdict(c: GroupSet) -> str:
+        nonlocal moves
+        mask = c.mask
+        if memo:
+            q0 = translate_mask(group, mask, neg((mask & -mask).bit_length() - 1))
+            hit = memo.get(q0)
+            if hit is None:
+                if moves is None:
+                    moves = [[1 << group.scale(x, u) for x in range(group.order)]
+                             for u in unit_multipliers(group)[1:]]
+                ec = list(bits_of(q0))
+                for move in moves:
+                    hit = memo.get(sum(map(move.__getitem__, ec)))
+                    if hit is not None:
+                        memo[q0] = hit  # a repeat of q is found by the first lookup
+                        break
+            if hit is not None:
+                return hit
+        cert = exists_witness(c, budget)
+        if fits and cert.verdict != UNKNOWN:
+            for x in bits_of(mask):
+                memo[translate_mask(group, mask, neg(x))] = cert.verdict
         return cert.verdict
 
     return verdict
@@ -347,19 +397,19 @@ def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminRep
     C and phi(C) + t, phi in Aut(G), have the same verdict: phi carries a
     W that C is minimal for to one that phi(C) + t is minimal for.  So
     where the search fits the budget, each orbit under C -> phi(C) + t is
-    decided at most once per call (orbit_verdicts with whole_aut), by
-    whichever stage answers it; past that gate every C is decided on its
-    own.  A full walk meets every member of an orbit, so closing the whole
-    orbit pays off here; a sampled scan (experiments.scan_threshold) meets
-    few, and files under translations and unit multipliers only, which
-    are central in Aut(G).  The walk order, first_failing, unknown_at and
+    decided at most once per call (orbit_verdicts), by whichever stage
+    answers it; past that gate every C is decided on its own.  A full walk
+    meets every member of an orbit, so filing the whole Aut(G) orbit at
+    once pays off here; a sampled scan (experiments.scan_threshold) meets
+    few, and looks a draw's unit orbit-mates up only when it misses
+    (unit_orbit_verdicts).  The walk order, first_failing, unknown_at and
     subsets_checked, which counts every subset walked, are as if each
     were decided on its own.
     """
     import itertools
 
     n = group.order
-    verdict_of = orbit_verdicts(group, budget, whole_aut=True)
+    verdict_of = orbit_verdicts(group, budget)
     bits = [1 << e for e in range(n)]
     checked = 0
     for size in range(1, n + 1):

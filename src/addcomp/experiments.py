@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Sequence
 
-from .complements import orbit_verdicts
+from .complements import unit_orbit_verdicts
 # Kept only because perfbench/tracing.py wraps this binding; nothing here
 # calls it, so the tracer counts scan_threshold's calls in complements.
 from .complements import exists_witness  # noqa: F401
@@ -64,10 +64,12 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
 
     Where the search fits the budget, each orbit under translation x
     unit multipliers is decided at most once per call
-    (complements.orbit_verdicts without whole_aut: a few draws per
-    density meet few orbit-mates), so a draw whose orbit-mate was decided
-    earlier is counted without a second decision; the counts are those
-    of deciding every draw on its own.
+    (complements.unit_orbit_verdicts): a decided draw is filed under its
+    translates only, and a draw that misses is looked up again as each of
+    its unit multiples, since a few draws per density meet few
+    orbit-mates.  A draw whose orbit-mate was decided earlier is counted
+    without a second decision; the counts are those of deciding every
+    draw on its own.
     """
     if trials < 1:
         raise ValueError("need at least one trial per density")
@@ -77,7 +79,7 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
     for p in grid:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"density {p} outside [0, 1]")
-    verdict_of = orbit_verdicts(group, budget)
+    verdict_of = unit_orbit_verdicts(group, budget)
     rows = []
     for pi, p in enumerate(grid):
         threshold = min(int(p * 2.0 ** 64), 1 << 64)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from addcomp import builders, cli, complements, groups, supplements
+from addcomp import builders, cli, complements, experiments, groups, supplements
 from addcomp.builders import APDescriptor, ap_decide_and_build
 from addcomp.complements import (EssentialityReport, compute_tmin, essentiality,
                                  exists_witness, is_complement,
@@ -426,15 +426,83 @@ def test_orbit_verdicts_files_every_answer_where_the_search_fits(monkeypatch):
     assert verdict(c) == verdict(mate) == UNKNOWN and calls == [c, mate]
 
 
+def _unit_mate(g, c, u, t):
+    return translate(_gs(g, [g.scale(x, u) for x in c]), t)
+
+
+UNIT_MATES = [((10,), [0, 1, 3], 3, 2),  # {1, 2, 5}
+              ((2, 8), [0, 1, 11], 3, 10)]
+
+
+@pytest.mark.parametrize("factors, elems, u, t", UNIT_MATES)
+def test_unit_orbit_verdicts_looks_a_unit_multiple_up(monkeypatch, factors, elems, u, t):
+    # the mate is no translate of c, so only the lookup of its unit
+    # multiples finds c's answer; one decision answers both
+    g = Group(factors)
+    c = _gs(g, elems)
+    mate = _unit_mate(g, c, u, t)
+    assert mate.mask not in {translate(c, s).mask for s in range(g.order)}
+    real = complements.exists_witness
+    calls = []
+    monkeypatch.setattr(complements, "exists_witness",
+                        lambda c, budget=None: calls.append(c) or real(c, budget))
+    verdict = complements.unit_orbit_verdicts(g)
+    assert verdict(c) == verdict(mate) == verdict(translate(c, 1)) == real(c).verdict
+    assert calls == [c]
+
+
+def test_unit_orbit_verdicts_never_files_an_unknown(monkeypatch):
+    g = Group([10])
+    c = _gs(g, [0, 1, 3])
+    mate = _unit_mate(g, c, 3, 2)
+    unknown = DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget", c)
+    calls = []
+    monkeypatch.setattr(complements, "exists_witness",
+                        lambda c, budget=None: calls.append(c) or unknown)
+    verdict = complements.unit_orbit_verdicts(g)
+    assert verdict(c) == verdict(mate) == verdict(c) == UNKNOWN
+    assert calls == [c, mate, c]
+
+
+@pytest.mark.parametrize("factors", [(16,), (2, 8), (12,)])
+def test_unit_orbit_verdicts_asks_what_eager_filing_asks(monkeypatch, factors):
+    # the reference files each decided set's whole orbit under translation
+    # x unit multipliers, by its least mask; the lazy memo asks
+    # exists_witness for the same sets in the same order
+    g = Group(factors)
+    real = complements.exists_witness
+    asked = []
+    monkeypatch.setattr(complements, "exists_witness",
+                        lambda c, budget=None: asked.append(c.mask) or real(c, budget))
+
+    def eager(group, budget=None):
+        memo = {}
+
+        def verdict(c):
+            key = _orbit_key(group, c)
+            if key not in memo:
+                memo[key] = complements.exists_witness(c, budget).verdict
+            return memo[key]
+        return verdict
+
+    lazy = experiments.scan_threshold(g, trials=40, seed=5)
+    lazy_asked = list(asked)
+    asked.clear()
+    monkeypatch.setattr(experiments, "unit_orbit_verdicts", eager)
+    assert experiments.scan_threshold(g, trials=40, seed=5) == lazy
+    assert asked == lazy_asked and len(asked) < 21 * 40
+
+
 def test_orbit_verdicts_files_nothing_past_the_search_gate(monkeypatch):
-    # order 101 is past the default cap, so no answer is a search answer
-    # and the orbit maps, built on the first filing, are never built
+    # order 101 is past the default cap, so no answer is a search answer,
+    # nothing is filed and the unit tables, built on the first miss that
+    # finds the memo non-empty, are never built
     from addcomp.experiments import scan_threshold
 
     def unused(*args):
         raise AssertionError("orbit maps built")
 
-    monkeypatch.setattr(complements, "unit_generators", unused)
+    monkeypatch.setattr(complements, "unit_multipliers", unused)
     monkeypatch.setattr(complements, "automorphism_generators", unused)
     rep = scan_threshold(Group([101]), p_values=(0.05, 0.3, 0.7, 0.9), trials=5)
     assert sum(row.yes + row.no for row in rep.rows) > 0

@@ -82,7 +82,7 @@ def test_scan_matches_memo_free_loop(monkeypatch, factors, trials):
     def every_draw(group, budget=None):
         return lambda c: exists_witness(c, budget).verdict
 
-    monkeypatch.setattr(experiments, "orbit_verdicts", every_draw)
+    monkeypatch.setattr(experiments, "unit_orbit_verdicts", every_draw)
     rep = scan_threshold(g, trials=trials, seed=1)
     assert report_to_json(rep) == with_memo
     if factors == (24,):
