@@ -26,7 +26,7 @@ from itertools import islice
 from typing import Optional
 
 from .decision import MINIMAL_COMPLEMENT, NO, YES, DecisionCertificate, SearchBudget
-from .groups import Group, Homomorphism, Subgroup, coset_representatives
+from .groups import Group, Homomorphism, Subgroup, coset_representatives, cyclic_box
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import SplitMix64, derive_seed
@@ -172,17 +172,14 @@ def ap_decide_and_build(ap: APDescriptor) -> DecisionCertificate:
     k = m; T + ({0} u {k, ..., max(k, m - k)}*step) when k <= 2m/3
     (sparse, or two-point above m/2); else, t = m - k, T plus T moved by
     t*step, except that its i-th point moves by i*t*step, i <= ceil(k/2t).
-    <step> and T come from Group.cyclic_subgroup, which a group of order
-    at most BITS_CHUNK keeps, so deciding many progressions in one group
-    closes each <step> once.
+    m and T come from cyclic_box, which never closes <step>.
     """
     c = ap.set
     group = c.group
     n = group.order
     k = ap.length
     d = ap.step
-    h, reps = group.cyclic_subgroup(d)
-    m = h.order
+    m, reps = cyclic_box(group, d)
     detail = {"start": ap.start, "step": d, "subgroup_order": m}
 
     if k == m:
@@ -524,6 +521,14 @@ def lift_integer_window(c_ints, mode: str = "minimal",
     mode "minimal" scans M upward from diameter+1 and returns the first
     modulus where a verified witness lands; "safe" jumps straight to
     M = max(diameter + 1, 100*k^4 + 1), the scan's last modulus.
+
+    This is the case G = Z of the paper's corollary that every finite
+    non-empty C in an infinite abelian G is a minimal complement.  The
+    paper's argument, which nothing here computes: C lies in H = <C> =
+    Z^r x T, T finite; reducing each Z coordinate mod an M above C's
+    diameter is injective on C, so for M large the finite bound's witness
+    in the quotient pulls back to one in H (lift_via_quotient's lemma),
+    and adding a transversal of H gives one in G (lift_via_subgroup's).
     """
     raw = [int(x) for x in c_ints]
     ints = sorted(set(raw))

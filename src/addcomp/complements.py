@@ -460,9 +460,10 @@ def subgroup_gap_family(group: Group) -> list[GapEntry]:
     order (|H|, mask of H).
 
     Every subgroup of a cyclic group is cyclic, so there cyclic_subgroups
-    lists them all, at any order.  Any other group needs all_subgroups,
-    which refuses orders above 64 with ValueError: the cyclic subgroups
-    alone would miss rows, such as the index-2 subgroups of 2^7.
+    lists them all, at any order, closing each once.  Any other group
+    needs all_subgroups, which refuses orders above 64 with ValueError:
+    the cyclic subgroups alone would miss rows, such as the index-2
+    subgroups of 2^7.
     """
     n = group.order
     if len(group.invariant_factors()) <= 1:

@@ -25,6 +25,7 @@ __all__ = [
     "subgroup_generated",
     "generated_order",
     "coset_representatives",
+    "cyclic_box",
     "quotient_map",
     "all_subgroups",
     "cyclic_subgroups",
@@ -41,12 +42,8 @@ class Group:
 
     Equality, hashing and pickling see the factors only, never what a
     group builds on first use: the block masks (block_reps), and the
-    translate plans, negation table and cyclic-subgroup table a small
-    group keeps (translate_plan, negator, cyclic_subgroup).  The
-    cyclic-subgroup table has at most one entry per element, and one
-    members mask and one representatives mask per distinct cyclic
-    subgroup; ap_decide_and_build and cyclic_subgroups read it.  The
-    full mask, n set bits, is set at
+    translate plans and negation table a small group keeps
+    (translate_plan, negator).  The full mask, n set bits, is set at
     creation up to order BITS_CHUNK, so translate_mask reads a plain
     slot.  Above that order __post_init__, once it knows the order,
     makes the group a _WideGroup (same slots, same equality, hashing and
@@ -63,7 +60,6 @@ class Group:
     _plans: dict = field(init=False, compare=False)
     _steps: dict = field(init=False, compare=False)
     _negs: Optional[tuple[int, ...]] = field(init=False, compare=False)
-    _cyclic: Optional[list] = field(init=False, compare=False)
 
     def __post_init__(self):
         fs = tuple(int(d) for d in self.factors)
@@ -85,7 +81,6 @@ class Group:
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_steps", {})
         object.__setattr__(self, "_negs", None)
-        object.__setattr__(self, "_cyclic", None)
 
     def __reduce__(self):
         return Group, (self.factors,)
@@ -212,26 +207,6 @@ class Group:
             negs = tuple(map(self.neg, range(self.order)))
             object.__setattr__(self, "_negs", negs)
         return negs.__getitem__
-
-    def cyclic_subgroup(self, g: int) -> tuple["Subgroup", int]:
-        """<g> and the mask of its least coset representatives
-        (coset_representatives), for a caller that decides many
-        progressions.
-
-        Up to order BITS_CHUNK the pair is kept in a table of one slot per
-        element, made on the first call: closing <g> files the pair under
-        every generator of <g>, so elements that generate the same
-        subgroup share one pair.  Above that order nothing is kept.
-        """
-        if not 0 <= g < self.order:
-            raise ValueError(f"element index {g} out of range for {self}")
-        table = self._cyclic
-        if table is None:
-            if self.order > BITS_CHUNK:
-                return _close_cyclic(self, g, None)
-            table = [None] * self.order
-            object.__setattr__(self, "_cyclic", table)
-        return table[g] or _close_cyclic(self, g, table)
 
     def sub(self, a: int, b: int) -> int:
         n = self.order
@@ -401,22 +376,6 @@ def subgroup_generated(s: GroupSet) -> Subgroup:
     return Subgroup(group, GroupSet(group, mask), verified=True)
 
 
-def _close_cyclic(group: Group, g: int, table: Optional[list]) -> tuple[Subgroup, int]:
-    """(<g>, its coset representatives' mask), filed in table, when given,
-    under every generator of <g>: with m = |<g>|, the j*g with j prime to
-    m, which are the members of order m.
-    """
-    h = subgroup_generated(GroupSet.singleton(group, g))
-    entry = (h, coset_representatives(h).mask)
-    if table is not None:
-        m, x = h.order, 0
-        for j in range(1, m + 1):
-            x = group.add(x, g)
-            if math.gcd(j, m) == 1:
-                table[x] = entry
-    return entry
-
-
 def _lowest_members(h: Subgroup) -> list[Optional[int]]:
     """For each factor i, the least member of h in [s_i, d_i*s_i), or None.
 
@@ -443,19 +402,49 @@ def coset_representatives(h: Subgroup) -> GroupSet:
 
     They form the box {x : x_i < g_i for every i}, g_i the i-th
     coordinate of u_i = _lowest_members(h)[i], or d_i if there is none;
-    |h| is the product of the d_i/g_i.  A member u != 0
-    with last non-zero coordinate i has g_i <= u_i <= d_i - g_i, so
-    x + u, x in the box, does not wrap at i and has the larger index.  So
-    each x of the box, n/|h| points, is the least of its coset.  Its mask
-    ANDs the low g_i*s_i bits of each block.
+    |h| is the product of the d_i/g_i.  A member u != 0 with last
+    non-zero coordinate i has g_i <= u_i <= d_i - g_i, so x + u, x in the
+    box, does not wrap at i and has the larger index.  So each x of the
+    box, n/|h| points, is the least of its coset.
     """
     group = h.parent
-    box = group.full_mask
-    for d, s, rep, u in zip(group.factors, group.strides, group.block_reps or (1,),
-                            _lowest_members(h)):
-        g = d if u is None else u // s
-        box &= (rep << g * s) - rep
-    return GroupSet(group, box)
+    widths = [d if u is None else u // s
+              for d, s, u in zip(group.factors, group.strides, _lowest_members(h))]
+    return GroupSet(group, _box_mask(group, widths))
+
+
+def _box_mask(group: Group, widths: Sequence[int]) -> int:
+    """Mask of {x : x_i < w_i for every i}: the low w_i*s_i bits of each block."""
+    box = -1
+    for w, s, rep in zip(widths, group.strides, group.block_reps or (1,)):
+        box &= (rep << w * s) - rep
+    return box if group.factors else 1
+
+
+def cyclic_box(group: Group, g: int) -> tuple[int, int]:
+    """(|<g>|, mask of the least coset representatives of <g>), from g's
+    digits a_i alone, with no closure of <g>.
+
+    With L_i the order of g's digits after factor i (1 for the last), the
+    j*g whose digits after i are 0 are those with L_i | j, and their i-th
+    digits are the multiples of L_i*a_i mod d_i.  The least positive one
+    is g_i = gcd(L_i*a_i, d_i) (d_i if none), the g_i coset_representatives
+    reads off a subgroup's mask, so the box {x : x_i < g_i} is a
+    transversal of <g>; and L_(i-1) = L_i*d_i/g_i, so |<g>| is the
+    product of the d_i/g_i.  A cyclic group takes one gcd, a product one
+    pass over the factors from the last.
+    """
+    if not 0 <= g < group.order:
+        raise ValueError(f"element index {g} out of range for {group}")
+    if len(group.factors) == 1:
+        width = math.gcd(g, group.order)
+        return group.order // width, (1 << width) - 1
+    widths, order = [], 1
+    for d, s in zip(reversed(group.factors), reversed(group.strides)):
+        width = math.gcd(order * (g // s % d), d)
+        widths.append(width)
+        order = order * d // width
+    return order, _box_mask(group, widths[::-1])
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -610,17 +599,17 @@ def cyclic_subgroups(group: Group) -> list[Subgroup]:
     """The distinct subgroups generated by single elements, in the order
     (|H|, mask of H).
 
-    Each is closed once, by _close_cyclic, which files it under all its
-    generators: up to order BITS_CHUNK in the group's kept table
-    (Group.cyclic_subgroup), above it in a table of this call's own.
+    Each is closed once, from the first of its generators met: the
+    others, the j*g with j prime to |<g>|, are marked and skipped.
     """
-    if group.order <= BITS_CHUNK:
-        entries = map(group.cyclic_subgroup, group.elements())
-    else:
-        table: list = [None] * group.order
-        entries = (table[g] or _close_cyclic(group, g, table) for g in group.elements())
-    found = {h.members.mask: h for h, _ in entries}
-    return sorted(found.values(), key=lambda s: (s.order, s.members.mask))
+    marked, subs = set(), []
+    for g in group.elements():
+        if g not in marked:
+            h = subgroup_generated(GroupSet.singleton(group, g))
+            marked.update(group.scale(g, j) for j in range(2, h.order)
+                          if math.gcd(j, h.order) == 1)
+            subs.append(h)
+    return sorted(subs, key=lambda s: (s.order, s.members.mask))
 
 
 def all_subgroups(group: Group) -> list[Subgroup]:

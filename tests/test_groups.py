@@ -10,7 +10,7 @@ import pytest
 from addcomp import groups
 from addcomp.groups import (Group, Homomorphism, Subgroup, abelian_groups_of_order,
                             all_subgroups, automorphism_generators, coset_representatives,
-                            cyclic_subgroups, generated_order, quotient_map,
+                            cyclic_box, cyclic_subgroups, generated_order, quotient_map,
                             subgroup_generated, unit_generators, unit_multipliers)
 from addcomp.sumset import GroupSet, mask_of, translate_mask
 
@@ -34,19 +34,15 @@ def test_product_arithmetic():
 
 
 def test_translate_plans_unseen_by_equality_hashing_and_pickling():
-    # The cyclic-subgroup table is kept the same way.
     used, fresh = Group([2, 8]), Group([2, 8])
     for t in range(used.order):
         translate_mask(used, 0b1011, t)
-        used.cyclic_subgroup(t)
     assert used._plans and not fresh._plans
-    assert used._cyclic and fresh._cyclic is None
     assert used == fresh and hash(used) == hash(fresh)
     assert pickle.dumps(used) == pickle.dumps(fresh)
     copy = pickle.loads(pickle.dumps(used))
-    assert copy == used and not copy._plans and copy._cyclic is None
+    assert copy == used and not copy._plans
     assert copy.translate_plan(5) == used.translate_plan(5)
-    assert copy.cyclic_subgroup(5) == used.cyclic_subgroup(5)
 
 
 @pytest.mark.parametrize("factors", ((4097,), (1 << 24,), (4096, 4096)))
@@ -351,28 +347,34 @@ def _groups_up_to(order):
         g for g in extra if g.order <= order]
 
 
-def test_cyclic_subgroup_table_matches_closure_and_box():
-    # Every element of every group of order <= 32: the kept pair is <g> and
-    # its coset box, and elements generating the same subgroup share one
-    # entry object.
-    for g in _groups_up_to(32):
-        entries = [g.cyclic_subgroup(x) for x in g.elements()]
-        assert len(g._cyclic) == g.order and None not in g._cyclic
-        for x, (h, reps) in zip(g.elements(), entries):
-            closed = subgroup_generated(GroupSet.singleton(g, x))
-            assert h == closed and h.order == closed.order, (g, x)
-            assert reps == coset_representatives(closed).mask, (g, x)
-            assert g.cyclic_subgroup(x) is entries[x]
-        for x, y in itertools.combinations(g.elements(), 2):
-            assert (entries[x] is entries[y]) == (entries[x][0] == entries[y][0]), (g, x, y)
+def test_cyclic_box_matches_closure_and_box():
+    # |<g>| and the least coset box, off g's digits, against closing <g>
+    # and reading the box off its mask: every element of every group of
+    # order <= 64, then seeded elements of larger products and cyclics,
+    # whose digits after a factor have order L_i > 1, and a few of Z/2^24.
+    def check(g, x):
+        closed = subgroup_generated(GroupSet.singleton(g, x))
+        assert cyclic_box(g, x) == (closed.order, coset_representatives(closed).mask), (g, x)
+
+    for g in _groups_up_to(64):
+        for x in g.elements():
+            check(g, x)
+    rng = random.Random("cyclic_box")
+    for factors in ((2, 4, 8), (3, 9, 27), (6, 10, 15), (5000,), (2, 2500), (4096, 4096)):
+        g = Group(factors)
+        for x in rng.sample(range(g.order), 30):
+            check(g, x)
+    g = Group([1 << 24])
+    for x in (0, 1, 3 << 20, 1 << 23, (1 << 24) - 6):
+        check(g, x)
     with pytest.raises(ValueError):
-        Group([6]).cyclic_subgroup(6)
+        cyclic_box(Group([6]), 6)
     with pytest.raises(ValueError):
-        Group([6]).cyclic_subgroup(-1)
+        cyclic_box(Group([2, 3]), -1)
 
 
 @pytest.mark.parametrize("factors", ((5000,), (2, 2500)))
-def test_no_cyclic_table_above_4096(factors):
+def test_progression_above_4096_reads_the_step_order(factors):
     from addcomp.builders import ap_decide_and_build, detect_ap
     g = Group(factors)
     step = g.index_of([1] * len(factors))
@@ -380,10 +382,6 @@ def test_no_cyclic_table_above_4096(factors):
     cert = ap_decide_and_build(detect_ap(c))
     assert cert.method == "construction-ap"
     assert cert.detail["subgroup_order"] == g.element_order(step)
-    h, reps = g.cyclic_subgroup(step)
-    assert h == subgroup_generated(GroupSet.singleton(g, step))
-    assert reps == coset_representatives(h).mask
-    assert g._cyclic is None
 
 
 def test_cyclic_subgroups_match_naive():
@@ -398,11 +396,10 @@ def test_cyclic_subgroups_match_naive():
         subs = cyclic_subgroups(g)
         assert [h.members.mask for h in subs] == naive(g), g
         assert all(h.order == h.members.mask.bit_count() for h in subs)
-    # above order 4096, with nothing kept: Z_n has one subgroup <n/m> per m | n
+    # above order 4096: Z_n has one subgroup <n/m> per m | n
     wide = Group([4100])
     assert [h.members.mask for h in cyclic_subgroups(wide)] == [
         mask_of(4100, range(0, 4100, 4100 // m)) for m in range(1, 4101) if 4100 % m == 0]
-    assert wide._cyclic is None
 
 
 def test_cyclic_subgroups_close_once_per_subgroup(monkeypatch):

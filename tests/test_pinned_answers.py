@@ -13,6 +13,7 @@ import random
 import pytest
 
 from addcomp import complements
+from addcomp.builders import ap_decide_and_build, detect_ap
 from addcomp.experiments import report_to_json, scan_threshold
 from addcomp.groups import Group, abelian_groups_of_order
 from addcomp.sumset import GroupSet
@@ -46,6 +47,9 @@ SEARCH_CAPS = (None, 1, 5, 37)
 # its witnesses and node counts, and the scans' reports, to the old loop's.
 SEARCH_DIGEST = "98f1a4c84d91b96f230a7a86bb9cb6a8a6f137938439d03841d57c98bfb3f5b2"
 SCAN_DIGEST = "2006bdf1f12629e53759f2e3d0f45d2530586e2e7c35cb530a209c40c269798f"
+# Recorded while <step> and its coset box still came from a kept table of
+# closed subgroups, so they pin the progression answers to closure's.
+PROGRESSION_DIGEST = "b5a308662e1a2f969c8b1d3fa720adc1a1cfb836bbf4b9df3ed186fe58edbb0d"
 
 
 def _random_set(rng, group, k):
@@ -138,3 +142,33 @@ def test_scan_reports_are_pinned():
     rows = [report_to_json(scan_threshold(Group(list(factors)), trials=200, seed=seed))
             for factors in ((16,), (2, 8), (12,)) for seed in range(3)]
     assert _digest(rows) == SCAN_DIGEST
+
+
+def _progression_rows(g, start, step, length):
+    points = [g.add(start, g.scale(step, j)) for j in range(length)]
+    return _row(ap_decide_and_build(detect_ap(GroupSet.from_elements(g, points))))
+
+
+def test_progression_answers_are_pinned():
+    # every progression from 0 (each step d != 0, each length up to ord(d))
+    # in every abelian group of order at most 24, then 40 seeded (start,
+    # step, length) triples each in 2x2500 and 64x64 whose steps have two
+    # non-zero digits, so the coset box is cut on more than one factor.
+    # Each digit is r*d/q for a divisor q <= 100 of d, so some steps have
+    # order at most detect_ap's 64 points and reach the long cases.
+    rows = []
+    for n in range(1, 25):
+        for g in abelian_groups_of_order(n):
+            for d in range(1, n):
+                rows.extend(_progression_rows(g, 0, d, k)
+                            for k in range(1, g.element_order(d) + 1))
+    rng = random.Random("pinned:progressions")
+    for factors in ((2, 2500), (64, 64)):
+        g = Group(list(factors))
+        for _ in range(40):
+            qs = [rng.choice([q for q in range(2, min(d, 100) + 1) if d % q == 0])
+                  for d in factors]
+            step = g.index_of([rng.randrange(1, q) * d // q for q, d in zip(qs, factors)])
+            length = rng.randint(1, min(64, g.element_order(step)))
+            rows.append(_progression_rows(g, rng.randrange(g.order), step, length))
+    assert _digest(rows) == PROGRESSION_DIGEST
