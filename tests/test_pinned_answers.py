@@ -14,10 +14,11 @@ import pytest
 
 from addcomp import complements
 from addcomp.builders import ap_decide_and_build, detect_ap
+from addcomp.decision import SearchBudget
 from addcomp.experiments import report_to_json, scan_threshold
 from addcomp.groups import Group, abelian_groups_of_order
-from addcomp.sumset import GroupSet
-from addcomp.supplements import maximal_supplement_witness
+from addcomp.sumset import GroupSet, difference_set
+from addcomp.supplements import independent_search, is_solid, maximal_supplement_witness
 
 # The witness-mid groups and densities of the benchmark: same-order
 # cyclic and product pairs where the exhaustive search does not fit.
@@ -47,6 +48,11 @@ SEARCH_CAPS = (None, 1, 5, 37)
 # its witnesses and node counts, and the scans' reports, to the old loop's.
 SEARCH_DIGEST = "98f1a4c84d91b96f230a7a86bb9cb6a8a6f137938439d03841d57c98bfb3f5b2"
 SCAN_DIGEST = "2006bdf1f12629e53759f2e3d0f45d2530586e2e7c35cb530a209c40c269798f"
+# Recorded before independent_search's bound was tested on masks in place
+# of a sumset of GroupSets, so it pins R, the node counts and completeness
+# of both call shapes to the sumset bound's.
+INDEPENDENT_CAPS = (1, 2, SearchBudget().max_candidates)
+INDEPENDENT_DIGEST = "9eaefa9c0abceb1c5d9f0fe99730bd552c09c6201349955063acdc3050b38c1c"
 # Recorded while <step> and its coset box still came from a kept table of
 # closed subgroups, so they pin the progression answers to closure's.
 PROGRESSION_DIGEST = "b5a308662e1a2f969c8b1d3fa720adc1a1cfb836bbf4b9df3ed186fe58edbb0d"
@@ -172,3 +178,36 @@ def test_progression_answers_are_pinned():
             length = rng.randint(1, min(64, g.element_order(step)))
             rows.append(_progression_rows(g, rng.randrange(g.order), step, length))
     assert _digest(rows) == PROGRESSION_DIGEST
+
+
+def _independent_rows(g, mask):
+    # the supplement shape on a solid C, then the diffset shape on C - C
+    c = GroupSet(g, mask)
+    full = g.full_mask
+    diff = difference_set(c).mask
+    shapes = [("diffset", diff, 1, diff)]
+    if is_solid(c, diff).solid:
+        shapes.insert(0, ("supplement", (full & ~diff) | 1, mask, full))
+    for shape, allowed, base, target in shapes:
+        for cap in INDEPENDENT_CAPS:
+            yield repr((g.factors, mask, shape, cap,
+                        independent_search(g, allowed, base, target, cap)))
+
+
+def test_independent_search_answers_are_pinned():
+    # (R, candidates, complete) on every subset through 0 of every group of
+    # order at most 10, then on 100 seeded sets through 0 of random size per
+    # group of order 11-20
+    rows = []
+    for n in range(1, 11):
+        for g in abelian_groups_of_order(n):
+            for mask in range(1, 1 << n, 2):
+                rows.extend(_independent_rows(g, mask))
+    rng = random.Random("pinned:independent-search")
+    for n in range(11, 21):
+        for g in abelian_groups_of_order(n):
+            for _ in range(100):
+                mask = sum(1 << e for e in [0] + rng.sample(range(1, n), rng.randint(0, n - 1)))
+                rows.extend(_independent_rows(g, mask))
+    assert len(rows) == 11883
+    assert _digest(rows) == INDEPENDENT_DIGEST
