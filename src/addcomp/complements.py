@@ -119,17 +119,22 @@ def scan_for_witness(group: Group, c: GroupSet,
     W and a complete search sees at most 2^(n-1) of them.  Candidates that
     cover more uncovered points go first, which reaches a yes sooner.
 
+    A node walks its masks (W, the c without a private point, the
+    uncovered points, the branch set) by lowest set bit, and orders the
+    candidates by sorting the ints (n - covered) * n + x, which sort as
+    (-covered, x).
+
     Returns (witness, candidates, complete): candidates counts the nodes
     examined, at most max_candidates, and complete is False when the cap
     stopped the search first.  None with complete=True proves absence.
     """
     if not c:
         raise ValueError("empty C has no witness")
+    n = group.order
     full = group.full_mask
-    ec = list(bits_of(c.mask))
-    plus = [translate_mask(group, c.mask, x) for x in range(group.order)]  # x + C
+    plus = [translate_mask(group, c.mask, x) for x in range(n)]  # x + C
     neg_c = negated_mask(group, c.mask)
-    minus = [translate_mask(group, neg_c, p) for p in range(group.order)]  # p - C
+    minus = [translate_mask(group, neg_c, p) for p in range(n)]  # p - C
     neg = group.negator()
     stack = [(1, full & ~1, c.mask, 0)]  # W, allowed, once, twice
     candidates = 0
@@ -141,22 +146,43 @@ def scan_for_witness(group: Group, c: GroupSet,
         private = once & ~twice
         uncovered = full & ~once
         owned = 0  # the c with a private point: ((x + C) & private) - x over x in W
-        for x in bits_of(w):
+        rest = w
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
             mine = plus[x] & private
             if not mine:
                 break  # this w has no private point left
             owned |= translate_mask(group, mine, neg(x))
+            rest ^= low
         else:
-            for e in ec:
-                if not owned >> e & 1 and not translate_mask(group, allowed, e) & uncovered:
+            rest = c.mask & ~owned  # the c with no private point
+            while rest:
+                low = rest & -rest
+                if not translate_mask(group, allowed, low.bit_length() - 1) & uncovered:
                     break  # this c has no private point and cannot get one
+                rest ^= low
             else:
                 if not uncovered:
                     return GroupSet(group, w), candidates, True
-                branch = min([minus[p] & allowed for p in bits_of(uncovered)],
-                             key=int.bit_count)
+                branch, fewest, rest = 0, n + 1, uncovered
+                while rest:  # the first uncovered p with the fewest candidates
+                    low = rest & -rest
+                    near = minus[low.bit_length() - 1] & allowed
+                    count = near.bit_count()
+                    if count < fewest:
+                        branch, fewest = near, count
+                    rest ^= low
+                keys = []  # (n - covered) * n + x, so x = key % n
+                while branch:
+                    low = branch & -branch
+                    x = low.bit_length() - 1
+                    keys.append((n - (plus[x] & uncovered).bit_count()) * n + x)
+                    branch ^= low
+                keys.sort()
                 children = []
-                for x in sorted(bits_of(branch), key=lambda x: -(plus[x] & uncovered).bit_count()):
+                for key in keys:
+                    x = key % n
                     allowed &= ~(1 << x)
                     t = plus[x]
                     children.append((w | 1 << x, allowed, once | t, twice | once & t))
@@ -266,21 +292,25 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         "candidates_needed_log2": n - 1})
 
 
-def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None) -> Callable[[GroupSet], str]:
-    """exists_witness's verdict, decided once per Aut(G) orbit, for one call's use.
+def orbit_verdicts(group: Group, memo: dict[int, str],
+                   budget: Optional[SearchBudget] = None) -> Callable[[GroupSet], str]:
+    """exists_witness's verdict, decided once per Aut(G) orbit, filed in memo.
 
     The verdict does not change under C -> phi(C) + t, phi an automorphism
     of G: if C is a minimal complement of W, then phi(C) + t is one of
     phi(W), since phi carries W + C onto G and a point private to c onto
-    one private to phi(c).  The returned function looks C up as C - min(C)
-    and, after exists_witness decided it, files the verdict under every
-    through-0 member of its orbit under translations and all of Aut(G):
-    C is closed by a depth-first search over the tables of
-    automorphism_generators(group), and every through-0 translate of each
-    member is filed.  compute_tmin decides through it, since its walk
-    meets every member of an orbit, so filing whole orbits pays there; a
-    scan of a few random draws meets few, and unit_orbit_verdicts looks
-    its unit orbit-mates up on a miss in place of filing them.
+    one private to phi(c).  The returned function looks C up in memo as
+    C - min(C) and, after exists_witness decided it, files the verdict in
+    memo under the mask of every through-0 member of its orbit under
+    translations and all of Aut(G): C is closed by a depth-first search
+    over the tables of automorphism_generators(group), and every through-0
+    translate of each member is filed.  memo is the caller's dict, so a
+    caller whose sets hold 0 reads it under their own masks before it
+    calls: compute_tmin does, since its walk meets every member of an
+    orbit and filing whole orbits pays there, and a filed set costs it
+    one lookup.  A scan of a few random draws meets few, and
+    unit_orbit_verdicts looks its unit orbit-mates up on a miss in place
+    of filing them.
 
     Answers are filed wherever the search fits the budget (_search_fits):
     there every stage's answer is exact and none is unknown, so a hit
@@ -291,7 +321,6 @@ def orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None) -> Calla
     fits = _search_fits(group.order, budget or SearchBudget())
     moves: Optional[list[list[int]]] = None  # x -> 1 << phi(x) per table, built on the first filing
     neg = group.negator()
-    memo: dict[int, str] = {}
 
     def verdict(c: GroupSet) -> str:
         nonlocal moves
@@ -402,26 +431,34 @@ def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminRep
     meets every member of an orbit, so filing the whole Aut(G) orbit at
     once pays off here; a sampled scan (experiments.scan_threshold) meets
     few, and looks a draw's unit orbit-mates up only when it misses
-    (unit_orbit_verdicts).  The walk order, first_failing, unknown_at and
+    (unit_orbit_verdicts).  A walked C holds 0, so the walk looks its mask
+    up in the orbit memo first, and builds a GroupSet only for a miss,
+    which goes to orbit_verdicts, and for first_failing and unknown_at;
+    exists_witness is asked the sets it would be asked if every C went
+    through orbit_verdicts.  The walk order, first_failing, unknown_at and
     subsets_checked, which counts every subset walked, are as if each
     were decided on its own.
     """
     import itertools
 
     n = group.order
-    verdict_of = orbit_verdicts(group, budget)
+    memo: dict[int, str] = {}
+    verdict_of = orbit_verdicts(group, memo, budget)
+    filed = memo.get
     bits = [1 << e for e in range(n)]
     checked = 0
     for size in range(1, n + 1):
         unknown_here: Optional[GroupSet] = None
         for rest in itertools.combinations(bits[1:], size - 1):
-            c = GroupSet(group, sum(rest, 1))
-            verdict = verdict_of(c)
+            mask = sum(rest, 1)
+            verdict = filed(mask)  # C holds 0, so it is filed under its own mask
+            if verdict is None:
+                verdict = verdict_of(GroupSet(group, mask))
             checked += 1
             if verdict == NO:
-                return TminReport(group, size - 1, True, c, None, checked)
+                return TminReport(group, size - 1, True, GroupSet(group, mask), None, checked)
             if verdict == UNKNOWN and unknown_here is None:
-                unknown_here = c
+                unknown_here = GroupSet(group, mask)
         if unknown_here is not None:
             return TminReport(group, size - 1, False, None, unknown_here, checked)
     return TminReport(group, n, True, None, None, checked)

@@ -50,11 +50,14 @@ class ScanReport:
 
 
 def _draw(group: Group, rng: SplitMix64, threshold: int) -> GroupSet:
-    mask = 0
-    for e in range(group.order):
-        if rng.chance(threshold):
-            mask |= 1 << e
-    return GroupSet(group, mask)
+    """Keep each element e with probability threshold / 2**64.
+
+    e is kept when the e-th of n successive outputs of rng is below
+    threshold, read in one SplitMix64.chances call: the set of n
+    successive chance calls, one per element in order, which is how
+    perfbench/gate.py redraws a scan's sizes.
+    """
+    return GroupSet(group, rng.chances(threshold, group.order))
 
 
 def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,

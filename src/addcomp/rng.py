@@ -26,7 +26,14 @@ def _mix(z: int) -> int:
 
 
 class SplitMix64:
-    """SplitMix64 stream seeded with a 64-bit integer."""
+    """SplitMix64 stream seeded with a 64-bit integer.
+
+    next_u64 steps the state and mixes it.  The other draws read the same
+    outputs one at a time or in bulk: draws(n, count) is count successive
+    below(n) and chances(t, count) the mask of count successive chance(t),
+    and each leaves the stream where the single calls would, so below(n)
+    is draws(n, 1)[0] and chance(t) is chances(t, 1) == 1.
+    """
 
     __slots__ = ("_state",)
 
@@ -63,7 +70,21 @@ class SplitMix64:
 
     def chance(self, threshold: int) -> bool:
         """True with probability threshold / 2**64."""
-        return self.next_u64() < threshold
+        return self.chances(threshold, 1) == 1
+
+    def chances(self, threshold: int, count: int) -> int:
+        """count chance(threshold) trials as one mask, from one loop: bit i
+        is set when the i-th output is below threshold, as the i-th of
+        count successive chance calls would return, and the stream is
+        left where those calls would leave it."""
+        mask = 0
+        state = self._state
+        for i in range(count):
+            state = (state + _GOLDEN) & _MASK64
+            if _mix(state) < threshold:
+                mask |= 1 << i
+        self._state = state
+        return mask
 
 
 def derive_seed(master: int, *parts: int) -> int:

@@ -582,10 +582,15 @@ def negated(a: GroupSet) -> GroupSet:
 def difference_set(a: GroupSet) -> GroupSet:
     """A - A = {x - y : x, y in A}, the union of the translates A - y.
 
-    Stops at the first full union, so only the y it translates by are
-    negated.
+    When 2|A| > n, A - A = G at once: for any g, A and g + A have more
+    than n/2 points each, so they meet, at a = g + a', and g = a - a'.
+    At 2|A| = n it can fail (an index-2 subgroup A has A - A = A), so
+    the inequality is strict.  Otherwise the union stops at the first
+    full one, so only the y it translates by are negated.
     """
     group = a.group
+    if 2 * len(a) > group.order:
+        return GroupSet.full(group)
     full = group.full_mask
     neg = group.negator()
     acc = 0

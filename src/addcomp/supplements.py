@@ -71,21 +71,25 @@ def is_solid(c: GroupSet, difference: Optional[int] = None) -> SolidityReport:
     """The least x outside c with x - c inside c - c, if there is one.
 
     difference, when given, is the mask of c - c, so a caller holding it
-    does not compute it twice.  When c - c = G every translate of it is
-    G, so every point outside c extends c and the translates are not
-    intersected.  The extension point found is rechecked either way.
+    does not compute it twice.  The candidates start as the points
+    outside c and keep those inside every translate (c - c) + e, e in c,
+    and the walk stops when none is left; each translate holds c, so
+    only the points outside c can run out.  When c - c = G every
+    translate of it is G, so every point outside c extends c and the
+    translates are not intersected.  The extension point found is
+    rechecked either way.
     """
     group = c.group
     if not c:
         raise ValueError("solidity is about non-empty sets")
+    full = group.full_mask
     d = difference_set(c).mask if difference is None else difference
-    inter = group.full_mask
-    if d != inter:
+    candidates = full & ~c.mask
+    if d != full:
         for e in c.elements():
-            inter &= translate_mask(group, d, e)
-            if inter == 0:
+            candidates &= translate_mask(group, d, e)
+            if not candidates:
                 break
-    candidates = inter & ~c.mask
     if candidates == 0:
         return SolidityReport(c, True)
     x = (candidates & -candidates).bit_length() - 1
@@ -133,12 +137,12 @@ def independent_search(group: Group, allowed: int, base: int, target: int,
 
     Bound.  Every W below the node lies inside S = R | P, so a node is cut
     when base + ((S - S) & allowed) misses a point of target.  When
-    2|S| > n, S - S = G: for any g, S and g + S have more than n/2 points
-    each, so they meet, at s = g + s', and g = s - s'.  Then the test is
-    base + allowed ⊇ target, which holds.  At 2|S| = n it can fail
-    (an index-2 subgroup S has S - S = S), so the inequality is strict.
-    Otherwise S - S is the union of the S - y, y in S, OR-ed until it is
-    G, and summed with base over the smaller set.  The union does not
+    2|S| > n, S - S = G (see difference_set), and the test is base +
+    allowed ⊇ target, which holds; so does it at the root, where S =
+    allowed, and there it is skipped.  Otherwise S - S is the union of
+    the S - y, y in S, OR-ed until it is G, and base + ((S - S) &
+    allowed) is OR-ed from translates of the larger of the two operands
+    by the points of the smaller until it holds target.  The union does not
     depend on the order of the y, only how soon it is G does, and the y
     are taken from P before R.  R's points all differ by allowed
     differences, so the translates S - r repeat much of one another: for
@@ -162,7 +166,16 @@ def independent_search(group: Group, allowed: int, base: int, target: int,
     full = group.full_mask
 
     def spans(reach: int) -> bool:
-        return sumset(GroupSet(group, base), GroupSet(group, reach & allowed)).mask & target == target
+        # base + (reach & allowed) ⊇ target
+        big, small = base, reach & allowed
+        if big.bit_count() < small.bit_count():
+            big, small = small, big
+        acc = 0
+        for y in bits_of(small):
+            acc |= translate_mask(group, big, y)
+            if acc & target == target:
+                return True
+        return False
 
     # a child is kept as (v, its parent's R, base + R, base - R, cover, and
     # P and X as they stood at v's turn) and built when it is popped, so
@@ -188,16 +201,16 @@ def independent_search(group: Group, allowed: int, base: int, target: int,
         if not p:
             continue
         s = r | p
-        if 2 * s.bit_count() > n:
-            reach = full
-        else:
+        # at the root S = allowed, and where 2|S| > n, S - S = G: either way
+        # the bound is base + allowed ⊇ target, which holds
+        if v and 2 * s.bit_count() <= n:
             reach = 0
             for y in chain(bits_of(p), bits_of(r)):
                 reach |= translate_mask(group, s, neg(y))
                 if reach == full:
                     break
-        if reach != full and not spans(reach):
-            continue
+            if reach != full and not spans(reach):
+                continue
         u = _pivot(group, side, largest, p, x)
         pivot = translate_mask(group, allowed, u) & ~(1 << u)
         children = []

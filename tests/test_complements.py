@@ -415,14 +415,14 @@ def test_orbit_verdicts_files_every_answer_where_the_search_fits(monkeypatch):
         calls.clear()
         monkeypatch.setattr(complements, "exists_witness",
                             lambda c, budget=None, cert=cert: calls.append(c) or cert)
-        verdict = complements.orbit_verdicts(g)
+        verdict = complements.orbit_verdicts(g, {})
         assert verdict(c) == verdict(mate) == YES
         assert calls == [c]
     unknown = DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget", c)
     calls.clear()
     monkeypatch.setattr(complements, "exists_witness",
                         lambda c, budget=None: calls.append(c) or unknown)
-    verdict = complements.orbit_verdicts(g)
+    verdict = complements.orbit_verdicts(g, {})
     assert verdict(c) == verdict(mate) == UNKNOWN and calls == [c, mate]
 
 

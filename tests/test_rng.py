@@ -64,6 +64,15 @@ def test_draws_are_successive_belows(n):
         assert bulk.next_u64() == single.next_u64() == defined.next_u64()
 
 
+@pytest.mark.parametrize("threshold", [0, 1, 1 << 63, 1 << 64])
+def test_chances_are_successive_chances(threshold):
+    for count in (0, 1, 16, 200):
+        bulk, single = SplitMix64(threshold + count), SplitMix64(threshold + count)
+        got = bulk.chances(threshold, count)
+        assert got == sum(single.chance(threshold) << i for i in range(count))
+        assert bulk.next_u64() == single.next_u64()
+
+
 def test_draws_reject_about_half_above_2_to_63():
     n = (1 << 63) + 1
     rng, count = SplitMix64(5), 400

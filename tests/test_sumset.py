@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from addcomp.builders import random_witness
 from addcomp.complements import exists_witness, is_minimal_complement_for
-from addcomp.groups import Group, Homomorphism, subgroup_generated
+from addcomp.groups import Group, Homomorphism, abelian_groups_of_order, subgroup_generated
 from addcomp.literals import format_element, parse_set
 from addcomp.oracle import (naive_coverage, naive_difference_set, naive_sumset,
                             oracle_is_minimal_complement_for)
@@ -69,6 +69,16 @@ def test_matches_naive_on_samples():
             assert sumset(a, b) == naive_sumset(a, b)
             assert difference_set(a) == naive_difference_set(a)
             assert list(coverage(a, b).counts) == list(naive_coverage(a, b))
+
+
+def test_difference_set_matches_naive_on_every_subset():
+    # more than half the group has every difference, and the shortcut that
+    # returns G there agrees with A - A computed pair by pair
+    groups = [g for n in range(1, 11) for g in abelian_groups_of_order(n)]
+    for g in groups + [Group([2, 6]), Group([3, 4])]:
+        for amask in range(1 << g.order):
+            a = GroupSet(g, amask)
+            assert difference_set(a) == naive_difference_set(a), (g.factors, amask)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
+from addcomp import supplements
 from addcomp.decision import NO, UNKNOWN, YES, SearchBudget
-from addcomp.groups import Group
+from addcomp.groups import Group, abelian_groups_of_order
 from addcomp.oracle import oracle_diffset_table, oracle_solid
 from addcomp.sumset import (GroupSet, bits_of, difference_set, negated_mask, sumset,
                             translate_mask)
 from addcomp.supplements import (_pivot, _pivot_side, diffset_representation,
                                  independent_search, is_maximal_supplement_for,
-                                 is_solid, is_supplement,
+                                 SolidityReport, is_solid, is_supplement,
                                  maximal_supplement_witness)
 
 
@@ -98,6 +99,46 @@ def test_solid_exactly_when_allowed_differences_reach_the_group(factors):
         c = GroupSet(g, cmask)
         allowed = GroupSet(g, (g.full_mask & ~difference_set(c).mask) | 1)
         assert is_solid(c).solid == (sumset(c, allowed) == GroupSet.full(g))
+
+
+def _solidity_by_every_translate(c):
+    """is_solid's report from the intersection of all |C| translates (C - C) + e."""
+    g = c.group
+    d = difference_set(c).mask
+    inter = g.full_mask
+    for e in c.elements():
+        inter &= translate_mask(g, d, e)
+    candidates = inter & ~c.mask
+    if not candidates:
+        return SolidityReport(c, True)
+    return SolidityReport(c, False, (candidates & -candidates).bit_length() - 1)
+
+
+def test_is_solid_matches_the_intersection_of_every_translate():
+    # the walk that stops once no candidate is left reports what the full
+    # intersection reports, on every subset of every group of order <= 10
+    for n in range(1, 11):
+        for g in abelian_groups_of_order(n):
+            for cmask in range(1, 1 << n):
+                c = GroupSet(g, cmask)
+                assert is_solid(c) == _solidity_by_every_translate(c), (g.factors, cmask)
+
+
+@pytest.mark.parametrize("factors, elems, translates", [([8], [0, 1, 4, 5], 2),
+                                                        ([2, 6], [0, 1, 6, 7], 1)], ids=str)
+def test_is_solid_stops_when_no_candidate_is_left(monkeypatch, factors, elems, translates):
+    # each (C - C) + e holds C, so only starting from the points outside C
+    # lets the walk stop before the last of C's four translates
+    g = Group(factors)
+    c = _gs(g, elems)
+    d = difference_set(c).mask
+    assert d != g.full_mask
+    calls = []
+    real = supplements.translate_mask
+    monkeypatch.setattr(supplements, "translate_mask",
+                        lambda group, mask, e: calls.append(e) or real(group, mask, e))
+    assert is_solid(c, d) == SolidityReport(c, True)
+    assert len(calls) == translates
 
 
 def test_is_solid_matches_oracle():
