@@ -41,6 +41,12 @@ TMIN_DIGESTS = {
     (14,): "c7114cdeef33c1737e9a945d0886033a33563c26f2c96b3a4f7b4c49a138234e",
     (2, 2, 4): "a71e64b705f67ce6008037cf4daa03caabe62a12639cc297d5c48884cc02aed3",
 }
+# Recorded before compute_tmin filed its Aut(G) orbits itself, in place of
+# a closure that did it for it, so it pins the walk of every abelian group
+# of order at most 20 at the default cap and at two caps that put orders
+# >= 12 and >= 8 past the search gate, where nothing may be filed.
+TMIN_WALK_CAPS = (SearchBudget().max_candidates, 1 << 10, 64)
+TMIN_WALK_DIGEST = "b5de8294f22ab3ce73c95316aa1d2fc3ade8b953d99ecb852fba5dd9faa51480"
 # The search caps: none, the first node only, and two that cut a search
 # part way through.
 SEARCH_CAPS = (None, 1, 5, 37)
@@ -115,6 +121,30 @@ def test_tmin_answers_are_pinned(factors, monkeypatch):
     failing = None if rep.first_failing is None else rep.first_failing.mask
     rows.append(repr((rep.value, rep.exact, failing, rep.subsets_checked)))
     assert _digest(rows) == TMIN_DIGESTS[factors]
+
+
+def test_tmin_walks_are_pinned(monkeypatch):
+    # every certificate each walk asks for, then its report
+    real = complements.exists_witness
+    rows = []
+
+    def recorded(c, budget=None):
+        cert = real(c, budget)
+        rows.append(_row(cert))
+        return cert
+
+    def mask(s):
+        return None if s is None else s.mask
+
+    monkeypatch.setattr(complements, "exists_witness", recorded)
+    for n in range(1, 21):
+        for g in abelian_groups_of_order(n):
+            for cap in TMIN_WALK_CAPS:
+                rep = complements.compute_tmin(g, SearchBudget(cap))
+                rows.append(repr((g.factors, cap, rep.value, rep.exact, mask(rep.first_failing),
+                                  mask(rep.unknown_at), rep.subsets_checked)))
+    assert len(rows) == 7295
+    assert _digest(rows) == TMIN_WALK_DIGEST
 
 
 def _search_rows(g, masks):
