@@ -292,69 +292,11 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         "candidates_needed_log2": n - 1})
 
 
-def orbit_verdicts(group: Group, memo: dict[int, str],
-                   budget: Optional[SearchBudget] = None) -> Callable[[GroupSet], str]:
-    """exists_witness's verdict, decided once per Aut(G) orbit, filed in memo.
-
-    The verdict does not change under C -> phi(C) + t, phi an automorphism
-    of G: if C is a minimal complement of W, then phi(C) + t is one of
-    phi(W), since phi carries W + C onto G and a point private to c onto
-    one private to phi(c).  The returned function looks C up in memo as
-    C - min(C) and, after exists_witness decided it, files the verdict in
-    memo under the mask of every through-0 member of its orbit under
-    translations and all of Aut(G): C is closed by a depth-first search
-    over the tables of automorphism_generators(group), and every through-0
-    translate of each member is filed.  memo is the caller's dict, so a
-    caller whose sets hold 0 reads it under their own masks before it
-    calls: compute_tmin does, since its walk meets every member of an
-    orbit and filing whole orbits pays there, and a filed set costs it
-    one lookup.  A scan of a few random draws meets few, and
-    unit_orbit_verdicts looks its unit orbit-mates up on a miss in place
-    of filing them.
-
-    Answers are filed wherever the search fits the budget (_search_fits):
-    there every stage's answer is exact and none is unknown, so a hit
-    repeats what exists_witness would return for that very set.  Past that
-    gate an orbit-mate may end unknown where C did not, so nothing is
-    filed, nothing is looked up and no table is built.
-    """
-    fits = _search_fits(group.order, budget or SearchBudget())
-    moves: Optional[list[list[int]]] = None  # x -> 1 << phi(x) per table, built on the first filing
-    neg = group.negator()
-
-    def verdict(c: GroupSet) -> str:
-        nonlocal moves
-        mask = c.mask
-        if memo:
-            hit = memo.get(translate_mask(group, mask, neg((mask & -mask).bit_length() - 1)))
-            if hit is not None:
-                return hit
-        cert = exists_witness(c, budget)
-        if fits and cert.verdict != UNKNOWN:
-            if moves is None:
-                moves = [[1 << x for x in table] for table in automorphism_generators(group)]
-            closed, frontier = {mask}, [mask]
-            while frontier:  # depth-first closure over the tables
-                m = frontier.pop()
-                ec = list(bits_of(m))
-                for move in moves:
-                    image = sum(map(move.__getitem__, ec))
-                    if image not in closed:
-                        closed.add(image)
-                        frontier.append(image)
-                if m not in memo:  # else filed with the member it is a translate of
-                    for x in ec:
-                        memo[translate_mask(group, m, neg(x))] = cert.verdict
-        return cert.verdict
-
-    return verdict
-
-
 def unit_orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None) -> Callable[[GroupSet], str]:
     """exists_witness's verdict, decided once per unit orbit, for one call's use.
 
     The verdict does not change under C -> u*C + t, u prime to the
-    exponent, since x -> u*x is an automorphism (see orbit_verdicts).  A
+    exponent, since x -> u*x is an automorphism (see compute_tmin).  A
     decided C is filed only under its through-0 translates; a set q is
     looked up as q0 = q - min(q) and, when that misses, as u*q0 for every
     unit u != 1 (groups.unit_multipliers), a through-0 translate of u*q,
@@ -367,7 +309,7 @@ def unit_orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None) -> 
     sets again and again.
 
     Answers are filed where the search fits the budget, as in
-    orbit_verdicts; past that gate the memo stays empty, so nothing is
+    compute_tmin; past that gate the memo stays empty, so nothing is
     looked up and the unit tables, built on the first miss that finds the
     memo non-empty, are never built.
     """
@@ -423,37 +365,58 @@ class TminReport:
 def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminReport:
     """T(G) by walking every C through 0, by size, then lexicographically.
 
-    C and phi(C) + t, phi in Aut(G), have the same verdict: phi carries a
-    W that C is minimal for to one that phi(C) + t is minimal for.  So
-    where the search fits the budget, each orbit under C -> phi(C) + t is
-    decided at most once per call (orbit_verdicts), by whichever stage
-    answers it; past that gate every C is decided on its own.  A full walk
-    meets every member of an orbit, so filing the whole Aut(G) orbit at
-    once pays off here; a sampled scan (experiments.scan_threshold) meets
-    few, and looks a draw's unit orbit-mates up only when it misses
-    (unit_orbit_verdicts).  A walked C holds 0, so the walk looks its mask
-    up in the orbit memo first, and builds a GroupSet only for a miss,
-    which goes to orbit_verdicts, and for first_failing and unknown_at;
-    exists_witness is asked the sets it would be asked if every C went
-    through orbit_verdicts.  The walk order, first_failing, unknown_at and
+    The verdict does not change under C -> phi(C) + t, phi an automorphism
+    of G: if C is a minimal complement of W, then phi(C) + t is one of
+    phi(W), since phi carries W + C onto G and a point private to c onto
+    one private to phi(c).  Where the search fits the budget
+    (_search_fits), every stage's answer is exact and none is unknown, so
+    each orbit is decided at most once per call, by whichever stage
+    answers it: a decided C's verdict is filed in a memo under the
+    mask of every through-0 member of its orbit under translations and all
+    of Aut(G).  The orbit is closed by a depth-first search over the tables
+    of automorphism_generators(group), built on the first filing.  A
+    walked C holds 0, so it is looked up under its own mask, and a
+    GroupSet is built only for a miss, for first_failing and for
+    unknown_at.  A full walk meets every member of an orbit, so filing
+    whole orbits pays here; a sampled scan (experiments.scan_threshold)
+    meets few, and looks a draw's unit orbit-mates up only when it misses
+    (unit_orbit_verdicts).  Past the search gate an orbit-mate may end
+    unknown where C did not, so every C is decided on its own and no table
+    is built.  The walk order, first_failing, unknown_at and
     subsets_checked, which counts every subset walked, are as if each
     were decided on its own.
     """
     import itertools
 
     n = group.order
+    fits = _search_fits(n, budget or SearchBudget())
     memo: dict[int, str] = {}
-    verdict_of = orbit_verdicts(group, memo, budget)
-    filed = memo.get
+    moves: Optional[list[list[int]]] = None  # x -> 1 << phi(x) per table, built on the first filing
+    neg = group.negator()
     bits = [1 << e for e in range(n)]
     checked = 0
     for size in range(1, n + 1):
         unknown_here: Optional[GroupSet] = None
         for rest in itertools.combinations(bits[1:], size - 1):
             mask = sum(rest, 1)
-            verdict = filed(mask)  # C holds 0, so it is filed under its own mask
+            verdict = memo.get(mask)
             if verdict is None:
-                verdict = verdict_of(GroupSet(group, mask))
+                verdict = exists_witness(GroupSet(group, mask), budget).verdict
+                if fits and verdict != UNKNOWN:
+                    if moves is None:
+                        moves = [[1 << x for x in table] for table in automorphism_generators(group)]
+                    closed, frontier = {mask}, [mask]
+                    while frontier:  # depth-first closure over the tables
+                        m = frontier.pop()
+                        ec = list(bits_of(m))
+                        for move in moves:
+                            image = sum(map(move.__getitem__, ec))
+                            if image not in closed:
+                                closed.add(image)
+                                frontier.append(image)
+                        if m not in memo:  # else filed with the member it is a translate of
+                            for x in ec:
+                                memo[translate_mask(group, m, neg(x))] = verdict
             checked += 1
             if verdict == NO:
                 return TminReport(group, size - 1, True, GroupSet(group, mask), None, checked)

@@ -10,7 +10,7 @@ import pytest
 
 from addcomp import builders, cli, complements, experiments, groups, supplements
 from addcomp.builders import APDescriptor, ap_decide_and_build
-from addcomp.complements import (EssentialityReport, compute_tmin, essentiality,
+from addcomp.complements import (EssentialityReport, TminReport, compute_tmin, essentiality,
                                  exists_witness, is_complement,
                                  is_minimal_complement_for, prune_to_minimal,
                                  scan_for_witness, subgroup_gap_family, tmin_of_order)
@@ -403,27 +403,37 @@ def test_compute_tmin_decides_once_per_automorphism_orbit(factors, monkeypatch):
     assert len(auts) > len(unit_multipliers(g))
 
 
-def test_orbit_verdicts_files_every_answer_where_the_search_fits(monkeypatch):
-    # Z10 is inside the search gate, so whichever stage decided c, its
-    # orbit-mate is answered from the memo; an unknown is never filed
+def test_compute_tmin_files_every_answer_where_the_search_fits(monkeypatch):
+    # Z10 is inside the search gate, so whichever stage decided a set, the
+    # walk asks once per orbit under translation x unit multipliers (all
+    # of Aut(Z10)); an unknown is never filed, so every set of its size is
+    # asked and the walk stops there
     g = Group([10])
-    c, mate = _gs(g, [0, 1, 3]), _gs(g, [1, 2, 5])  # mate = 3*c + 2
+    through_0 = [_gs(g, (0,) + rest) for k in range(g.order)
+                 for rest in itertools.combinations(range(1, g.order), k)]
+    orbits = {_orbit_key(g, c) for c in through_0}
+    base = exists_witness(_gs(g, [0, 1, 3]))
     calls = []
-    base = exists_witness(c)
     for method in ("exhaustive", "construction-pair", "random-build"):
         cert = dataclasses.replace(base, method=method)
         calls.clear()
         monkeypatch.setattr(complements, "exists_witness",
                             lambda c, budget=None, cert=cert: calls.append(c) or cert)
-        verdict = complements.orbit_verdicts(g, {})
-        assert verdict(c) == verdict(mate) == YES
-        assert calls == [c]
-    unknown = DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget", c)
+        assert compute_tmin(g) == TminReport(g, 10, True, None, None, len(through_0))
+        assert len(calls) == len({_orbit_key(g, c) for c in calls}) == len(orbits)
+
+    def unknown_from_3(c, budget=None):
+        calls.append(c)
+        if len(c) < 3:
+            return base
+        return DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget", c)
+
     calls.clear()
-    monkeypatch.setattr(complements, "exists_witness",
-                        lambda c, budget=None: calls.append(c) or unknown)
-    verdict = complements.orbit_verdicts(g, {})
-    assert verdict(c) == verdict(mate) == UNKNOWN and calls == [c, mate]
+    monkeypatch.setattr(complements, "exists_witness", unknown_from_3)
+    size_3 = [c for c in through_0 if len(c) == 3]
+    rep = compute_tmin(g)
+    assert rep == TminReport(g, 2, False, None, size_3[0], 1 + 9 + len(size_3))
+    assert [c for c in calls if len(c) >= 3] == size_3
 
 
 def _unit_mate(g, c, u, t):
