@@ -105,9 +105,8 @@ def test_supplement_small_answers_are_pinned():
         "32b2d5f10260072654cbce879f5a4b3db9943ee99c93e75ac95295d0d7e1c76d")
 
 
-@pytest.mark.parametrize("factors", TMIN_GROUPS)
-def test_tmin_answers_are_pinned(factors, monkeypatch):
-    # every certificate compute_tmin's walk asks for, then its report
+def _recorded_certificates(monkeypatch):
+    """A list that exists_witness, patched, appends the _row of each certificate to."""
     real = complements.exists_witness
     rows = []
 
@@ -117,6 +116,13 @@ def test_tmin_answers_are_pinned(factors, monkeypatch):
         return cert
 
     monkeypatch.setattr(complements, "exists_witness", recorded)
+    return rows
+
+
+@pytest.mark.parametrize("factors", TMIN_GROUPS)
+def test_tmin_answers_are_pinned(factors, monkeypatch):
+    # every certificate compute_tmin's walk asks for, then its report
+    rows = _recorded_certificates(monkeypatch)
     rep = complements.compute_tmin(Group(list(factors)))
     failing = None if rep.first_failing is None else rep.first_failing.mask
     rows.append(repr((rep.value, rep.exact, failing, rep.subsets_checked)))
@@ -125,18 +131,11 @@ def test_tmin_answers_are_pinned(factors, monkeypatch):
 
 def test_tmin_walks_are_pinned(monkeypatch):
     # every certificate each walk asks for, then its report
-    real = complements.exists_witness
-    rows = []
-
-    def recorded(c, budget=None):
-        cert = real(c, budget)
-        rows.append(_row(cert))
-        return cert
+    rows = _recorded_certificates(monkeypatch)
 
     def mask(s):
         return None if s is None else s.mask
 
-    monkeypatch.setattr(complements, "exists_witness", recorded)
     for n in range(1, 21):
         for g in abelian_groups_of_order(n):
             for cap in TMIN_WALK_CAPS:
