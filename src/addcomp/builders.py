@@ -104,7 +104,10 @@ def detect_ap(c: GroupSet) -> Optional[APDescriptor]:
     and both outcomes above present c by k = |c| of them (a coset of <d>
     with ord(d) = k, or a walk of k distinct points).  So a set with more
     points than the group's exponent has no presentation, and no
-    candidate step is tried.
+    candidate step is tried.  Nor is one tried for a set of more than
+    AP_DETECT_SIZE_LIMIT points, which exists_witness then leaves to
+    its other stages; ap_decide_and_build decides a progression of any
+    length given its start, step and length.
 
     Nor is one tried when the size of a sumset rules c out
     (sumset.doubling_reaches).  A walk of k points s + jd has c + c =

@@ -198,10 +198,8 @@ def _cmd_supplement(args):
     c = parse_set(group, args.c)
     if args.w is not None:
         w = parse_set(group, args.w)
-        result = {
-            "supplement": is_supplement(w, c),
-            "maximal": is_maximal_supplement_for(w, c),
-        }
+        maximal = is_maximal_supplement_for(w, c)
+        result = {"supplement": maximal or is_supplement(w, c), "maximal": maximal}
         return group, {"c": c, "w": w}, result, None, 0
     result, code = _answer(maximal_supplement_witness(c, SearchBudget(args.max_candidates)))
     return group, {"c": c}, result, None, code

