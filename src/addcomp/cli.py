@@ -28,8 +28,7 @@ from .experiments import (report_to_csv, report_to_dict, report_to_json,
 from .groups import Group
 from .literals import _integer, parse_element, parse_group, parse_set
 from .sumset import GroupSet, private_points, progression_sum
-from .supplements import (is_maximal_supplement_for, is_supplement,
-                          maximal_supplement_witness)
+from .supplements import maximal_supplement_witness, supplement_status
 
 
 class _UsageError(Exception):
@@ -198,8 +197,8 @@ def _cmd_supplement(args):
     c = parse_set(group, args.c)
     if args.w is not None:
         w = parse_set(group, args.w)
-        maximal = is_maximal_supplement_for(w, c)
-        result = {"supplement": maximal or is_supplement(w, c), "maximal": maximal}
+        supplement, maximal = supplement_status(w, c)
+        result = {"supplement": supplement, "maximal": maximal}
         return group, {"c": c, "w": w}, result, None, 0
     result, code = _answer(maximal_supplement_witness(c, SearchBudget(args.max_candidates)))
     return group, {"c": c}, result, None, code

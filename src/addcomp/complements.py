@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import Callable, Optional
+from typing import Optional
 
 from . import builders
 from .decision import MINIMAL_COMPLEMENT, NO, UNKNOWN, DecisionCertificate, SearchBudget
 from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
-                     automorphism_generators, cyclic_subgroups, generated_order,
-                     unit_multipliers)
+                     automorphism_generators, cyclic_subgroups, generated_order)
 # perfbench/tracing.py times subgroup_generated through this module's name.
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
@@ -292,59 +291,6 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         "candidates_needed_log2": n - 1})
 
 
-def unit_orbit_verdicts(group: Group, budget: Optional[SearchBudget] = None) -> Callable[[GroupSet], str]:
-    """exists_witness's verdict, decided once per unit orbit, for one call's use.
-
-    The verdict does not change under C -> u*C + t, u prime to the
-    exponent, since x -> u*x is an automorphism (see compute_tmin).  A
-    decided C is filed only under its through-0 translates; a set q is
-    looked up as q0 = q - min(q) and, when that misses, as u*q0 for every
-    unit u != 1 (groups.unit_multipliers), a through-0 translate of u*q,
-    so no translate is made per unit.  q = u*d + t for a filed d exactly
-    when some u^-1 * q is a translate of d, so a set is answered from the
-    memo exactly when an orbit-mate was decided, as if each orbit were
-    filed whole, and a scan of a few random draws, which meets few
-    orbit-mates, files nothing it does not meet.  A set found through a
-    unit multiple is filed under q0 as well, since a scan draws small
-    sets again and again.
-
-    Answers are filed where the search fits the budget, as in
-    compute_tmin; past that gate the memo stays empty, so nothing is
-    looked up and the unit tables, built on the first miss that finds the
-    memo non-empty, are never built.
-    """
-    fits = _search_fits(group.order, budget or SearchBudget())
-    moves: Optional[list[list[int]]] = None  # x -> 1 << u*x per unit u != 1
-    neg = group.negator()
-    memo: dict[int, str] = {}
-
-    def verdict(c: GroupSet) -> str:
-        nonlocal moves
-        mask = c.mask
-        if memo:
-            q0 = translate_mask(group, mask, neg((mask & -mask).bit_length() - 1))
-            hit = memo.get(q0)
-            if hit is None:
-                if moves is None:
-                    moves = [[1 << group.scale(x, u) for x in range(group.order)]
-                             for u in unit_multipliers(group)[1:]]
-                ec = list(bits_of(q0))
-                for move in moves:
-                    hit = memo.get(sum(map(move.__getitem__, ec)))
-                    if hit is not None:
-                        memo[q0] = hit  # a repeat of q is found by the first lookup
-                        break
-            if hit is not None:
-                return hit
-        cert = exists_witness(c, budget)
-        if fits and cert.verdict != UNKNOWN:
-            for x in bits_of(mask):
-                memo[translate_mask(group, mask, neg(x))] = cert.verdict
-        return cert.verdict
-
-    return verdict
-
-
 @dataclass(frozen=True)
 class TminReport:
     """Largest size threshold below which every subset has a witness.
@@ -379,12 +325,11 @@ def compute_tmin(group: Group, budget: Optional[SearchBudget] = None) -> TminRep
     GroupSet is built only for a miss, for first_failing and for
     unknown_at.  A full walk meets every member of an orbit, so filing
     whole orbits pays here; a sampled scan (experiments.scan_threshold)
-    meets few, and looks a draw's unit orbit-mates up only when it misses
-    (unit_orbit_verdicts).  Past the search gate an orbit-mate may end
-    unknown where C did not, so every C is decided on its own and no table
-    is built.  The walk order, first_failing, unknown_at and
-    subsets_checked, which counts every subset walked, are as if each
-    were decided on its own.
+    meets few, and looks a draw's unit orbit-mates up only when it misses.
+    Past the search gate an orbit-mate may end unknown where C did not, so
+    every C is decided on its own and no table is built.  The walk order,
+    first_failing, unknown_at and subsets_checked, which counts every
+    subset walked, are as if each were decided on its own.
     """
     import itertools
 

@@ -17,14 +17,11 @@ from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Sequence
 
-from .complements import unit_orbit_verdicts
-# Kept only because perfbench/tracing.py wraps this binding; nothing here
-# calls it, so the tracer counts scan_threshold's calls in complements.
-from .complements import exists_witness  # noqa: F401
+from .complements import _search_fits, exists_witness
 from .decision import NO, UNKNOWN, YES, SearchBudget
-from .groups import Group
+from .groups import Group, unit_multipliers
 from .rng import SplitMix64, derive_seed
-from .sumset import GroupSet
+from .sumset import GroupSet, bits_of, translate_mask
 
 DEFAULT_GRID = tuple(j / 20 for j in range(21))
 
@@ -65,14 +62,22 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
                    budget: Optional[SearchBudget] = None) -> ScanReport:
     """Verdict counts of `trials` random subsets per density in the grid.
 
-    Where the search fits the budget, each orbit under translation x
-    unit multipliers is decided at most once per call
-    (complements.unit_orbit_verdicts): a decided draw is filed under its
-    translates only, and a draw that misses is looked up again as each of
-    its unit multiples, since a few draws per density meet few
-    orbit-mates.  A draw whose orbit-mate was decided earlier is counted
-    without a second decision; the counts are those of deciding every
-    draw on its own.
+    The verdict does not change under C -> u*C + t, u prime to the
+    exponent, since x -> u*x is an automorphism (see
+    complements.compute_tmin).  A decided draw is filed only under its
+    through-0 translates; a draw q is looked up as q0 = q - min(q) and,
+    when that misses, as u*q0 for every unit u != 1
+    (groups.unit_multipliers), a through-0 translate of u*q, so no
+    translate is made per unit.  q = u*d + t for a filed d exactly when
+    some u^-1 * q is a translate of d, so a draw is answered from the memo
+    exactly when an orbit-mate was decided, as if each orbit were filed
+    whole, while a few draws per density, which meet few orbit-mates, file
+    nothing they do not meet.  A draw found through a unit multiple is
+    filed under q0 as well, since small sets are drawn again and again.
+    Answers are filed where the search fits the budget, as in
+    compute_tmin; past that gate the memo stays empty, and the unit
+    tables, built on the first miss that finds the memo non-empty, are
+    never built.  The counts are those of deciding every draw on its own.
     """
     if trials < 1:
         raise ValueError("need at least one trial per density")
@@ -82,7 +87,10 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
     for p in grid:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"density {p} outside [0, 1]")
-    verdict_of = unit_orbit_verdicts(group, budget)
+    fits = _search_fits(group.order, budget or SearchBudget())
+    memo: dict[int, str] = {}  # through-0 mask -> verdict
+    moves: Optional[list[list[int]]] = None  # x -> 1 << u*x per unit u != 1
+    neg = group.negator()
     rows = []
     for pi, p in enumerate(grid):
         threshold = min(int(p * 2.0 ** 64), 1 << 64)
@@ -91,8 +99,30 @@ def scan_threshold(group: Group, p_values: Optional[Sequence[float]] = None,
         for t in range(trials):
             rng = SplitMix64(derive_seed(seed, pi, t))
             c = _draw(group, rng, threshold)
-            counts[verdict_of(c) if c else "skipped"] += 1
             size_total += len(c)
+            if not c:
+                counts["skipped"] += 1
+                continue
+            mask, verdict = c.mask, None
+            if memo:
+                q0 = translate_mask(group, mask, neg((mask & -mask).bit_length() - 1))
+                verdict = memo.get(q0)
+                if verdict is None:
+                    if moves is None:
+                        moves = [[1 << group.scale(x, u) for x in range(group.order)]
+                                 for u in unit_multipliers(group)[1:]]
+                    ec = list(bits_of(q0))
+                    for move in moves:
+                        verdict = memo.get(sum(map(move.__getitem__, ec)))
+                        if verdict is not None:
+                            memo[q0] = verdict  # a repeat of q is found by the first lookup
+                            break
+            if verdict is None:
+                verdict = exists_witness(c, budget).verdict
+                if fits and verdict != UNKNOWN:
+                    for x in bits_of(mask):
+                        memo[translate_mask(group, mask, neg(x))] = verdict
+            counts[verdict] += 1
         drawn = trials - counts["skipped"]
         rows.append(ScanRow(
             p=p, trials=trials, skipped=counts["skipped"], yes=counts[YES],

@@ -437,15 +437,16 @@ def cyclic_box(group: Group, g: int) -> tuple[int, int]:
     """
     if not 0 <= g < group.order:
         raise ValueError(f"element index {g} out of range for {group}")
-    if len(group.factors) == 1:
+    if len(group.factors) <= 1:
         width = math.gcd(g, group.order)
         return group.order // width, (1 << width) - 1
-    widths, order = [], 1
-    for d, s in zip(reversed(group.factors), reversed(group.strides)):
+    box, order = -1, 1
+    for d, s, rep in zip(reversed(group.factors), reversed(group.strides),
+                         reversed(group.block_reps)):
         width = math.gcd(order * (g // s % d), d)
-        widths.append(width)
+        box &= (rep << width * s) - rep
         order = order * d // width
-    return order, _box_mask(group, widths[::-1])
+    return order, box
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -32,26 +32,26 @@ from .sumset import (GroupSet, _same_group, add_to_planes, bits_of, difference_s
                      lowest_extreme, negated_mask, sumset, translate_mask)
 
 
-def is_supplement(w: GroupSet, c: GroupSet) -> bool:
-    """Do the W-translates by elements of c stay pairwise disjoint?"""
+def supplement_status(w: GroupSet, c: GroupSet) -> tuple[bool, bool]:
+    """(is c a supplement for w, is it a maximal one), from one C - C and one W - W."""
     _same_group(w, c)
     if not w or not c:
         raise ValueError("supplement check needs non-empty sets")
-    cc = difference_set(c)
-    ww = difference_set(w)
-    return (cc.mask & ww.mask) == 1
+    cc, ww = difference_set(c), difference_set(w)
+    if (cc.mask & ww.mask) != 1:
+        return False, False
+    return True, sumset(c, ww).mask == c.group.full_mask
+
+
+def is_supplement(w: GroupSet, c: GroupSet) -> bool:
+    """Do the W-translates by elements of c stay pairwise disjoint?"""
+    return supplement_status(w, c)[0]
 
 
 def is_maximal_supplement_for(w: GroupSet, c: GroupSet) -> bool:
     """Supplement, and no proper superset of c still is one for w."""
     _same_group(w, c)
-    if not w or not c:
-        return False
-    cc = difference_set(c)
-    ww = difference_set(w)
-    if (cc.mask & ww.mask) != 1:
-        return False
-    return sumset(c, ww).mask == c.group.full_mask
+    return bool(w) and bool(c) and supplement_status(w, c)[1]
 
 
 @dataclass(frozen=True)

@@ -237,8 +237,7 @@ def test_random_build_zero_retries_is_usage_error(capsys):
 
 
 def test_supplement_pair_mode(capsys, monkeypatch):
-    # A maximal pair is a supplement, so its check is the only one run:
-    # one C - C and one W - W.
+    # one C - C and one W - W per pair
     supplements_module = importlib.import_module("addcomp.supplements")
     real = supplements_module.difference_set
     calls = []
@@ -254,10 +253,14 @@ def test_supplement_pair_mode(capsys, monkeypatch):
     assert env["result"] == {"supplement": True, "maximal": True}
     assert len(calls) == 2
 
+    # a supplement that is not maximal, and a pair that is no supplement,
+    # are answered from the same two difference sets
     for w, supplement in (("{0,2}", True), ("{0,1}", False)):
+        calls.clear()
         code, env, _ = run(capsys, "supplement", "--group", "8", "--c", "{0,1}", "--w", w)
         assert code == 0
         assert env["result"] == {"supplement": supplement, "maximal": False}
+        assert len(calls) == 2
 
 
 def test_supplement_witness_mode(capsys):

@@ -440,81 +440,76 @@ def _unit_mate(g, c, u, t):
     return translate(_gs(g, [g.scale(x, u) for x in c]), t)
 
 
+def _scan_sets(monkeypatch, sets, decide=exists_witness):
+    """scan_threshold with `sets` as its draws, one density each, and the
+    sets it passes to exists_witness (answered by `decide`)."""
+    draws = iter(sets)
+    monkeypatch.setattr(experiments, "_draw", lambda group, rng, threshold: next(draws))
+    asked = []
+    monkeypatch.setattr(experiments, "exists_witness",
+                        lambda c, budget=None: asked.append(c) or decide(c, budget))
+    rep = experiments.scan_threshold(sets[0].group, p_values=[0.5] * len(sets), trials=1)
+    return [v for row in rep.rows for v in (YES, NO, UNKNOWN) if getattr(row, v)], asked
+
+
 UNIT_MATES = [((10,), [0, 1, 3], 3, 2),  # {1, 2, 5}
               ((2, 8), [0, 1, 11], 3, 10)]
 
 
 @pytest.mark.parametrize("factors, elems, u, t", UNIT_MATES)
-def test_unit_orbit_verdicts_looks_a_unit_multiple_up(monkeypatch, factors, elems, u, t):
+def test_scan_answers_a_unit_mate_from_the_memo(monkeypatch, factors, elems, u, t):
     # the mate is no translate of c, so only the lookup of its unit
     # multiples finds c's answer; one decision answers both
     g = Group(factors)
     c = _gs(g, elems)
     mate = _unit_mate(g, c, u, t)
     assert mate.mask not in {translate(c, s).mask for s in range(g.order)}
-    real = complements.exists_witness
-    calls = []
-    monkeypatch.setattr(complements, "exists_witness",
-                        lambda c, budget=None: calls.append(c) or real(c, budget))
-    verdict = complements.unit_orbit_verdicts(g)
-    assert verdict(c) == verdict(mate) == verdict(translate(c, 1)) == real(c).verdict
-    assert calls == [c]
+    verdicts, asked = _scan_sets(monkeypatch, [c, mate, translate(c, 1)])
+    assert verdicts == [exists_witness(c).verdict] * 3
+    assert asked == [c]
 
 
-def test_unit_orbit_verdicts_never_files_an_unknown(monkeypatch):
+def test_scan_never_files_an_unknown(monkeypatch):
     g = Group([10])
     c = _gs(g, [0, 1, 3])
     mate = _unit_mate(g, c, 3, 2)
     unknown = DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget", c)
-    calls = []
-    monkeypatch.setattr(complements, "exists_witness",
-                        lambda c, budget=None: calls.append(c) or unknown)
-    verdict = complements.unit_orbit_verdicts(g)
-    assert verdict(c) == verdict(mate) == verdict(c) == UNKNOWN
-    assert calls == [c, mate, c]
+    verdicts, asked = _scan_sets(monkeypatch, [c, mate, c], lambda c, budget: unknown)
+    assert verdicts == [UNKNOWN] * 3
+    assert asked == [c, mate, c]
 
 
 @pytest.mark.parametrize("factors", [(16,), (2, 8), (12,)])
-def test_unit_orbit_verdicts_asks_what_eager_filing_asks(monkeypatch, factors):
-    # the reference files each decided set's whole orbit under translation
-    # x unit multipliers, by its least mask; the lazy memo asks
+def test_scan_asks_what_eager_filing_asks(monkeypatch, factors):
+    # the reference files each decided draw's whole orbit under translation
+    # x unit multipliers, by its least mask; the scan's lazy memo asks
     # exists_witness for the same sets in the same order
     g = Group(factors)
-    real = complements.exists_witness
-    asked = []
-    monkeypatch.setattr(complements, "exists_witness",
-                        lambda c, budget=None: asked.append(c.mask) or real(c, budget))
-
-    def eager(group, budget=None):
-        memo = {}
-
-        def verdict(c):
-            key = _orbit_key(group, c)
-            if key not in memo:
-                memo[key] = complements.exists_witness(c, budget).verdict
-            return memo[key]
-        return verdict
-
-    lazy = experiments.scan_threshold(g, trials=40, seed=5)
-    lazy_asked = list(asked)
-    asked.clear()
-    monkeypatch.setattr(experiments, "unit_orbit_verdicts", eager)
-    assert experiments.scan_threshold(g, trials=40, seed=5) == lazy
-    assert asked == lazy_asked and len(asked) < 21 * 40
+    real_draw, draws, asked = experiments._draw, [], []
+    monkeypatch.setattr(experiments, "_draw",
+                        lambda *args: draws.append(real_draw(*args)) or draws[-1])
+    monkeypatch.setattr(experiments, "exists_witness",
+                        lambda c, budget=None: asked.append(c) or exists_witness(c, budget))
+    experiments.scan_threshold(g, trials=40, seed=5)
+    eager, filed = [], set()
+    for c in filter(None, draws):
+        key = _orbit_key(g, c)
+        if key not in filed:
+            filed.add(key)
+            eager.append(c)
+    assert asked == eager and len(asked) < 21 * 40
 
 
-def test_orbit_verdicts_files_nothing_past_the_search_gate(monkeypatch):
+def test_no_orbit_tables_past_the_search_gate(monkeypatch):
     # order 101 is past the default cap, so no answer is a search answer,
-    # nothing is filed and the unit tables, built on the first miss that
-    # finds the memo non-empty, are never built
-    from addcomp.experiments import scan_threshold
-
+    # nothing is filed and the scan's unit tables, built on the first miss
+    # that finds the memo non-empty, are never built
     def unused(*args):
         raise AssertionError("orbit maps built")
 
-    monkeypatch.setattr(complements, "unit_multipliers", unused)
+    monkeypatch.setattr(experiments, "unit_multipliers", unused)
     monkeypatch.setattr(complements, "automorphism_generators", unused)
-    rep = scan_threshold(Group([101]), p_values=(0.05, 0.3, 0.7, 0.9), trials=5)
+    rep = experiments.scan_threshold(Group([101]), p_values=(0.05, 0.3, 0.7, 0.9), trials=5)
     assert sum(row.yes + row.no for row in rep.rows) > 0
     # 2x4 is past a cap of 64 candidates: compute_tmin builds no tables either
     rep = compute_tmin(Group([2, 4]), SearchBudget(64))

@@ -1,11 +1,13 @@
 import csv
 import io
+from collections import Counter
 
 import pytest
 
 from addcomp import experiments
 from addcomp.complements import exists_witness
-from addcomp.experiments import (DEFAULT_GRID, report_to_csv, report_to_dict,
+from addcomp.decision import NO, UNKNOWN, YES
+from addcomp.experiments import (DEFAULT_GRID, ScanRow, report_to_csv, report_to_dict,
                                  report_to_json, scan_threshold)
 from addcomp.groups import Group
 
@@ -76,15 +78,21 @@ def test_report_serializations():
 
 @pytest.mark.parametrize("factors, trials", [((16,), 200), ((2, 8), 200), ((24,), 20)])
 def test_scan_matches_memo_free_loop(monkeypatch, factors, trials):
+    # each row counted again by deciding every draw of its density on its own
     g = Group(factors)
-    with_memo = report_to_json(scan_threshold(g, trials=trials, seed=1))
-
-    def every_draw(group, budget=None):
-        return lambda c: exists_witness(c, budget).verdict
-
-    monkeypatch.setattr(experiments, "unit_orbit_verdicts", every_draw)
+    real_draw, draws = experiments._draw, []
+    monkeypatch.setattr(experiments, "_draw",
+                        lambda *args: draws.append(real_draw(*args)) or draws[-1])
     rep = scan_threshold(g, trials=trials, seed=1)
-    assert report_to_json(rep) == with_memo
+    rows = []
+    for p, start in zip(DEFAULT_GRID, range(0, len(draws), trials)):
+        batch = draws[start:start + trials]
+        counts = Counter(exists_witness(c).verdict if c else "skipped" for c in batch)
+        drawn = trials - counts["skipped"]
+        rows.append(ScanRow(p, trials, counts["skipped"], counts[YES], counts[NO],
+                            counts[UNKNOWN], counts[YES] / trials,
+                            sum(map(len, batch)) / drawn if drawn else 0.0))
+    assert rep.rows == tuple(rows)
     if factors == (24,):
         # unknowns are never filed, so each one is decided and counted
         assert sum(row.unknown for row in rep.rows) > 0
