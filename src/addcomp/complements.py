@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import takewhile
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import builders
 from .decision import MINIMAL_COMPLEMENT, NO, UNKNOWN, DecisionCertificate, SearchBudget
@@ -209,6 +209,34 @@ def _trap_window(n: int, k: int) -> range:
     return range(k + 1, (2 * n * k - 1) // (2 * n - k) + 1)
 
 
+class SizeGates(NamedTuple):
+    """exists_witness's gates that depend on G and |C| = k alone.
+
+    window is _trap_window(n, k), or None when no divisor of n, and so no
+    subgroup order, lies in it.  s = ceil(1.5 ln n) is the random
+    builder's parameter, and build says whether its gate holds.
+    """
+
+    window: Optional[range]
+    s: int
+    build: bool
+
+
+def _size_gates(group: Group, k: int) -> SizeGates:
+    """The SizeGates of (group, k), built on the first ask and kept in
+    group.size_gates."""
+    gates = group.size_gates.get(k)
+    if gates is None:
+        n = group.order
+        window = _trap_window(n, k)
+        s = max(1, math.ceil(1.5 * math.log(n)))
+        # feasibility needs its first term s^2 k^3 / n below 1 (the others are >= 0)
+        build = s * s * k ** 3 < n and builders.check_feasibility(n, k, s).feasible
+        gates = group.size_gates[k] = SizeGates(
+            window if any(n % m == 0 for m in window) else None, s, build)
+    return gates
+
+
 def _search_fits(n: int, budget: SearchBudget) -> bool:
     """True when the exhaustive search's worst case fits the budget.
 
@@ -234,7 +262,10 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
     subgroup is computed only when some divisor of n lies in that window,
     since m divides n, and |C + C| is not shown to reach the window's
     end (sumset.doubling_reaches), since C + C lies in 2c0 + H, so
-    |C + C| <= m.
+    |C + C| <= m.  The window, or None where no divisor lies in it, and
+    the random builder's s and gate depend on G and |C| only, so they
+    are read from _size_gates, which works them out once per group and
+    size; what depends on the budget (_search_fits) is tested per call.
     """
     group = c.group
     n = group.order
@@ -252,9 +283,8 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
     if 3 * k > 2 * n:
         return DecisionCertificate(problem, NO, "bound-size-gap", c, detail={
             "size": k, "cap": (2 * n) // 3})
-    window = _trap_window(n, k)
-    if (any(n % m == 0 for m in window)
-            and not doubling_reaches(group, c.mask, window.stop)):
+    window, s, build = _size_gates(group, k)
+    if window is not None and not doubling_reaches(group, c.mask, window.stop):
         m = _containing_subgroup_order(group, c)
         if m in window:
             return DecisionCertificate(problem, NO, "bound-subgroup-gap", c, detail={
@@ -276,17 +306,14 @@ def exists_witness(c: GroupSet, budget: Optional[SearchBudget] = None) -> Decisi
         if complete:
             return DecisionCertificate(problem, NO, "exhaustive", c, detail={
                 "candidates": checked})
-    else:
-        s = max(1, math.ceil(1.5 * math.log(n)))
-        # feasibility needs its first term s^2 k^3 / n below 1 (the others are >= 0)
-        if s * s * k ** 3 < n and builders.check_feasibility(n, k, s).feasible:
-            # the low 64 bits of C's mask, from its points below 64
-            low = sum(1 << e for e in takewhile(lambda e: e < 64, c))
-            seed = derive_seed(0x57A97E55, n, k, low)
-            trace = builders.random_witness(c, s, seed=seed)
-            if trace.result is not None:
-                return yes(problem, "random-build", trace.result, c,
-                           s=s, retries=trace.retries_used)
+    elif build:
+        # the low 64 bits of C's mask, from its points below 64
+        low = sum(1 << e for e in takewhile(lambda e: e < 64, c))
+        seed = derive_seed(0x57A97E55, n, k, low)
+        trace = builders.random_witness(c, s, seed=seed)
+        if trace.result is not None:
+            return yes(problem, "random-build", trace.result, c,
+                       s=s, retries=trace.retries_used)
     return DecisionCertificate(problem, UNKNOWN, "budget", c, detail={
         "candidates_needed_log2": n - 1})
 

@@ -57,9 +57,16 @@ KNOWN_METHODS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DecisionCertificate:
-    """Outcome of one decision, with enough context to recheck it."""
+    """Outcome of one decision, with enough context to recheck it.
+
+    __init__ is written by hand.  A frozen dataclass's own sets each field
+    through object.__setattr__, six calls per certificate, and
+    exists_witness makes one certificate per query; this one fills the
+    instance dict in one step and then runs __post_init__, as the
+    generated one does.  detail defaults to a fresh dict.
+    """
 
     problem: str
     verdict: str
@@ -67,6 +74,12 @@ class DecisionCertificate:
     base: GroupSet  # the set C the certificate decides
     witness: Optional[GroupSet] = None
     detail: dict[str, Any] = field(default_factory=dict)
+
+    def __init__(self, problem: str, verdict: str, method: str, base: GroupSet,
+                 witness: Optional[GroupSet] = None, detail: Optional[dict[str, Any]] = None):
+        self.__dict__.update(problem=problem, verdict=verdict, method=method, base=base,
+                             witness=witness, detail={} if detail is None else detail)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.verdict not in (YES, NO, UNKNOWN):

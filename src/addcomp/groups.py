@@ -41,9 +41,12 @@ class Group:
     """Direct product of cyclic groups Z/d_1 x ... x Z/d_r.
 
     Equality, hashing and pickling see the factors only, never what a
-    group builds on first use: the block masks (block_reps), and the
-    translate plans and negation table a small group keeps
-    (translate_plan, negator).  The full mask, n set bits, is set at
+    group works out for its callers: the exponent, set at creation; the
+    block masks (block_reps), and the translate plans and negation table
+    a small group keeps (translate_plan, negator), built on first use;
+    and size_gates, the table of exists_witness's gate records by |C|
+    (complements._size_gates), each filled the first time that size is
+    asked.  The full mask, n set bits, is set at
     creation up to order BITS_CHUNK, so translate_mask reads a plain
     slot.  Above that order __post_init__, once it knows the order,
     makes the group a _WideGroup (same slots, same equality, hashing and
@@ -60,6 +63,8 @@ class Group:
     _plans: dict = field(init=False, compare=False)
     _steps: dict = field(init=False, compare=False)
     _negs: Optional[tuple[int, ...]] = field(init=False, compare=False)
+    _exponent: int = field(init=False, compare=False)
+    size_gates: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         fs = tuple(int(d) for d in self.factors)
@@ -81,6 +86,8 @@ class Group:
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_steps", {})
         object.__setattr__(self, "_negs", None)
+        object.__setattr__(self, "_exponent", math.lcm(*fs))
+        object.__setattr__(self, "size_gates", {})
 
     def __reduce__(self):
         return Group, (self.factors,)
@@ -262,10 +269,7 @@ class Group:
         return o
 
     def exponent(self) -> int:
-        out = 1
-        for d in self.factors:
-            out = math.lcm(out, d)
-        return out
+        return self._exponent
 
     def elements(self) -> range:
         return range(self.order)

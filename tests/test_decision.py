@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from addcomp.decision import (MAXIMAL_SUPPLEMENT, MINIMAL_COMPLEMENT, NO,
@@ -101,3 +104,70 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_candidates=-3)
     assert not hasattr(b, "max_nodes")
+
+
+def _contract_certificates():
+    g = Group([6])
+    c = GroupSet.from_elements(g, [0, 1, 2])
+    w = GroupSet.from_elements(g, [0, 3])
+    yes = DecisionCertificate(MINIMAL_COMPLEMENT, YES, "exhaustive", c, w, {"candidates": 2})
+    no = DecisionCertificate(MINIMAL_COMPLEMENT, NO, "bound-size-gap", c)
+    return c, w, yes, no
+
+
+def test_certificate_is_frozen():
+    c, w, yes, no = _contract_certificates()
+    for name in ("problem", "verdict", "method", "base", "witness", "detail"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(yes, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del no.verdict
+
+
+def test_certificate_replace_eq_repr_and_pickle():
+    c, w, yes, no = _contract_certificates()
+    assert yes == DecisionCertificate(MINIMAL_COMPLEMENT, YES, "exhaustive", c,
+                                      witness=w, detail={"candidates": 2})
+    assert yes != no and yes != DecisionCertificate(MINIMAL_COMPLEMENT, YES, "exhaustive", c, w)
+    unknown = dataclasses.replace(no, verdict=UNKNOWN, method="budget")
+    assert unknown == DecisionCertificate(MINIMAL_COMPLEMENT, UNKNOWN, "budget", c)
+    assert dataclasses.replace(yes) == yes
+    with pytest.raises(ValueError):
+        dataclasses.replace(yes, verdict=NO)  # __post_init__ runs on the copy
+    assert repr(no) == (
+        f"DecisionCertificate(problem='minimal-complement-for', verdict='no', "
+        f"method='bound-size-gap', base={c!r}, witness=None, detail={{}})")
+    assert repr(yes).endswith(f"witness={w!r}, detail={{'candidates': 2}})")
+    for cert in (yes, no, unknown):
+        back = pickle.loads(pickle.dumps(cert))
+        assert back == cert and back.detail == cert.detail and type(back) is DecisionCertificate
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            back.verdict = YES
+    assert [f.name for f in dataclasses.fields(DecisionCertificate)] == [
+        "problem", "verdict", "method", "base", "witness", "detail"]
+
+
+def test_certificate_detail_is_a_fresh_dict_each_time():
+    c, w, yes, no = _contract_certificates()
+    other = DecisionCertificate(MINIMAL_COMPLEMENT, NO, "bound-size-gap", c)
+    assert no.detail == {} and other.detail == {}
+    no.detail["size"] = 3
+    assert other.detail == {}
+    assert no.detail is not other.detail
+
+
+@pytest.mark.parametrize("verdict, method, witness, message", [
+    ("maybe", "exhaustive", None, "bad verdict 'maybe'"),
+    (NO, "vibes", None, "unknown method 'vibes'"),
+    (YES, "exhaustive", None, "a yes verdict needs a witness"),
+    (NO, "bound-size-gap", "w", "only a yes verdict carries a witness"),
+    (UNKNOWN, "budget", "w", "only a yes verdict carries a witness"),
+])
+def test_certificate_post_init_errors(verdict, method, witness, message):
+    c, w, yes, no = _contract_certificates()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DecisionCertificate(MINIMAL_COMPLEMENT, verdict, method, c,
+                            w if witness == "w" else None)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DecisionCertificate(problem=MINIMAL_COMPLEMENT, verdict=verdict, method=method,
+                            base=c, witness=w if witness == "w" else None, detail={})

@@ -8,6 +8,7 @@ pin every other detail key to its value from before that change.
 """
 
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -62,6 +63,10 @@ INDEPENDENT_DIGEST = "9eaefa9c0abceb1c5d9f0fe99730bd552c09c6201349955063acdc3050
 # Recorded while <step> and its coset box still came from a kept table of
 # closed subgroups, so they pin the progression answers to closure's.
 PROGRESSION_DIGEST = "b5a308662e1a2f969c8b1d3fa720adc1a1cfb836bbf4b9df3ed186fe58edbb0d"
+# The caps a shared group is asked under in turn: the default, one that
+# puts orders >= 12 past the search gate, and one that puts orders >= 8
+# past it.
+GATE_CAPS = (SearchBudget().max_candidates, 1 << 10, 64)
 
 
 def _random_set(rng, group, k):
@@ -103,6 +108,34 @@ def test_supplement_small_answers_are_pinned():
                 rows.append(_row(maximal_supplement_witness(c)))
     assert _digest(rows) == (
         "32b2d5f10260072654cbce879f5a4b3db9943ee99c93e75ac95295d0d7e1c76d")
+
+
+def test_size_gates_depend_on_group_and_size_only():
+    # One shared group per order is asked every size, the caps in turn, and
+    # must answer as a fresh group per call does: every subset through 0 of
+    # each abelian group of order at most 12, then two random sets of each
+    # size, in a shuffled order, on each witness-mid group.
+    rng = random.Random("pinned:size-gates")
+    queries = []
+    for n in range(1, 13):
+        for g in abelian_groups_of_order(n):
+            queries.append((g, range(1, 1 << n, 2)))
+    for factors in MID_GROUPS:
+        g = Group(list(factors))
+        sizes = list(range(1, g.order + 1)) * 2
+        rng.shuffle(sizes)
+        queries.append((g, [_random_set(rng, g, k).mask for k in sizes]))
+    for g, masks in queries:
+        fresh = Group(list(g.factors))
+        for i, mask in enumerate(masks):
+            budget = SearchBudget(GATE_CAPS[i % len(GATE_CAPS)])
+            shared = complements.exists_witness(GroupSet(g, mask), budget)
+            alone = complements.exists_witness(GroupSet(Group(list(g.factors)), mask), budget)
+            assert _row(shared) == _row(alone), (g, mask, budget)
+        # what the shared group kept is outside equality, hashing and pickling
+        assert g == fresh and hash(g) == hash(fresh)
+        assert pickle.dumps(g) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(g)) == fresh
 
 
 def _recorded_certificates(monkeypatch):
