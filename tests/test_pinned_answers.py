@@ -18,7 +18,7 @@ from addcomp.builders import ap_decide_and_build, detect_ap
 from addcomp.decision import SearchBudget
 from addcomp.experiments import report_to_json, scan_threshold
 from addcomp.groups import Group, abelian_groups_of_order
-from addcomp.sumset import GroupSet, difference_set
+from addcomp.sumset import GroupSet, difference_set, doubling_reaches, sumset
 from addcomp.supplements import independent_search, is_solid, maximal_supplement_witness
 
 # The witness-mid groups and densities of the benchmark: same-order
@@ -273,3 +273,39 @@ def test_independent_search_answers_are_pinned():
                 rows.extend(_independent_rows(g, mask))
     assert len(rows) == 11883
     assert _digest(rows) == INDEPENDENT_DIGEST
+
+
+# The groups the kernel digest walks: every supplement-small and
+# witness-mid group, then the README-scale ones.
+KERNEL_GROUPS = SUPP_GROUPS + MID_GROUPS + ((64, 64), (4096,), (16000,), (128, 128))
+# Recorded while difference_set, doubling_reaches and is_solid still
+# walked their masks through bits_of, so it pins the kernels themselves
+# to that walk, not only through the decisions that use them.
+KERNEL_DIGEST = "81fd6167f58777409cea26df6733c926ff57872a57b29f60a93afc445cbd7ed6"
+
+
+def _kernel_rows(g, rng):
+    n = g.order
+    # sparse sets on every group, denser ones on the small groups, and one
+    # past half of each group, where A - A = G at once
+    sizes = [1, 2, 3, 5, 8, 13]
+    if n <= 100:
+        sizes += [max(1, round(p * n)) for p in (0.2, 0.3, 0.45, 0.5, 0.6)]
+    sizes.append(n // 2 + 1)
+    for k in [k for k in sizes if k <= n] * 3:
+        a = _random_set(rng, g, k) if rng.random() < 0.5 else GroupSet.from_elements(
+            g, rng.sample(range(n), k))
+        b = GroupSet.from_elements(g, rng.sample(range(n), rng.choice((1, 2, 4, k))))
+        rep = is_solid(a)
+        doubling = [doubling_reaches(g, a.mask, bound) for bound in range(1, 2 * k + 2)]
+        yield repr((g.factors, hex(a.mask), hex(b.mask), hex(difference_set(a).mask),
+                    hex(sumset(a, b).mask), hex(sumset(b, a).mask), doubling,
+                    rep.solid, rep.violator))
+
+
+def test_kernels_are_pinned():
+    # difference_set, sumset both ways, doubling_reaches at every bound
+    # 1..2|A|+1 and is_solid on seeded random sets of every kernel group
+    rng = random.Random("pinned:kernels")
+    rows = [row for factors in KERNEL_GROUPS for row in _kernel_rows(Group(list(factors)), rng)]
+    assert _digest(rows) == KERNEL_DIGEST
