@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import importlib
 import pickle
 import random
@@ -12,7 +14,7 @@ from addcomp.groups import Group, Homomorphism, abelian_groups_of_order, subgrou
 from addcomp.literals import format_element, parse_set
 from addcomp.oracle import (naive_coverage, naive_difference_set, naive_sumset,
                             oracle_is_minimal_complement_for)
-from addcomp.sumset import (GroupSet, ListedSet, bits_of, coverage, difference_set,
+from addcomp.sumset import (BITS_CHUNK, GroupSet, ListedSet, bits_of, coverage, difference_set,
                             mask_of, negated, private_points, progression_sum, sumset,
                             translate, translate_mask)
 
@@ -155,6 +157,54 @@ def test_groupset_rejects_out_of_range_mask():
         GroupSet(g, 1 << 4)
     with pytest.raises(ValueError):
         GroupSet.from_elements(g, [4])
+
+
+def test_groupset_range_errors_keep_their_text():
+    g = Group([4])
+    with pytest.raises(ValueError, match=r"^mask 0x-5 does not fit a group of order 4$"):
+        GroupSet(g, -5)
+    with pytest.raises(ValueError, match=r"^mask 0x10 does not fit a group of order 4$"):
+        GroupSet(g, 1 << 4)
+    with pytest.raises(ValueError, match=r"^mask 0x1f does not fit a group of order 4$"):
+        GroupSet(group=g, mask=31)
+    assert GroupSet(g, 15).mask == 15 and GroupSet(g, 0).mask == 0
+
+
+def test_groupset_is_a_frozen_value():
+    g = Group([2, 6])
+    a = GroupSet(g, 0b101)
+    for name, value in (("group", Group([12])), ("mask", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, value)
+    for name in ("group", "mask"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, name)
+    assert a == GroupSet(group=g, mask=5) == GroupSet.from_elements(g, [2, 0])
+    assert a != GroupSet(g, 0b100) and a != GroupSet(Group([12]), 0b101)
+    assert hash(a) == hash(GroupSet(Group([2, 6]), 5)) and {a: 1}[GroupSet(g, 5)] == 1
+    for back in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert back == a and type(back) is GroupSet and back.mask == 5
+    assert dataclasses.replace(a) == a
+    assert dataclasses.replace(a, mask=0b11) == GroupSet(g, 3)
+    assert dataclasses.replace(a, group=Group([12])) == GroupSet(Group([12]), 5)
+    with pytest.raises(ValueError, match="does not fit a group of order 12"):
+        dataclasses.replace(a, mask=1 << 12)
+    assert repr(a) == "GroupSet(2x6, {0, 2})"
+    assert repr(GroupSet(g, 0)) == "GroupSet(2x6, {})"
+    assert [f.name for f in dataclasses.fields(GroupSet)] == ["group", "mask"]
+
+
+def test_listed_set_equals_and_hashes_as_its_plain_set():
+    g = Group([2 * BITS_CHUNK])
+    for points in ((0, BITS_CHUNK + 3), (5, 9, 2 * BITS_CHUNK - 1)):
+        listed = GroupSet.from_elements(g, points)
+        plain = GroupSet(g, sum(1 << p for p in points))
+        assert type(listed) is ListedSet and type(plain) is GroupSet
+        assert listed == plain and plain == listed and hash(listed) == hash(plain)
+        assert {plain: points}[listed] == points
+        assert repr(listed) == repr(plain)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            listed.mask = 0
 
 
 def test_cross_group_mix_rejected():

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -139,6 +141,26 @@ def test_is_solid_stops_when_no_candidate_is_left(monkeypatch, factors, elems, t
                         lambda group, mask, e: calls.append(e) or real(group, mask, e))
     assert is_solid(c, d) == SolidityReport(c, True)
     assert len(calls) == translates
+
+
+def test_solidity_report_is_a_frozen_value():
+    g = Group([3])
+    c = _gs(g, [0, 1])
+    rep = is_solid(c)
+    assert rep == SolidityReport(c, False, 2) == SolidityReport(c=c, solid=False, violator=2)
+    assert rep != SolidityReport(c, True) and SolidityReport(c, True).violator is None
+    assert hash(rep) == hash(SolidityReport(_gs(Group([3]), [1, 0]), False, 2))
+    assert repr(rep) == "SolidityReport(c=GroupSet(3, {0, 1}), solid=False, violator=2)"
+    assert repr(SolidityReport(c, True)) == (
+        "SolidityReport(c=GroupSet(3, {0, 1}), solid=True, violator=None)")
+    for name in ("c", "solid", "violator"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del rep.solid
+    assert pickle.loads(pickle.dumps(rep)) == rep
+    assert dataclasses.replace(rep, solid=True, violator=None) == SolidityReport(c, True)
+    assert [f.name for f in dataclasses.fields(SolidityReport)] == ["c", "solid", "violator"]
 
 
 def test_is_solid_matches_oracle():
