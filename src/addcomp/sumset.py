@@ -254,7 +254,7 @@ def negated_mask(group: "Group", mask: int) -> int:
 KEPT_POINT_BITS = 320
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GroupSet:
     """Immutable subset of a finite abelian group, stored as a bitmask.
 
@@ -274,16 +274,22 @@ class GroupSet:
     the masks would.  Equality, hashing and pickling see (group, mask)
     only, so a listed set equals, hashes and pickles as the plain set
     with its mask.
+
+    __init__ is written by hand.  A frozen dataclass's own sets each
+    field through object.__setattr__ and then calls __post_init__, and
+    the kernels build one set per call; this one runs the same range
+    check and sets the two slots through their descriptors, as ListedSet
+    sets the mask slot.
     """
 
     group: Group
     mask: int
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.group.order:
-            raise ValueError(
-                f"mask 0x{self.mask:x} does not fit a group of order {self.group.order}"
-            )
+    def __init__(self, group: "Group", mask: int):
+        if mask < 0 or mask >> group.order:
+            raise ValueError(f"mask 0x{mask:x} does not fit a group of order {group.order}")
+        _set_group(self, group)
+        _set_mask(self, mask)
 
     def __reduce__(self):
         return GroupSet, (self.group, self.mask)
@@ -381,7 +387,10 @@ class GroupSet:
         return f"GroupSet({self.group.spec_string()}, {{{inner}}})"
 
 
-_MASK = GroupSet.__dict__["mask"]  # the slot the dataclass made for mask
+# the slots the dataclass made for group and mask
+_MASK = GroupSet.__dict__["mask"]
+_set_mask = _MASK.__set__
+_set_group = GroupSet.__dict__["group"].__set__
 
 
 class ListedSet(GroupSet):
@@ -398,8 +407,8 @@ class ListedSet(GroupSet):
     __slots__ = ("_points", "_holes")
 
     def __init__(self, group: "Group", kept: tuple, holes: bool = False):
-        object.__setattr__(self, "group", group)
-        _MASK.__set__(self, None)
+        _set_group(self, group)
+        _set_mask(self, None)
         object.__setattr__(self, "_points", None if holes else kept)
         object.__setattr__(self, "_holes", kept if holes else None)
 
@@ -412,7 +421,7 @@ class ListedSet(GroupSet):
                 mask = mask_of(n, self._points)
             else:
                 mask = self.group.full_mask ^ mask_of(n, self._holes)
-            _MASK.__set__(self, mask)
+            _set_mask(self, mask)
         return mask
 
     def __setattr__(self, name, value):
@@ -568,10 +577,13 @@ def doubling_reaches(group: "Group", mask: int, bound: int) -> bool:
     if group.order > BITS_CHUNK:
         return False
     acc = 0
-    for a in bits_of(mask):
-        acc |= translate_mask(group, mask, a)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        acc |= translate_mask(group, mask, low.bit_length() - 1)
         if acc.bit_count() >= bound:
             return True
+        rest ^= low
     return False
 
 
@@ -587,17 +599,24 @@ def difference_set(a: GroupSet) -> GroupSet:
     At 2|A| = n it can fail (an index-2 subgroup A has A - A = A), so
     the inequality is strict.  Otherwise the union stops at the first
     full one, so only the y it translates by are negated.
+
+    The walk over A clears its lowest bit inline rather than going
+    through bits_of: each step makes an n-bit translate, so rewriting the
+    mask to clear one bit costs less than the step already does.
     """
     group = a.group
     if 2 * len(a) > group.order:
         return GroupSet.full(group)
     full = group.full_mask
     neg = group.negator()
+    mask = rest = a.mask
     acc = 0
-    for y in bits_of(a.mask):
-        acc |= translate_mask(group, a.mask, neg(y))
+    while rest:
+        low = rest & -rest
+        acc |= translate_mask(group, mask, neg(low.bit_length() - 1))
         if acc == full:
             break
+        rest ^= low
     return GroupSet(group, acc)
 
 

@@ -36,6 +36,20 @@ def test_is_supplement():
         is_supplement(GroupSet.empty(g), c)
 
 
+def test_is_supplement_builds_no_sumset(monkeypatch):
+    # disjointness is read off C - C and W - W alone; only maximality needs
+    # C + (W - W)
+    g = Group([8])
+    calls = []
+    real = supplements.sumset
+    monkeypatch.setattr(supplements, "sumset", lambda a, b: calls.append(1) or real(a, b))
+    for w, c in (([0, 2], [0, 1]), ([0, 2, 4], [0, 1]), ([0, 1], [0, 1])):
+        is_supplement(_gs(g, w), _gs(g, c))
+    assert calls == []
+    assert supplements.supplement_status(_gs(g, [0, 2]), _gs(g, [0, 1])) == (True, False)
+    assert calls == [1]
+
+
 def test_is_maximal_supplement_for():
     g = Group([8])
     c = _gs(g, [0, 1])
