@@ -31,7 +31,7 @@ from .groups import (Group, Subgroup, abelian_groups_of_order, all_subgroups,
 from .groups import subgroup_generated  # noqa: F401
 from .rng import derive_seed
 from .sumset import (GroupSet, _same_group, bits_of, doubling_reaches, negated_mask,
-                     private_points, sumset, translate_mask)
+                     private_points, sumset, translate_mask, translates)
 
 PAIR_SCAN_LIMIT = 1 << 16
 
@@ -131,9 +131,8 @@ def scan_for_witness(group: Group, c: GroupSet,
         raise ValueError("empty C has no witness")
     n = group.order
     full = group.full_mask
-    plus = [translate_mask(group, c.mask, x) for x in range(n)]  # x + C
-    neg_c = negated_mask(group, c.mask)
-    minus = [translate_mask(group, neg_c, p) for p in range(n)]  # p - C
+    plus = translates(group, c.mask)  # x + C
+    minus = translates(group, negated_mask(group, c.mask))  # p - C
     neg = group.negator()
     stack = [(1, full & ~1, c.mask, 0)]  # W, allowed, once, twice
     candidates = 0

@@ -41,7 +41,8 @@ class Group:
     """Direct product of cyclic groups Z/d_1 x ... x Z/d_r.
 
     Equality, hashing and pickling see the factors only, never what a
-    group works out for its callers: the exponent, set at creation; the
+    group works out for its callers: the exponent and whether the group
+    is cyclic (one factor), set at creation; the
     block masks (block_reps), and the translate plans and negation table
     a small group keeps (translate_plan, negator), built on first use;
     and size_gates, the table of exists_witness's gate records by |C|
@@ -65,6 +66,7 @@ class Group:
     _negs: Optional[tuple[int, ...]] = field(init=False, compare=False)
     _exponent: int = field(init=False, compare=False)
     size_gates: dict = field(init=False, compare=False)
+    cyclic: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         fs = tuple(int(d) for d in self.factors)
@@ -88,6 +90,7 @@ class Group:
         object.__setattr__(self, "_negs", None)
         object.__setattr__(self, "_exponent", math.lcm(*fs))
         object.__setattr__(self, "size_gates", {})
+        object.__setattr__(self, "cyclic", len(fs) == 1)
 
     def __reduce__(self):
         return Group, (self.factors,)
@@ -183,7 +186,7 @@ class Group:
         n = self.order
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"element index out of range for {self}")
-        if len(self.factors) == 1:
+        if self.cyclic:
             return (a + b) % n
         out = 0
         for d, s in zip(self.factors, self.strides):
@@ -194,7 +197,7 @@ class Group:
         n = self.order
         if not 0 <= a < n:
             raise ValueError(f"element index {a} out of range for {self}")
-        if len(self.factors) == 1:
+        if self.cyclic:
             return (n - a) % n
         out = 0
         for d, s in zip(self.factors, self.strides):
@@ -220,7 +223,7 @@ class Group:
         n = self.order
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"element index out of range for {self}")
-        if len(self.factors) == 1:
+        if self.cyclic:
             return (a - b) % n
         out = 0
         for d, s in zip(self.factors, self.strides):
@@ -231,7 +234,7 @@ class Group:
         """k-fold sum of a (k any integer); coordinatewise multiplication."""
         if not 0 <= a < self.order:
             raise ValueError(f"element index {a} out of range for {self}")
-        if len(self.factors) == 1:
+        if self.cyclic:
             return (a * k) % self.order
         out = 0
         for d, s in zip(self.factors, self.strides):

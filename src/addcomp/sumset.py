@@ -23,6 +23,7 @@ __all__ = [
     "CoverageProfile",
     "bits_of",
     "translate_mask",
+    "translates",
     "progression_sum",
     "PrivatePoints",
     "private_points",
@@ -88,7 +89,7 @@ def translate_mask(group: "Group", mask: int, g: int) -> int:
     n = group.order
     if g == 0 or n <= 1:
         return mask
-    if len(group.factors) == 1:
+    if group.cyclic:
         return ((mask << g) | (mask >> (n - g))) & group.full_mask
     for keep, shift, back in group.translate_plan(g):
         # the low block - shift bits of every block move up by shift, the
@@ -96,6 +97,40 @@ def translate_mask(group: "Group", mask: int, g: int) -> int:
         low = mask & keep
         mask = (low << shift) | ((mask ^ low) >> back)
     return mask
+
+
+def translates(group: "Group", mask: int) -> list[int]:
+    """[translate_mask(group, mask, x) for x in range(n)], in one pass.
+
+    A translate by a multiple of the last factor's stride s_r rotates the
+    whole mask, so it is one shift of the doubled mask mask << n | mask;
+    on a cyclic group (s_r = 1) that is every translate.  A product first
+    grows the list over the other factors, first to last: when it holds
+    the translates by the elements with digit 0 from factor i on, in
+    index order, d_i - 1 rows follow, each the row before it moved by the
+    stride s_i, one step of translate_plan(s_i) per entry.  Each of the
+    d_r rotations of that list then adds a row, so the entries come out
+    in index order and no entry costs more than one step or one shift.
+    """
+    n = group.order
+    full = group.full_mask
+    if group.cyclic:
+        doubled = mask << n | mask
+        return [doubled >> k & full for k in range(n, 0, -1)]
+    if n == 1:
+        return [mask]
+    out = [mask]
+    for d, s in zip(group.factors[:-1], group.strides):
+        ((keep, shift, back),) = group.translate_plan(s)
+        row, grown = out, list(out)
+        for _ in range(d - 1):
+            # the low block - shift bits of every block move up by shift,
+            # the rest wrap down to the bottom of the same block
+            row = [(low := m & keep) << shift | (m ^ low) >> back for m in row]
+            grown += row
+        out = grown
+    doubled = [m << n | m for m in out]
+    return [m >> k & full for k in range(n, 0, -group.strides[-1]) for m in doubled]
 
 
 def progression_sum(group: "Group", mask: int, step: int, length: int) -> int:

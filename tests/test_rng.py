@@ -53,24 +53,84 @@ def _below_by_definition(rng, n):
             return v % n
 
 
+def _chance_by_definition(rng, threshold):
+    """chance(threshold) as documented: the next u64 is below threshold."""
+    return rng.next_u64() < threshold
+
+
+# Runs of up to 1024 outputs are mixed in lanes, so the counts straddle a
+# run's edges.
+COUNTS = (0, 1, 2, 16, 1023, 1024, 1025, 3 * 1024 + 5)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 1 << 24, 10 ** 6, 1 << 64, (1 << 63) + 1])
 def test_draws_are_successive_belows(n):
     # About half of all u64 are rejected for n = 2^63 + 1, none for 2^k.
-    for count in (0, 1, 5, 200):
-        bulk, single, defined = SplitMix64(n + count), SplitMix64(n + count), SplitMix64(n + count)
-        got = bulk.draws(n, count)
-        assert got == [single.below(n) for _ in range(count)]
-        assert got == [_below_by_definition(defined, n) for _ in range(count)]
-        assert bulk.next_u64() == single.next_u64() == defined.next_u64()
+    for count in COUNTS:
+        bulk, defined = SplitMix64(n + count), SplitMix64(n + count)
+        assert bulk.draws(n, count) == [_below_by_definition(defined, n) for _ in range(count)]
+        assert bulk.next_u64() == defined.next_u64()
 
 
-@pytest.mark.parametrize("threshold", [0, 1, 1 << 63, 1 << 64])
+def test_draws_with_some_runs_rejected():
+    # One u64 in 2000 is rejected for this n: with seed 1 the second and
+    # third of four runs hold a rejected output and the first and last do
+    # not, so both the lane path and the fallback are taken in one call.
+    n = (1 << 64) - (1 << 64) // 2000
+    limit = (1 << 64) - (1 << 64) % n
+    count = 3 * 1024 + 5
+    probe, rejected_runs, accepted = SplitMix64(1), set(), 0
+    while accepted < count:
+        if probe.next_u64() < limit:
+            accepted += 1
+        else:
+            rejected_runs.add(accepted // 1024)
+    assert rejected_runs == {1, 2}
+    bulk, defined = SplitMix64(1), SplitMix64(1)
+    assert bulk.draws(n, count) == [_below_by_definition(defined, n) for _ in range(count)]
+    assert bulk.next_u64() == defined.next_u64() == probe.next_u64()
+
+
+def test_draws_with_some_lanes_rejected():
+    # A quarter of all u64 are rejected for n = 3 * 2^62: 16 draws from
+    # seed 2 read 18 outputs, so one run of lanes holds two rejected ones.
+    n, count = 3 << 62, 16
+    bulk, defined = SplitMix64(2), SplitMix64(2)
+    assert bulk.draws(n, count) == [_below_by_definition(defined, n) for _ in range(count)]
+    used, probe = 0, SplitMix64(2)
+    while probe._state != defined._state:
+        probe.next_u64()
+        used += 1
+    assert used == count + 2
+    assert bulk.next_u64() == defined.next_u64()
+
+
+@pytest.mark.parametrize("threshold", [-1, 0, 1, 1 << 63, (1 << 64) - 1, 1 << 64, 1 << 65])
 def test_chances_are_successive_chances(threshold):
-    for count in (0, 1, 16, 200):
-        bulk, single = SplitMix64(threshold + count), SplitMix64(threshold + count)
+    for count in COUNTS:
+        bulk, defined = SplitMix64(threshold + count), SplitMix64(threshold + count)
         got = bulk.chances(threshold, count)
-        assert got == sum(single.chance(threshold) << i for i in range(count))
-        assert bulk.next_u64() == single.next_u64()
+        assert got == sum(_chance_by_definition(defined, threshold) << i for i in range(count))
+        assert bulk.next_u64() == defined.next_u64()
+
+
+def test_single_draws_are_their_definitions():
+    for threshold in (1, 1 << 63, (1 << 64) - 1):
+        single, defined = SplitMix64(threshold), SplitMix64(threshold)
+        assert [single.chance(threshold) for _ in range(50)] == \
+            [_chance_by_definition(defined, threshold) for _ in range(50)]
+    for n in (2, 7, (1 << 63) + 1):
+        single, defined = SplitMix64(n), SplitMix64(n)
+        assert [single.below(n) for _ in range(50)] == [_below_by_definition(defined, n) for _ in range(50)]
+
+
+def test_bulk_draws_reject_a_negative_count():
+    for n in (1, 7):
+        with pytest.raises(ValueError):
+            SplitMix64(1).draws(n, -1)
+    for threshold in (0, 1 << 63, 1 << 64):
+        with pytest.raises(ValueError):
+            SplitMix64(1).chances(threshold, -3)
 
 
 def test_draws_reject_about_half_above_2_to_63():
@@ -86,7 +146,7 @@ def test_draws_reject_about_half_above_2_to_63():
 
 
 def test_draws_reject_a_bad_bound():
-    for n in (0, -3):
+    for n in (0, -3, (1 << 64) + 1):
         with pytest.raises(ValueError):
             SplitMix64(1).draws(n, 3)
         with pytest.raises(ValueError):
