@@ -18,7 +18,6 @@ the same number of successive single draws would.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 
 __all__ = ["SplitMix64", "derive_seed"]
 
@@ -41,15 +40,13 @@ def _mix(z: int) -> int:
     return z
 
 
-@lru_cache(maxsize=16)
-def _lane_constants(count: int) -> tuple[int, int, int]:
-    """(ones, steps, low) for count lanes of 128 bits: a 1 at the bottom
-    of every lane, (i + 1) * _GOLDEN in lane i, and the low 64 bits of
-    every lane set."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
-    steps = int.from_bytes(b"".join((i * _GOLDEN).to_bytes(16, "little")
-                                    for i in range(1, count + 1)), "little")
-    return ones, steps, ones * _MASK64
+# the lane constants of _LANES lanes of 128 bits: a 1 at the bottom of every
+# lane, (i + 1) * _GOLDEN in lane i, and the low 64 bits of every lane set;
+# a shorter run uses their low lanes
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_STEPS = int.from_bytes(b"".join((i * _GOLDEN).to_bytes(16, "little")
+                                 for i in range(1, _LANES + 1)), "little")
+_LOW = _ONES * _MASK64
 
 
 def _mix_lanes(state: int, count: int) -> int:
@@ -60,8 +57,9 @@ def _mix_lanes(state: int, count: int) -> int:
     multiply of the whole int multiplies every lane, and each shift or
     product is masked back to the low 64 bits of every lane.
     """
-    ones, steps, low = _lane_constants(count)
-    z = (state * ones + steps) & low
+    keep = (1 << 128 * count) - 1
+    low = _LOW & keep
+    z = (state * (_ONES & keep) + (_STEPS & keep)) & low
     z = (z ^ z >> 30) & low
     z = z * 0xBF58476D1CE4E5B9 & low
     z = (z ^ z >> 27) & low
@@ -159,7 +157,8 @@ class SplitMix64:
         for done in range(0, count, _LANES):
             run = min(count - done, _LANES)
             lanes = _mix_lanes((state + done * _GOLDEN) & _MASK64, run)
-            carries = (lanes + _lane_constants(run)[0] * ((1 << 64) - threshold)) >> 64
+            ones = _ONES & ((1 << 128 * run) - 1)
+            carries = (lanes + ones * ((1 << 64) - threshold)) >> 64
             flags = carries.to_bytes(16 * run, "little")[::16].translate(_BELOW)
             mask |= int(flags[::-1], 2) << done
         return mask

@@ -66,10 +66,14 @@ COUNTS = (0, 1, 2, 16, 1023, 1024, 1025, 3 * 1024 + 5)
 @pytest.mark.parametrize("n", [1, 2, 7, 1 << 24, 10 ** 6, 1 << 64, (1 << 63) + 1])
 def test_draws_are_successive_belows(n):
     # About half of all u64 are rejected for n = 2^63 + 1, none for 2^k.
+    # below(n) is checked here too, with where it leaves the stream: for
+    # n = 1 it draws nothing.
     for count in COUNTS:
-        bulk, defined = SplitMix64(n + count), SplitMix64(n + count)
-        assert bulk.draws(n, count) == [_below_by_definition(defined, n) for _ in range(count)]
-        assert bulk.next_u64() == defined.next_u64()
+        bulk, single, defined = SplitMix64(n + count), SplitMix64(n + count), SplitMix64(n + count)
+        got = bulk.draws(n, count)
+        assert got == [single.below(n) for _ in range(count)]
+        assert got == [_below_by_definition(defined, n) for _ in range(count)]
+        assert bulk.next_u64() == single.next_u64() == defined.next_u64()
 
 
 def test_draws_with_some_runs_rejected():
@@ -108,20 +112,12 @@ def test_draws_with_some_lanes_rejected():
 @pytest.mark.parametrize("threshold", [-1, 0, 1, 1 << 63, (1 << 64) - 1, 1 << 64, 1 << 65])
 def test_chances_are_successive_chances(threshold):
     for count in COUNTS:
-        bulk, defined = SplitMix64(threshold + count), SplitMix64(threshold + count)
+        seed = threshold + count
+        bulk, single, defined = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
         got = bulk.chances(threshold, count)
+        assert got == sum(single.chance(threshold) << i for i in range(count))
         assert got == sum(_chance_by_definition(defined, threshold) << i for i in range(count))
-        assert bulk.next_u64() == defined.next_u64()
-
-
-def test_single_draws_are_their_definitions():
-    for threshold in (1, 1 << 63, (1 << 64) - 1):
-        single, defined = SplitMix64(threshold), SplitMix64(threshold)
-        assert [single.chance(threshold) for _ in range(50)] == \
-            [_chance_by_definition(defined, threshold) for _ in range(50)]
-    for n in (2, 7, (1 << 63) + 1):
-        single, defined = SplitMix64(n), SplitMix64(n)
-        assert [single.below(n) for _ in range(50)] == [_below_by_definition(defined, n) for _ in range(50)]
+        assert bulk.next_u64() == single.next_u64() == defined.next_u64()
 
 
 def test_bulk_draws_reject_a_negative_count():
