@@ -30,8 +30,10 @@ __all__ = [
     "mask_of",
     "negated_mask",
     "sumset",
+    "sumset_mask",
     "doubling_reaches",
     "difference_set",
+    "difference_mask",
     "translate",
     "negated",
     "coverage",
@@ -583,20 +585,29 @@ def _same_group(a: GroupSet, b: GroupSet) -> None:
 
 
 def sumset(a: GroupSet, b: GroupSet) -> GroupSet:
-    """Pointwise sum A + B = {x + y : x in A, y in B}."""
+    """Pointwise sum A + B = {x + y : x in A, y in B}, by sumset_mask.
+
+    The larger set's mask is translated by the smaller set's points,
+    which a listed set (ListedSet) hands over from its tuple.
+    """
     _same_group(a, b)
     group = a.group
     if not a.mask or not b.mask:
         return GroupSet(group, 0)
     small, large = (a, b) if len(a) <= len(b) else (b, a)
+    return GroupSet(group, sumset_mask(group, large.mask, small))
+
+
+def sumset_mask(group: "Group", mask: int, points: Iterable[int]) -> int:
+    """Mask of mask + points, the union of the translates of mask by the
+    points, which stops at the first union that is the whole group."""
     full = group.full_mask
     acc = 0
-    lm = large.mask
-    for e in small:
-        acc |= translate_mask(group, lm, e)
+    for e in points:
+        acc |= translate_mask(group, mask, e)
         if acc == full:
             break
-    return GroupSet(group, acc)
+    return acc
 
 
 def doubling_reaches(group: "Group", mask: int, bound: int) -> bool:
@@ -627,32 +638,65 @@ def negated(a: GroupSet) -> GroupSet:
 
 
 def difference_set(a: GroupSet) -> GroupSet:
-    """A - A = {x - y : x, y in A}, the union of the translates A - y.
+    """A - A = {x - y : x, y in A}.
+
+    The kernel is difference_mask, on int masks, which the supplement
+    decisions call directly; this wrapper only builds the set.  On a
+    cyclic group the kernel reads each A - y as a shift of the doubled
+    mask A << n | A, since one shift costs less than translate_mask's
+    rotation and the negation of y it would need.  The wrapper reads the
+    shortcut 2|A| > n off len(a) before it reads the mask, so a listed
+    set (ListedSet) that is more than half the group builds no mask.
+    """
+    group = a.group
+    if 2 * len(a) > group.order:
+        return GroupSet.full(group)
+    return GroupSet(group, difference_mask(group, a.mask))
+
+
+def difference_mask(group: "Group", mask: int) -> int:
+    """Mask of A - A, A = mask: the union of the translates A - y, y in A.
 
     When 2|A| > n, A - A = G at once: for any g, A and g + A have more
     than n/2 points each, so they meet, at a = g + a', and g = a - a'.
     At 2|A| = n it can fail (an index-2 subgroup A has A - A = A), so
     the inequality is strict.  Otherwise the union stops at the first
-    full one, so only the y it translates by are negated.
+    full one.
 
-    The walk over A clears its lowest bit inline rather than going
-    through bits_of: each step makes an n-bit translate, so rewriting the
-    mask to clear one bit costs less than the step already does.
+    On a cyclic group A - y is the translate by n - y, and the doubled
+    mask D = A << n | A holds every translate as one shift: bits y to
+    y + n - 1 of D are A - y, so it is (D >> y) & full, one shift and
+    one AND of n bits with no negation (the identity translates builds
+    its table on).  A product translates by -y with translate_mask, one
+    rotation per factor, and negates only the y it translates by.  The
+    walk over A clears its
+    lowest bit inline rather than going through bits_of: each step makes
+    an n-bit translate, so rewriting the mask to clear one bit costs
+    less than the step already does.
     """
-    group = a.group
-    if 2 * len(a) > group.order:
-        return GroupSet.full(group)
+    n = group.order
     full = group.full_mask
-    neg = group.negator()
-    mask = rest = a.mask
+    if 2 * mask.bit_count() > n:
+        return full
     acc = 0
+    rest = mask
+    if group.cyclic:
+        doubled = mask << n | mask
+        while rest:
+            low = rest & -rest
+            acc |= doubled >> (low.bit_length() - 1) & full
+            if acc == full:
+                break
+            rest ^= low
+        return acc
+    neg = group.negator()
     while rest:
         low = rest & -rest
         acc |= translate_mask(group, mask, neg(low.bit_length() - 1))
         if acc == full:
             break
         rest ^= low
-    return GroupSet(group, acc)
+    return acc
 
 
 def translate(a: GroupSet, g: int) -> GroupSet:

@@ -27,26 +27,33 @@ from typing import Optional
 from .decision import (MAXIMAL_SUPPLEMENT, NO, UNKNOWN, DecisionCertificate,
                        SearchBudget)
 from .groups import Group
-from .sumset import (GroupSet, _same_group, add_to_planes, bits_of, difference_set,
-                     lowest_extreme, negated_mask, sumset, translate_mask)
+from .sumset import (GroupSet, _same_group, add_to_planes, bits_of, difference_mask,
+                     lowest_extreme, negated_mask, sumset_mask, translate_mask)
 
 
-def _supplement_differences(w: GroupSet, c: GroupSet) -> Optional[GroupSet]:
-    """W - W when c is a supplement for w, that is when C - C and W - W
-    meet only at 0, else None."""
+def _supplement_differences(w: GroupSet, c: GroupSet) -> Optional[int]:
+    """The mask of W - W when c is a supplement for w, that is when C - C
+    and W - W meet only at 0, else None."""
     _same_group(w, c)
     if not w or not c:
         raise ValueError("supplement check needs non-empty sets")
-    cc, ww = difference_set(c), difference_set(w)
-    return ww if cc.mask & ww.mask == 1 else None
+    group = c.group
+    cc, ww = difference_mask(group, c.mask), difference_mask(group, w.mask)
+    return ww if cc & ww == 1 else None
 
 
 def supplement_status(w: GroupSet, c: GroupSet) -> tuple[bool, bool]:
-    """(is c a supplement for w, is it a maximal one), from one C - C and one W - W."""
+    """(is c a supplement for w, is it a maximal one), from one C - C and
+    one W - W; maximality reads C + (W - W) off sumset_mask, translating
+    the larger of the two masks by the points of the smaller."""
     ww = _supplement_differences(w, c)
     if ww is None:
         return False, False
-    return True, sumset(c, ww).mask == c.group.full_mask
+    group = c.group
+    big, small = c.mask, ww
+    if big.bit_count() < small.bit_count():
+        big, small = small, big
+    return True, sumset_mask(group, big, bits_of(small)) == group.full_mask
 
 
 def is_supplement(w: GroupSet, c: GroupSet) -> bool:
@@ -81,35 +88,69 @@ class SolidityReport:
 def is_solid(c: GroupSet, difference: Optional[int] = None) -> SolidityReport:
     """The least x outside c with x - c inside c - c, if there is one.
 
-    difference, when given, is the mask of c - c, so a caller holding it
-    does not compute it twice.  The candidates start as the points
-    outside c and keep those inside every translate (c - c) + e, e in c,
-    and the walk stops when none is left; each translate holds c, so
-    only the points outside c can run out.  When c - c = G every
-    translate of it is G, so every point outside c extends c and the
-    translates are not intersected.  The extension point found is
-    rechecked either way.
+    The kernel is solidity_violator, on int masks, which
+    maximal_supplement_witness calls directly; this wrapper builds the
+    report.  On a cyclic group its walk reads each translate (c - c) + e
+    as a shift of the doubled mask, one shift in place of translate_mask's
+    rotation.  difference, when given, is the mask of c - c, so a caller
+    holding it does not compute it twice.
     """
-    group = c.group
     if not c:
         raise ValueError("solidity is about non-empty sets")
-    full = group.full_mask
-    d = difference_set(c).mask if difference is None else difference
-    candidates = full & ~c.mask
-    if d != full:
-        rest = c.mask
-        while rest:
-            low = rest & -rest
-            candidates &= translate_mask(group, d, low.bit_length() - 1)
-            if not candidates:
-                break
-            rest ^= low
-    if candidates == 0:
-        return SolidityReport(c, True)
-    x = (candidates & -candidates).bit_length() - 1
-    if difference_set(c.with_element(x)).mask != d:
+    group = c.group
+    d = difference_mask(group, c.mask) if difference is None else difference
+    x = solidity_violator(group, c.mask, d)
+    return SolidityReport(c, x is None, x)
+
+
+def solidity_violator(group: Group, c: int, d: int) -> Optional[int]:
+    """The least x outside C with x - C inside C - C = d, or None: C solid.
+
+    _least_violator finds x, and x is rechecked from scratch: the
+    difference set of C | {x} must be d.
+    """
+    x = _least_violator(group, c, d)
+    if x is not None and difference_mask(group, c | 1 << x) != d:
         raise RuntimeError("extension point failed the difference-set recheck")
-    return SolidityReport(c, False, x)
+    return x
+
+
+def _least_violator(group: Group, c: int, d: int) -> Optional[int]:
+    """The least point of the intersection of the translates d + e, e in C, outside C.
+
+    The candidates start as the points outside C and keep those inside
+    every translate (C - C) + e, and the walk stops when none is left;
+    each translate holds C, so only the points outside C can run out.
+    When C - C = G every translate of it is G, so every point outside C
+    extends C and the translates are not intersected.  On a cyclic group
+    the translate by e is bits n - e to 2n - e - 1 of the doubled mask
+    d << n | d (see sumset.difference_mask), and no AND with the full
+    mask is needed, since the candidates lie inside it; a product
+    translates with translate_mask.
+    """
+    full = group.full_mask
+    candidates = full & ~c
+    if d != full:
+        rest = c
+        if group.cyclic:
+            n = group.order
+            doubled = d << n | d
+            while rest:
+                low = rest & -rest
+                candidates &= doubled >> (n + 1 - low.bit_length())
+                if not candidates:
+                    return None
+                rest ^= low
+        else:
+            while rest:
+                low = rest & -rest
+                candidates &= translate_mask(group, d, low.bit_length() - 1)
+                if not candidates:
+                    return None
+                rest ^= low
+    if not candidates:
+        return None
+    return (candidates & -candidates).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -151,7 +192,7 @@ def independent_search(group: Group, allowed: int, base: int, target: int,
 
     Bound.  Every W below the node lies inside S = R | P, so a node is cut
     when base + ((S - S) & allowed) misses a point of target.  When
-    2|S| > n, S - S = G (see difference_set), and the test is base +
+    2|S| > n, S - S = G (see difference_mask), and the test is base +
     allowed ⊇ target, which holds; so does it at the root, where S =
     allowed, and there it is skipped.  Otherwise S - S is the union of
     the S - y, y in S, OR-ed until it is G, and base + ((S - S) &
@@ -289,10 +330,9 @@ def diffset_representation(v: GroupSet,
     found, nodes, complete = independent_search(group, target, 1, target,
                                                 budget.max_candidates)
     if found is not None:
-        a = GroupSet(group, found)
-        if difference_set(a).mask != target:
+        if difference_mask(group, found) != target:
             raise RuntimeError("realizer failed the difference-set recheck")
-        return DiffsetInstance(v, a, "found", nodes)
+        return DiffsetInstance(v, GroupSet(group, found), "found", nodes)
     return DiffsetInstance(v, None, "none" if complete else "unknown", nodes)
 
 
@@ -314,37 +354,39 @@ def maximal_supplement_witness(c: GroupSet,
     translates to reach G (the median over a search), against about 5
     on Z_n.  CPU seconds of one supplement call on C = {0, 1, 5} in Z_n
     and on {(0,0), (1,0), (1,1)} in a x a, every answer a yes, on a
-    2-core x86 host (the rows above 16,384 were measured before the
-    search walked its masks inline, and were not run again):
+    2-core x86 host, the least of 8 runs of 3 calls (the rows above
+    16,384 were measured before the search walked its masks inline, and
+    were not run again):
 
         n        Z_n: s   nodes    a x a                s      nodes
-        1,000    0.003      251    32 x 32 = 1,024      0.006    247
-        2,000    0.008      501    45 x 45 = 2,025      0.004    239
-        4,000    0.022    1,001    64 x 64 = 4,096      0.051  1,006
-        8,000    0.080    2,001    90 x 90 = 8,100      0.33   1,997
-        16,000   0.22     4,001    128 x 128 = 16,384   1.2    4,055
+        1,000    0.003      251    32 x 32 = 1,024      0.005    247
+        2,000    0.007      501    45 x 45 = 2,025      0.004    239
+        4,000    0.019    1,001    64 x 64 = 4,096      0.045  1,006
+        8,000    0.067    2,001    90 x 90 = 8,100      0.32   1,997
+        16,000   0.19     4,001    128 x 128 = 16,384   1.1    4,055
         32,000   0.78     8,001    180 x 180 = 32,400   4.6    8,042
         64,000   3.3     16,001    256 x 256 = 65,536   21.6  16,302
     """
     group = c.group
-    if not c:
+    cm = c.mask
+    if not cm:
         raise ValueError("empty C")
 
     problem = MAXIMAL_SUPPLEMENT
     full = group.full_mask
-    if c.mask == full:
+    if cm == full:
         return DecisionCertificate.verified_yes(problem, "trivial", GroupSet(group, 1), c)
 
-    diff = difference_set(c).mask
-    rep = is_solid(c, diff)
-    if not rep.solid:
+    diff = difference_mask(group, cm)
+    violator = solidity_violator(group, cm, diff)
+    if violator is not None:
         return DecisionCertificate(problem, NO, "bound-solidity", c, detail={
-            "violator": rep.violator})
+            "violator": violator})
 
     allowed = (full & ~diff) | 1
     if budget is None:
         budget = SearchBudget()
-    w, checked, complete = independent_search(group, allowed, c.mask, full,
+    w, checked, complete = independent_search(group, allowed, cm, full,
                                               budget.max_candidates)
     if w is not None:
         return DecisionCertificate.verified_yes(problem, "exhaustive", GroupSet(group, w), c,

@@ -237,16 +237,16 @@ def test_random_build_zero_retries_is_usage_error(capsys):
 
 
 def test_supplement_pair_mode(capsys, monkeypatch):
-    # one C - C and one W - W per pair
+    # one C - C and one W - W per pair, each one call of the mask kernel
     supplements_module = importlib.import_module("addcomp.supplements")
-    real = supplements_module.difference_set
+    real = supplements_module.difference_mask
     calls = []
 
-    def counted(a):
-        calls.append(a.mask)
-        return real(a)
+    def counted(group, mask):
+        calls.append(mask)
+        return real(group, mask)
 
-    monkeypatch.setattr(supplements_module, "difference_set", counted)
+    monkeypatch.setattr(supplements_module, "difference_mask", counted)
     code, env, _ = run(capsys, "supplement", "--group", "8", "--c", "{0,1}",
                        "--w", "{0,2,4}")
     assert code == 0

@@ -7,7 +7,8 @@ import pytest
 from addcomp import supplements
 from addcomp.decision import NO, UNKNOWN, YES, SearchBudget
 from addcomp.groups import Group, abelian_groups_of_order
-from addcomp.oracle import oracle_diffset_table, oracle_solid
+from addcomp.oracle import (naive_coverage, naive_difference_set, oracle_diffset_table,
+                            oracle_is_maximal_supplement_for, oracle_is_supplement, oracle_solid)
 from addcomp.sumset import (GroupSet, bits_of, difference_set, negated_mask, sumset,
                             translate_mask)
 from addcomp.supplements import (_pivot, _pivot_side, diffset_representation,
@@ -38,11 +39,12 @@ def test_is_supplement():
 
 def test_is_supplement_builds_no_sumset(monkeypatch):
     # disjointness is read off C - C and W - W alone; only maximality needs
-    # C + (W - W)
+    # C + (W - W), which the mask kernel sumset_mask computes
     g = Group([8])
     calls = []
-    real = supplements.sumset
-    monkeypatch.setattr(supplements, "sumset", lambda a, b: calls.append(1) or real(a, b))
+    real = supplements.sumset_mask
+    monkeypatch.setattr(supplements, "sumset_mask",
+                        lambda group, mask, points: calls.append(1) or real(group, mask, points))
     for w, c in (([0, 2], [0, 1]), ([0, 2, 4], [0, 1]), ([0, 1], [0, 1])):
         is_supplement(_gs(g, w), _gs(g, c))
     assert calls == []
@@ -62,6 +64,69 @@ def test_is_maximal_supplement_for():
     assert is_maximal_supplement_for(GroupSet.full(g2), _gs(g2, [0]))
     # but not when they reach nothing beyond 0
     assert not is_maximal_supplement_for(_gs(g, [0]), _gs(g, [0]))
+
+
+def _check_against_oracle(w, c):
+    """Compare the mask-built supplement check with the oracle on (w, c).
+
+    Disjointness is read naively: the translates w + c, c in C, are
+    pairwise disjoint when no point of G is w + c in two ways.  Returns
+    (supplement, maximal, W - W misses part of G minus (C - C)).
+    """
+    disjoint = int(naive_coverage(w, c).max()) <= 1
+    maximal = oracle_is_maximal_supplement_for(w, c)
+    assert oracle_is_supplement(w, c) == disjoint
+    assert supplements.supplement_status(w, c) == (disjoint, maximal), (w, c)
+    assert is_supplement(w, c) == disjoint
+    assert is_maximal_supplement_for(w, c) == maximal
+    g = c.group
+    allowed = g.full_mask & ~naive_difference_set(c).mask
+    return disjoint, maximal, bool(allowed & ~naive_difference_set(w).mask)
+
+
+def test_supplement_check_matches_oracle_on_every_pair_of_order_at_most_6():
+    seen = set()
+    for n in range(1, 7):
+        for g in abelian_groups_of_order(n):
+            for wmask in range(1, 1 << n, 2):
+                for cmask in range(1, 1 << n):
+                    seen.add(_check_against_oracle(GroupSet(g, wmask), GroupSet(g, cmask)))
+    # no supplement, a supplement that is not maximal because W - W misses
+    # allowed differences, and a maximal one all occur
+    assert {(False, False, True), (True, False, True), (True, True, False)} <= seen
+
+
+def _random_supplement(rng, g, cc):
+    """A W through 0 grown by random points whose differences with W avoid
+    C - C, except 0; it is a supplement for C, maximal or not."""
+    w = [0]
+    for x in rng.sample(range(1, g.order), g.order - 1):
+        if all(not cc >> g.sub(x, y) & 1 for y in w):
+            w.append(x)
+    return w
+
+
+@pytest.mark.parametrize("factors", [[2, 3], [3, 5], [2, 2, 3]] + [[n] for n in range(17, 33)],
+                         ids=str)
+def test_supplement_check_matches_oracle_on_random_pairs(factors):
+    # per C: a random W through 0, mostly no supplement; a supplement grown
+    # point by point; and that supplement with points dropped, a
+    # supplement that is often not maximal
+    g = Group(factors)
+    n = g.order
+    rng = random.Random(f"supplement-check:{factors}")
+    counts = dict.fromkeys(["no", "not maximal", "maximal"], 0)
+    for _ in range(40):
+        c = _gs(g, rng.sample(range(n), rng.randint(1, max(1, n // 3))))
+        grown = _random_supplement(rng, g, naive_difference_set(c).mask)
+        kept = [0] + [x for x in grown[1:] if rng.random() < 0.5]
+        drawn = [0] + rng.sample(range(1, n), rng.randint(0, n // 2))
+        for w in (drawn, grown, kept):
+            supplement, maximal, misses = _check_against_oracle(_gs(g, w), c)
+            if supplement and not maximal:
+                assert misses or not is_solid(c).solid
+            counts["maximal" if maximal else "not maximal" if supplement else "no"] += 1
+    assert min(counts.values()) > 0, counts
 
 
 def test_maximality_matches_single_extension_z6():
@@ -140,21 +205,64 @@ def test_is_solid_matches_the_intersection_of_every_translate():
                 assert is_solid(c) == _solidity_by_every_translate(c), (g.factors, cmask)
 
 
+class _ShiftCounted(int):
+    """A mask that records every right shift taken of it.  << and | keep
+    the record, so the doubled mask d << n | d of the cyclic walk records
+    the shift that reads each translate off it."""
+
+    def __new__(cls, value, shifts):
+        self = super().__new__(cls, value)
+        self.shifts = shifts
+        return self
+
+    def __lshift__(self, k):
+        return _ShiftCounted(int(self) << k, self.shifts)
+
+    def __or__(self, other):
+        return _ShiftCounted(int(self) | int(other), self.shifts)
+
+    __ror__ = __or__
+
+    def __rshift__(self, k):
+        self.shifts.append(k)
+        return int(self) >> k
+
+
 @pytest.mark.parametrize("factors, elems, translates", [([8], [0, 1, 4, 5], 2),
                                                         ([2, 6], [0, 1, 6, 7], 1)], ids=str)
 def test_is_solid_stops_when_no_candidate_is_left(monkeypatch, factors, elems, translates):
     # each (C - C) + e holds C, so only starting from the points outside C
-    # lets the walk stop before the last of C's four translates
+    # lets the walk stop before the last of C's four translates; a step is
+    # a shift of the doubled mask on Z8 and a translate_mask call on 2x6
     g = Group(factors)
     c = _gs(g, elems)
     d = difference_set(c).mask
     assert d != g.full_mask
-    calls = []
+    steps = []
     real = supplements.translate_mask
     monkeypatch.setattr(supplements, "translate_mask",
-                        lambda group, mask, e: calls.append(e) or real(group, mask, e))
-    assert is_solid(c, d) == SolidityReport(c, True)
-    assert len(calls) == translates
+                        lambda group, mask, e: steps.append(e) or real(group, mask, e))
+    assert is_solid(c, _ShiftCounted(d, steps)) == SolidityReport(c, True)
+    assert len(steps) == translates
+
+
+@pytest.mark.parametrize("factors, elems", [([8], [0, 1]), ([8], [0, 1, 3]),
+                                            ([2, 4], [0, 1]), ([2, 2, 3], [0, 1, 6])], ids=str)
+def test_solidity_recheck_catches_a_wrong_extension_point(monkeypatch, factors, elems):
+    # a walk that hands back a point outside C whose difference set is not
+    # C - C must not reach a report or a certificate
+    g = Group(factors)
+    c = _gs(g, elems)
+    d = difference_set(c).mask
+    wrong = next(x for x in g.elements()
+                 if x not in c and difference_set(c.with_element(x)).mask != d)
+    monkeypatch.setattr(supplements, "_least_violator", lambda group, cm, dm: wrong)
+    with pytest.raises(RuntimeError, match="recheck"):
+        is_solid(c)
+    with pytest.raises(RuntimeError, match="recheck"):
+        is_solid(c, d)
+    with pytest.raises(RuntimeError, match="recheck"):
+        maximal_supplement_witness(c)
 
 
 def test_solidity_report_is_a_frozen_value():
